@@ -7,6 +7,8 @@ zeros.  The zero polynomial is the empty tuple.  All operations are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as igcd
+from math import lcm
 from typing import Iterable, Sequence
 
 Poly = tuple  # tuple[Fraction, ...]
@@ -114,12 +116,64 @@ def divexact(a: Poly, b: Poly) -> Poly:
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the euclidean algorithm."""
-    while b:
-        a, b = b, divmod_(a, b)[1]
-    if not a:
-        return ZERO
-    return scale(a, 1 / a[-1])
+    """Monic gcd by a primitive remainder sequence over the integers.
+
+    Each operand is divided once by its `content_int`, which leaves a
+    primitive list of Python ints.  The remainder sequence then takes
+    pseudo-remainders and divides each by its integer content, so no step
+    normalises a rational (Brown, J. ACM 18, 1971).  The last nonzero
+    remainder is made monic over Q; the monic gcd is unique, so it equals
+    the one euclid's algorithm over Q gives.  gcd(0, 0) is 0.
+    """
+    if not a or not b:
+        return monic(a or b)
+    u, v = _primitive_ints(a), _primitive_ints(b)
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        r = _pseudo_rem_int(u, v)
+        if not r:
+            break
+        g = igcd(*r)
+        u, v = v, [c // g for c in r]
+    else:
+        return ONE
+    lc = v[-1]
+    # Build tuples and argument lists from lists, not generators: a tuple
+    # made from a generator is allocated at a guessed size and resized, so
+    # every call takes fresh memory and the free lists of small tuples fill
+    # up, which raises peak memory.
+    return tuple([Fraction(c, lc) for c in v])
+
+
+def _primitive_ints(a: Poly) -> list[int]:
+    c = content_int(a)
+    n, d = c.numerator, c.denominator
+    return [v.numerator * d // (v.denominator * n) for v in a]
+
+
+def _pseudo_rem_int(u: list[int], v: list[int]) -> list[int]:
+    """A nonzero integer multiple of u mod v, for int lists with deg u >= deg v.
+
+    Each step scales by lc(v)/g rather than lc(v), g the gcd of the two
+    leading coefficients, which keeps the intermediate integers smaller.
+    """
+    r = list(u)
+    dv = len(v) - 1
+    lv = v[-1]
+    while len(r) > dv:
+        lr = r[-1]
+        g = igcd(lr, lv)
+        sv, sr = lv // g, lr // g
+        k = len(r) - 1 - dv
+        if sv != 1:
+            r = [c * sv for c in r]
+        for i, c in enumerate(v[:-1]):
+            r[k + i] -= sr * c
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 def derivative(a: Poly) -> Poly:
@@ -154,16 +208,10 @@ def monic(a: Poly) -> Poly:
 
 def content_int(a: Sequence[Fraction]) -> Fraction:
     """Positive rational c so that a/c has coprime integer coefficients."""
-    from math import gcd as igcd
-
-    num = 0
-    den = 1
-    for v in a:
-        num = igcd(num, v.numerator)
-        den = den * v.denominator // igcd(den, v.denominator)
+    num = igcd(*[v.numerator for v in a])
     if num == 0:
         return Fraction(1)
-    return Fraction(num, den)
+    return Fraction(num, lcm(*[v.denominator for v in a]))
 
 
 def rational_roots(a: Poly) -> list[tuple[Fraction, int]]:

@@ -2,12 +2,20 @@
 
 A Poly2 is a dict {(i, j): Fraction} mapping (z-degree, w-degree) to a
 nonzero coefficient; the second variable is the spectator (base point).
-The gcd uses a primitive remainder sequence over Q[w][z].
+
+`p2_gcd` tries three methods in turn:
+1. specialisation shortcut: if the univariate gcd at one w-sample that keeps
+   both z-degrees is constant, the gcd is the gcd of the w-contents;
+2. univariate gcds at integer w-samples, interpolated in w on one shared
+   Lagrange basis; the candidate counts only if it divides both operands
+   exactly;
+3. otherwise a primitive remainder sequence over Q[w][z].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import poly as P
 
@@ -115,19 +123,40 @@ def lead_key(a: Poly2) -> tuple[int, int]:
 
 def subst_w_const(a: Poly2, w0) -> P.Poly:
     """Evaluate the spectator variable at a rational point."""
-    w0 = Fraction(w0)
-    out = [Fraction(0)] * (deg_z(a) + 1)
-    for (i, j), v in a.items():
-        out[i] += v * w0**j
-    return P.poly(out)
+    return _subst(a, w0, 1)
 
 
 def subst_z_const(a: Poly2, z0) -> P.Poly:
-    z0 = Fraction(z0)
-    out = [Fraction(0)] * (deg_w(a) + 1)
-    for (i, j), v in a.items():
-        out[j] += v * z0**i
-    return P.poly(out)
+    return _subst(a, z0, 0)
+
+
+def _subst(a: Poly2, x, axis: int) -> P.Poly:
+    """Put x = p/q for the variable at key position `axis`.
+
+    Every term goes over the one denominator lcm(denominators) * q^n, n the
+    degree in that variable, so the sums run over ints with the powers
+    p^e q^(n-e) computed once.
+    """
+    if not a:
+        return P.ZERO
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    n = max(k[axis] for k in a)
+    pw = [1] * (n + 1)
+    for e in range(1, n + 1):
+        pw[e] = pw[e - 1] * p
+    qe = 1
+    for e in range(n - 1, -1, -1):
+        qe *= q
+        pw[e] *= qe
+    den = lcm(*[v.denominator for v in a.values()])
+    out = [0] * (max(k[1 - axis] for k in a) + 1)
+    for k, v in a.items():
+        out[k[1 - axis]] += v.numerator * (den // v.denominator) * pw[k[axis]]
+    while out and not out[-1]:
+        out.pop()
+    den *= qe
+    return tuple([Fraction(c, den) for c in out])  # a list: see poly.gcd
 
 
 def eval_at(a: Poly2, z0, w0) -> Fraction:
@@ -271,7 +300,7 @@ def _lead_z_coeff(a: Poly2) -> P.Poly:
 
 
 def _gcd_interpolate(a: Poly2, b: Poly2):
-    """Gcd by univariate sampling in w and Lagrange interpolation.
+    """Gcd by univariate sampling at integer w and Lagrange interpolation.
 
     Returns None when sampling is inconclusive (caller falls back to the
     remainder sequence); a returned value is verified by exact division.
@@ -282,7 +311,7 @@ def _gcd_interpolate(a: Poly2, b: Poly2):
     bound = min(deg_w(a), deg_w(b)) + P.degree(lg) + 2
     samples = []
     dg = None
-    w0 = Fraction(2)
+    w0 = 2
     tried = 0
     while len(samples) < bound + 1 and tried < 8 * (bound + 2):
         tried += 1
@@ -303,17 +332,23 @@ def _gcd_interpolate(a: Poly2, b: Poly2):
     if dg == 0:
         cw = P.gcd(_content_w(a), _content_w(b))
         return from_z_coeffs([cw])
-    # interpolate each z-coefficient as a polynomial in w
-    pts = [s[0] for s in samples]
-    cand_cols = []
-    for i in range(dg + 1):
-        vals = [s[1][i] if i < len(s[1]) else Fraction(0) for s in samples]
-        cand_cols.append(_lagrange(pts, vals))
+    # interpolate each z-coefficient as a polynomial in w, all on one basis;
+    # a column's terms share one denominator, so the sums run over ints
+    basis = _lagrange_basis([s[0] for s in samples])
     cand2: Poly2 = {}
-    for i, col in enumerate(cand_cols):
-        for j, v in enumerate(col):
+    for i in range(dg + 1):
+        terms = [(s[1][i], qd) for s, qd in zip(samples, basis) if i < len(s[1]) and s[1][i]]
+        if not terms:
+            continue
+        den = lcm(*[y.denominator * d for y, (_, d) in terms])
+        acc = [0] * len(samples)
+        for y, (q, d) in terms:
+            c = y.numerator * (den // (y.denominator * d))
+            for j, qj in enumerate(q):
+                acc[j] += c * qj
+        for j, v in enumerate(acc):
             if v:
-                cand2[(i, j)] = v
+                cand2[(i, j)] = Fraction(v, den)
     cand2 = _primitive_part(cand2)
     if not cand2:
         return None
@@ -326,18 +361,30 @@ def _gcd_interpolate(a: Poly2, b: Poly2):
     return p2_mul(cand2, from_z_coeffs([cw]))
 
 
-def _lagrange(xs, ys) -> P.Poly:
-    out = P.ZERO
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if not yi:
-            continue
-        num = P.ONE
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = P.mul(num, (-xj, Fraction(1)))
-                den *= xi - xj
-        out = P.add(out, P.scale(num, yi / den))
+def _lagrange_basis(xs: list[int]) -> list[tuple[list[int], int]]:
+    """The Lagrange basis on distinct integer points, as integers.
+
+    For each x_k: the coefficients of M(w)/(w - x_k), M = prod_j (w - x_j),
+    by synthetic division of the one M, and d_k = prod_{j != k} (x_k - x_j).
+    The k-th basis polynomial is M(w)/(w - x_k) divided by d_k.
+    """
+    m = [1]
+    for x in xs:
+        m = [0] + m
+        for i in range(len(m) - 1):
+            m[i] -= x * m[i + 1]
+    n = len(xs)
+    out = []
+    for x in xs:
+        q = [0] * n
+        q[-1] = 1
+        for j in range(n - 1, 0, -1):
+            q[j - 1] = m[j] + x * q[j]
+        d = 1
+        for xj in xs:
+            if xj != x:
+                d *= x - xj
+        out.append((q, d))
     return out
 
 

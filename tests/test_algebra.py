@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trq.algebra import (
     HSeries,
@@ -16,6 +18,7 @@ from trq.algebra import (
     series_at,
 )
 from trq.algebra import poly as P
+from trq.algebra import poly2 as P2
 from trq.algebra.partfrac import IrrationalPoleError
 from trq.algebra.series import INF
 
@@ -260,3 +263,116 @@ class TestLogRat:
     def test_cancellation(self):
         f = LogRat.make(rf([0]), [(1, rf([0, 1])), (-1, rf([0, 1]))])
         assert not f.has_logs()
+
+
+# Bounded and derandomized so that tier-1 time and outcome stay fixed.
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+_small = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+_wide = st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**15))
+_coeff = st.one_of(_small, _wide)
+
+
+def _poly_st(max_len):
+    return st.lists(_coeff, max_size=max_len).map(P.poly)
+
+
+def _sympy_gcd(sp, a, b):
+    x = sp.Symbol("x")
+
+    def to_sympy(p):
+        return sp.Poly([sp.Rational(v.numerator, v.denominator) for v in reversed(p)] or [0], x, domain=sp.QQ)
+
+    g = sp.gcd(to_sympy(a), to_sympy(b))
+    if g.is_zero:
+        return P.ZERO
+    return P.poly(F(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs()))
+
+
+class TestPolyGcd:
+    @_PROPERTY
+    @given(_poly_st(5), _poly_st(5), _poly_st(3))
+    def test_common_factor(self, f, h, g):
+        sp = pytest.importorskip("sympy")
+        a, b = P.mul(f, g), P.mul(h, g)
+        d = P.gcd(a, b)
+        assert d == P.gcd(b, a)
+        assert d == _sympy_gcd(sp, a, b)
+        if not a and not b:
+            assert d == P.ZERO
+            return
+        assert d[-1] == 1
+        assert all(type(v) is F for v in d)
+        for p in (a, b):
+            assert P.divmod_(p, d)[1] == P.ZERO
+        assert P.divmod_(d, g)[1] == P.ZERO
+
+    @_PROPERTY
+    @given(_poly_st(6), _poly_st(6))
+    def test_random_pairs(self, a, b):
+        sp = pytest.importorskip("sympy")
+        assert P.gcd(a, b) == _sympy_gcd(sp, a, b)
+
+    def test_zero_and_constants(self):
+        assert P.gcd(P.ZERO, P.ZERO) == P.ZERO
+        assert P.gcd(P.ZERO, P.poly([F(2, 3), 4])) == P.poly([F(1, 6), 1])
+        assert P.gcd(P.poly([F(-7, 5)]), P.poly([1, 2, 3])) == P.ONE
+        assert P.gcd(P.ZERO, P.poly([F(-7, 5)])) == P.ONE
+        big = F(1, 10**40 + 7)
+        assert P.gcd(P.poly([-big, big]), P.poly([-1, 0, 1])) == P.poly([-1, 1])
+
+
+def _poly2_st(max_deg, coeff=_small):
+    keys = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg))
+    return st.dictionaries(keys, coeff, max_size=4).map(P2.p2)
+
+
+# a common factor of positive degree in both z and w, so that p2_gcd cannot
+# stop at the specialisation shortcut
+_factor2 = st.tuples(_poly2_st(1), st.integers(1, 2), st.integers(1, 2), _small.filter(bool)).map(
+    lambda t: P2.p2_add(t[0], {(t[1], t[2]): t[3]})
+)
+
+
+class TestPoly2Gcd:
+    @_PROPERTY
+    @given(_poly2_st(2), _poly2_st(2), _factor2)
+    def test_common_factor(self, f, h, g):
+        sp = pytest.importorskip("sympy")
+        a, b = P2.p2_mul(f, g), P2.p2_mul(h, g)
+        d = P2.p2_gcd(a, b)
+        if not a and not b:
+            assert d == {}
+            return
+        assert d[P2.lead_key(d)] == 1
+        # p2_divexact raises unless the division is exact
+        ca, cb = P2.p2_divexact(a, d), P2.p2_divexact(b, d)
+        assert P2.p2_gcd(ca, cb) == P2.p2_const(1)
+        P2.p2_divexact(d, g)
+        z, w = sp.symbols("z w")
+
+        def to_sympy(p):
+            terms = [sp.Rational(v.numerator, v.denominator) * z**i * w**j for (i, j), v in p.items()]
+            return sp.Poly(sp.Add(*terms), z, w, domain=sp.QQ)
+
+        ref = sp.gcd(to_sympy(a), to_sympy(b))
+        ref = {k: F(int(c.p), int(c.q)) for k, c in ref.terms() if c}
+        assert d == P2.p2_scale(ref, 1 / ref[P2.lead_key(ref)])
+
+    @_PROPERTY
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=12, unique=True))
+    def test_lagrange_basis(self, xs):
+        # the k-th basis polynomial is 1 at x_k and 0 at every other point
+        for k, (q, d) in enumerate(P2._lagrange_basis(xs)):
+            assert [P.evaluate(P.poly(q), x) / d for x in xs] == [int(i == k) for i in range(len(xs))]
+
+
+class TestPoly2Subst:
+    @_PROPERTY
+    @given(_poly2_st(3, _coeff), _coeff)
+    def test_matches_termwise_sum(self, a, x):
+        for subst, axis in ((P2.subst_w_const, 1), (P2.subst_z_const, 0)):
+            out = [F(0)] * 4
+            for k, v in a.items():
+                out[k[1 - axis]] += v * x ** k[axis]
+            assert subst(a, x) == P.poly(out)
