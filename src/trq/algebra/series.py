@@ -96,10 +96,6 @@ class LocalSeries:
             return LocalSeries(self.point, {}, self.trunc)
         return LocalSeries(self.point, {k: v * c for k, v in self.coeffs.items()}, self.trunc)
 
-    def shift_exp(self, m: int) -> "LocalSeries":
-        """Multiply by t^m."""
-        return LocalSeries(self.point, {k + m: v for k, v in self.coeffs.items()}, self.trunc + m)
-
     def invert(self) -> "LocalSeries":
         """Reciprocal; the series must be nonzero with known leading term."""
         if self.is_zero():

@@ -89,13 +89,6 @@ class RamPoint:
     location: Fraction
     order: int               # order of vanishing of dx (1 = simple)
     y_flag: str              # "regular" or "simple-pole"
-    _curve: SpectralCurve
-    _sigma: LocalSeries | None = None
-
-    def sigma(self, order: int) -> LocalSeries:
-        if self._sigma is None or self._sigma.trunc < order:
-            self._sigma = galois_series(self._curve, self, order)
-        return self._sigma.truncate(order)
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,7 @@ def find_ramification(curve: SpectralCurve) -> list[RamPoint]:
         raise CurveError("dx vanishes at infinity; ramification at infinity is unsupported")
     out = []
     for p, m in locs:
-        out.append(RamPoint(p, m, _y_type_at(curve, p), curve))
+        out.append(RamPoint(p, m, _y_type_at(curve, p)))
     return out
 
 

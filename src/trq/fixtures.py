@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .algebra import INF, HSeries, LogRat, RatFun, Rf2
 from .algebra import poly as P
@@ -934,20 +935,20 @@ FIXTURES = {
     "airy": fixture_airy,
     "bessel": fixture_bessel,
     "pq": fixture_pq,
-    "rspin3": lambda **kw: fixture_rspin(3, **kw),
-    "rspin4": lambda **kw: fixture_rspin(4, **kw),
-    "rspin5": lambda **kw: fixture_rspin(5, **kw),
-    "neg-rspin3": lambda **kw: fixture_rspin(3, negative=True, **kw),
-    "neg-rspin4": lambda **kw: fixture_rspin(4, negative=True, **kw),
-    "neg-rspin5": lambda **kw: fixture_rspin(5, negative=True, **kw),
+    "rspin3": partial(fixture_rspin, 3),
+    "rspin4": partial(fixture_rspin, 4),
+    "rspin5": partial(fixture_rspin, 5),
+    "neg-rspin3": partial(fixture_rspin, 3, negative=True),
+    "neg-rspin4": partial(fixture_rspin, 4, negative=True),
+    "neg-rspin5": partial(fixture_rspin, 5, negative=True),
     "logtr": fixture_logtr_closed_form,
-    "hurwitz-q1": lambda **kw: fixture_hurwitz(q=1, **kw),
-    "hurwitz-q2": lambda **kw: fixture_hurwitz(q=2, **kw),
+    "hurwitz-q1": partial(fixture_hurwitz, q=1),
+    "hurwitz-q2": partial(fixture_hurwitz, q=2),
     "homfly": fixture_homfly,
     "gaiotto": fixture_gaiotto,
     "gentr-airy": fixture_gentr_airy,
-    "rs-r3": lambda **kw: fixture_rs_curve(3, **kw),
-    "rs-r5": lambda **kw: fixture_rs_curve(5, **kw),
+    "rs-r3": partial(fixture_rs_curve, 3),
+    "rs-r5": partial(fixture_rs_curve, 5),
     "extlaplace": fixture_extlaplace,
 }
 

@@ -1,11 +1,24 @@
-"""Topological recursion over the pole basis.
+"""Topological recursion over the pole basis, as a contraction against
+residue tables.
 
 Stable differentials are stored as exact sums of products
-prod_i dz_i/(z_i - p_i)^{k_i} with k_i >= 2.  The recursion evaluates the
-residue at each simple ramification point in the local coordinate, with
-the spectator variables carried symbolically through the pole basis.
-The logarithmic correction adds principal parts at the vital points of dy
-to every omega_{g,1}.
+prod_i dz_i/(z_i - p_i)^{k_i} with k_i >= 2.  At a simple ramification
+point p, with local coordinate t = z - p and deck transformation sigma, the
+residue formula of Eynard-Orantin (arXiv:math-ph/0702045) pairs one slot
+at t with one at sigma(t).  The residue of such a pair against the
+recursion kernel depends only on the two slots, so it is computed when a
+pair first occurs and kept, per run and ramification point, in a table
+(`_Branch`).  A step then only multiplies stored coefficients with table
+entries: the A/B/C/D form of topological recursion
+(Andersen-Borot-Chekhov-Orantin, arXiv:1703.03307).  omega_{0,2} enters
+the second summand as a virtual differential over the slots (p, m+2), and
+the first as one table entry for its value at (t, sigma(t)).
+
+omega_{g,n} has poles of order at most 6g-4+2n at a simple ramification
+point (Eynard-Orantin).  The series windows of a run follow from this
+bound, every computed omega is checked against it, and a residue that
+would read past a known window raises.  The logarithmic correction adds
+principal parts at the vital points of dy to every omega_{g,1}.
 """
 
 from __future__ import annotations
@@ -13,11 +26,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from .algebra import HSeries, LocalSeries, RatFun, Rf2, series_at
+from .algebra import LocalSeries, RatFun, series_at
 from .algebra import poly as P
-from .curve import CurveError, RamPoint, SpectralCurve, find_logvital, find_ramification
+from .curve import (
+    CurveError, RamPoint, SpectralCurve, _log1p, find_logvital, find_ramification, galois_series,
+)
 
 _BIG = 10**9
 
@@ -88,22 +103,14 @@ class PoleDifferential:
             out = out + RatFun.const(v) / (RatFun.var() - p) ** k
         return out
 
-    def eval_at(self, points: list) -> Fraction:
-        """Value of the coefficient function at rational points (one per slot)."""
-        out = Fraction(0)
-        for key, v in self.terms.items():
-            prod = v
-            for (p, k), z in zip(key, points):
-                prod *= Fraction(1) / (z - p) ** k
-            out += prod
-        return out
-
 
 @dataclass
 class OmegaStore:
     curve: SpectralCurve
     omegas: dict = field(default_factory=dict)  # (g, n) -> PoleDifferential
     chi_max: int = 0
+    # residue tables of each ramification point while run_tr runs
+    ram_tables: list | None = field(default=None, repr=False, compare=False)
 
     def get(self, g: int, n: int) -> PoleDifferential:
         try:
@@ -140,7 +147,21 @@ class OmegaStore:
 
 
 # ---------------------------------------------------------------------------
-# local series helpers
+# residue tables
+
+
+def _pole_bound(g: int, n: int) -> int:
+    """Proven pole order of omega_{g,n} at a simple ramification point."""
+    return 6 * g - 4 + 2 * n
+
+
+def _window(chi_max: int) -> int:
+    """Largest total pole order at p of a slot pair (one slot at t, one at
+    sigma(t)) that a step with 2g-2+n <= chi_max meets: twice the bound of
+    omega_{g-1,n+1} at the top genus g, or 2 for omega_{0,2}(t, sigma(t)).
+    The second summand's pairs stay below b(g,n) - 2."""
+    g = (chi_max + 1) // 2
+    return max(2, 2 * _pole_bound(g - 1, chi_max + 3 - 2 * g))
 
 
 def _y_diff_series(curve: SpectralCurve, p: Fraction, sigma: LocalSeries, order: int) -> LocalSeries:
@@ -154,34 +175,85 @@ def _y_diff_series(curve: SpectralCurve, p: Fraction, sigma: LocalSeries, order:
         aser = series_at(RatFun.make(arg), p, order)
         # log(A(t)) - log(A(sigma)) = log(A(t)/A(sigma))
         ratio = (aser * aser.compose(sigma).invert()) - LocalSeries.make(p, {0: 1}, order)
-        out = out + _log1p_series(ratio, order).scale(c)
+        out = out + _log1p(ratio, order).scale(c)
     return out
 
 
-def _log1p_series(u: LocalSeries, order: int) -> LocalSeries:
-    acc = LocalSeries(u.point, {}, order)
-    term = LocalSeries(u.point, {0: Fraction(1)}, _BIG)
-    for k in range(1, order + 1):
-        term = (term * u).truncate(order)
-        if term.is_zero():
-            break
-        acc = acc + term.scale(Fraction((-1) ** (k + 1), k))
-    return acc
+class _Branch:
+    """Residue tables at one simple ramification point p, for one run.
 
+    A slot (a, k) is dz/(z-a)^k; the virtual slot (p, -m) of omega_{0,2} is
+    (z-p)^m dz.  entry(e1, e2) lists (m, Res_t E_m D s_e1(t) s_e2(sigma t)
+    sigma'(t)) with E_m = (t^m - sigma^m)/2 and the kernel
+    D = 1/((y(t) - y(sigma t)) x'(t)); the output slot is (p, m+1).
+    """
 
-def _slot_series(entry, p: Fraction, sigma: LocalSeries | None, order: int) -> LocalSeries:
-    """Expansion of dz/(z-a)^k at z = p+t (or z = p+sigma(t), with jacobian)."""
-    a, k = entry
-    if a == p:
-        base = LocalSeries.make(p, {-k: 1}, order)
-        if sigma is None:
-            return base
-        return sigma.pow(-k) * sigma.derivative()
-    f = RatFun.const(1) / (RatFun.var() - a) ** k
-    base = series_at(f, p, order)
-    if sigma is None:
-        return base
-    return base.compose(sigma) * sigma.derivative()
+    def __init__(self, curve: SpectralCurve, ram: RamPoint, window: int):
+        p = self.p = ram.location
+        self.order = order = window + 3  # D is exact to t^(order-3), E_m D must reach t^(window-1)
+        self.sigma = sigma = galois_series(curve, ram, order)
+        self.sig_d = sigma.derivative()
+        D = (_y_diff_series(curve, p, sigma, order) * series_at(curve.dx, p, order)).invert()
+        # E_m D for every m a slot pair within the window can reach
+        self.kernel = []
+        pw = LocalSeries.make(p, {0: 1}, _BIG)
+        for m in range(1, window + 2):
+            pw = (pw * sigma).truncate(window + 1)
+            em = (LocalSeries.make(p, {m: 1}, window + 1) - pw).scale(Fraction(1, 2))
+            self.kernel.append(em * D)
+        # omega_{0,2}(z, p+t) = sum_m (m+1) dz/(z-p)^{m+2} t^m dt; a partner slot of
+        # pole order k at p pairs with t^m only for m <= k <= window
+        self.bergman = {((p, m + 2), (p, -m)): Fraction(m + 1) for m in range(window + 1)}
+        # omega_{0,2}(p+t, p+sigma(t)) = sigma'(t) dt^2 / (t - sigma(t))^2
+        self.diagonal = self._residues(0, (LocalSeries.make(p, {1: 1}, order) - sigma).pow(-2) * self.sig_d)
+        self.powers: dict = {}   # (a, k > 0) -> [1, b, b^2, ...] for the base b of slots at sigma(t)
+        self.at_sigma: dict = {}  # slot -> its series at sigma(t), times sigma'
+        self.entries: dict = {}  # (e1, e2) -> ((m, residue), ...)
+
+    def entry(self, e1: tuple, e2: tuple) -> tuple:
+        got = self.entries.get((e1, e2))
+        if got is None:
+            a, k = e1
+            s2 = self._slot_at_sigma(e2)
+            if a == self.p:
+                got = self._residues(-k, s2)
+            else:
+                c, n = self.p - a, self.order
+                s1 = LocalSeries.make(self.p, {j: (-1) ** j * comb(k + j - 1, j) / c ** (k + j) for j in range(n + 1)}, n)
+                got = self._residues(0, s1 * s2)
+            # t <-> sigma(t) maps the residue of (e1, e2) to that of (e2, e1)
+            self.entries[(e1, e2)] = self.entries[(e2, e1)] = got
+        return got
+
+    def _slot_at_sigma(self, e: tuple) -> LocalSeries:
+        got = self.at_sigma.get(e)
+        if got is None:
+            a, k = e
+            pows = self.powers.get((a, k > 0))
+            if pows is None:
+                if a != self.p:
+                    base = (LocalSeries.make(self.p, {0: self.p - a}, _BIG) + self.sigma).invert()
+                else:
+                    base = self.sigma.invert() if k > 0 else self.sigma
+                pows = self.powers[(a, k > 0)] = [LocalSeries.make(self.p, {0: 1}, _BIG), base]
+            while len(pows) <= abs(k):
+                pows.append((pows[-1] * pows[1]).truncate(self.order))
+            got = self.at_sigma[e] = pows[abs(k)] * self.sig_d
+        return got
+
+    def _residues(self, s: int, f: LocalSeries) -> tuple:
+        """((m, Res_t E_m D t^s f), ...) over the m with a nonzero residue."""
+        if f.is_zero():
+            return ()
+        hi = -1 - s - f.order()  # the residue reads E_m D up to t^hi
+        out = []
+        for m, ker in enumerate(self.kernel, 1):
+            if ker.trunc < hi:
+                raise RecursionError_(f"kernel at {self.p} known to t^{ker.trunc}, t^{hi} needed")
+            r = sum(c * f.coeff(-1 - s - j) for j, c in ker.coeffs.items() if j <= hi)
+            if r:
+                out.append((m, r))
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -192,133 +264,66 @@ def tr_step(curve: SpectralCurve, store: OmegaStore, g: int, n: int) -> PoleDiff
     """omega_{g,n} from the residue formula (no logarithmic correction)."""
     if 2 * g + n - 2 < 1:
         raise ValueError("tr_step only computes stable differentials")
-    rams = getattr(store, "ram_points", None)
-    if rams is None:
-        rams = find_ramification(curve)
-        store.ram_points = rams  # type: ignore[attr-defined]
-    result = PoleDifferential(g, n)
-    for ram in rams:
-        _tr_step_at(curve, store, g, n, ram, result)
-    return result
+    tables = store.ram_tables
+    if tables is None:
+        window = _window(2 * g - 2 + n)
+        tables = [_Branch(curve, r, window) for r in find_ramification(curve)]
+    acc: dict = {}
+    for br in tables:
+        _tr_step_at(store, g, n, br, acc)
+    return PoleDifferential(g, n, {key: v for key, v in acc.items() if v})
 
 
-def _max_pole_guess(store: OmegaStore, g: int, n: int, p: Fraction) -> int:
-    best = 2
-    for (g1, n1), pd in store.omegas.items():
-        for key in pd.terms:
-            tot = sum(k for a, k in key if a == p)
-            best = max(best, tot + 2)
-    return best + 4
+def _tr_step_at(store: OmegaStore, g: int, n: int, br: _Branch, acc: dict) -> None:
+    p = br.p
 
+    def emit(key: tuple, c, residues: tuple) -> None:
+        for m, r in residues:
+            out = ((p, m + 1),) + key
+            acc[out] = acc.get(out, 0) + c * r
 
-def _tr_step_at(
-    curve: SpectralCurve,
-    store: OmegaStore,
-    g: int,
-    n: int,
-    ram: RamPoint,
-    result: PoleDifferential,
-) -> None:
-    p = ram.location
-    T = _max_pole_guess(store, g, n, p) + 4
-    sigma = ram.sigma(T + 3)
-    sig_d = sigma.derivative()
-    xp = series_at(curve.dx, p, T + 2)
-    ydiff = _y_diff_series(curve, p, sigma, T + 2)
-    D = (ydiff * xp).invert()
-
-    # W(t): spectator-key -> series
-    W: dict = {}
-
-    def w_add(key: tuple, s: LocalSeries) -> None:
-        W[key] = W.get(key, LocalSeries(p, {}, _BIG)) + s if key in W else s
-
-    spect = n - 1
-    # first summand: omega_{g-1, n+1}(q, sigma(q), I)
+    # first summand: omega_{g-1,n+1}(t, sigma(t), I)
     if g >= 1:
         if (g - 1, n + 1) == (0, 2):
-            tm = LocalSeries.make(p, {1: 1}, T + 2) - sigma
-            w_add((), tm.pow(-2) * sig_d)
+            emit((), 1, br.diagonal)
         else:
-            src = store.get(g - 1, n + 1)
-            for key, v in src.terms.items():
-                s = _slot_series(key[0], p, None, T) * _slot_series(key[1], p, sigma, T)
-                w_add(tuple(key[2:]), s.scale(v))
+            for key, v in store.get(g - 1, n + 1).terms.items():
+                emit(key[2:], v, br.entry(key[0], key[1]))
 
-    # second summand: sum over splittings
+    # second summand: omega_{g1}(t, I1) omega_{g2}(sigma(t), I2); t <-> sigma(t)
+    # swaps the two factors, so each unordered splitting is taken once
+    spect = n - 1
+    every = (1 << spect) - 1
     for g1 in range(g + 1):
-        g2 = g - g1
         for mask in range(1 << spect):
-            s1 = tuple(i for i in range(spect) if mask >> i & 1)
-            s2 = tuple(i for i in range(spect) if not mask >> i & 1)
-            if (g1, len(s1)) == (0, 0) or (g2, len(s2)) == (0, 0):
+            split = (g1, mask), (g - g1, every ^ mask)
+            if split[0] > split[1]:
                 continue
-            f1 = _factor(curve, store, g1, s1, p, sigma, None, sig_d, T)
-            if f1 is None:
+            n1 = bin(mask).count("1") + 1
+            f1 = _factor(store, br, g1, n1)
+            f2 = f1 and _factor(store, br, g - g1, spect + 2 - n1)
+            if not f2:
                 continue
-            f2 = _factor(curve, store, g2, s2, p, sigma, sigma, sig_d, T)
-            if f2 is None:
-                continue
-            for k1, ser1 in f1:
-                for k2, ser2 in f2:
-                    key = [None] * spect
-                    for pos, e in zip(s1, k1):
-                        key[pos] = e
-                    for pos, e in zip(s2, k2):
-                        key[pos] = e
-                    w_add(tuple(key), ser1 * ser2)
-
-    if not W:
-        return
-
-    # E_m(t) = (t^m - sigma^m)/2, D included; residue per basis order
-    sig_pows = [LocalSeries(p, {0: Fraction(1)}, _BIG), sigma]
-    for key, w in W.items():
-        F = D * w
-        if F.is_zero():
-            continue
-        lo = F.order()
-        # residue of E_m * F needs m up to -lo + 1
-        for m in range(1, max(2, -lo + 2)):
-            while len(sig_pows) <= m:
-                sig_pows.append(sig_pows[-1] * sigma)
-            Em = (LocalSeries.make(p, {m: 1}, T + 1) - sig_pows[m]).scale(Fraction(1, 2))
-            res = Fraction(0)
-            for j, ev in Em.coeffs.items():
-                fj = -1 - j
-                if fj >= lo and fj <= F.trunc:
-                    res += ev * F.coeffs.get(fj, Fraction(0))
-                elif fj > F.trunc and not F.is_zero():
-                    raise RecursionError_("window too small; increase guard terms")
-            if res:
-                result.add_term(((p, m + 1),) + key, res)
+            where = [i for i in range(spect) if mask >> i & 1] + [i for i in range(spect) if not mask >> i & 1]
+            perm = sorted(range(spect), key=where.__getitem__)
+            weight = 1 if split[0] == split[1] else 2
+            for key1, v1 in f1.items():
+                e1, rest1 = key1[-1], key1[:-1]
+                for key2, v2 in f2.items():
+                    residues = br.entry(e1, key2[-1])
+                    if residues:
+                        rest = rest1 + key2[:-1]
+                        emit(tuple([rest[i] for i in perm]), weight * v1 * v2, residues)
 
 
-def _factor(curve, store, gi, slots, p, sigma, mode_sigma, sig_d, T):
-    """Evaluate omega_{gi, len(slots)+1}(slots..., q-or-sigma(q)).
-
-    Returns a list of (key-on-slots, series) or None when the factor is
-    absent (unstable zero).
-    """
-    ni = len(slots) + 1
+def _factor(store: OmegaStore, br: _Branch, gi: int, ni: int) -> dict | None:
+    """Terms of omega_{gi,ni} with the last slot at t or sigma(t); None when
+    unstable and absent."""
     if (gi, ni) == (0, 2):
-        # B(z_i, q): sum_m (m+1) t^m / (z_i - p)^(m+2)
-        out = []
-        for m in range(T + 1):
-            if mode_sigma is None:
-                ser = LocalSeries.make(p, {m: m + 1}, T)
-            else:
-                ser = sigma.pow(m).scale(m + 1) * sig_d
-            out.append(((( p, m + 2),), ser.truncate(T)))
-        return out
+        return br.bergman
     if 2 * gi + ni - 2 < 1:
         return None
-    src = store.get(gi, ni)
-    out = []
-    for key, v in src.terms.items():
-        ser = _slot_series(key[-1], p, mode_sigma, T).scale(v)
-        out.append((tuple(key[:-1]), ser))
-    return out
+    return store.get(gi, ni).terms
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +385,6 @@ def run_tr(curve: SpectralCurve, chi_max: int) -> OmegaStore:
                 n = chi + 2 - 2 * g
                 if n >= 1:
                     store.omegas[(g, n)] = PoleDifferential(g, n)
-        store.ram_points = []  # type: ignore[attr-defined]
         return store
     if curve.gen_tr:
         raise RecursionError_(
@@ -398,7 +402,8 @@ def run_tr(curve: SpectralCurve, chi_max: int) -> OmegaStore:
     ram_pts = {r.location for r in rams}
     if vital_pts & ram_pts:
         raise RecursionError_("vital point coincides with a ramification point")
-    store.ram_points = rams  # type: ignore[attr-defined]
+    window = _window(chi_max)
+    store.ram_tables = [_Branch(curve, r, window) for r in rams]
     for chi in range(1, chi_max + 1):
         for g in range(chi // 2 + 2):
             n = chi + 2 - 2 * g
@@ -409,6 +414,7 @@ def run_tr(curve: SpectralCurve, chi_max: int) -> OmegaStore:
                 pd = pd + logtr_term(curve, g, vital)
             _check_invariants(pd, ram_pts, vital_pts)
             store.omegas[(g, n)] = pd
+    store.ram_tables = None
     return store
 
 
@@ -419,5 +425,8 @@ def _check_invariants(pd: PoleDifferential, ram_pts: set, vital_pts: set) -> Non
     bad = pd.pole_points() - allowed
     if bad:
         raise RecursionError_(f"omega_({pd.g},{pd.n}) has poles outside {sorted(allowed)}: {sorted(bad)}")
+    bound = _pole_bound(pd.g, pd.n)
+    if any(k > bound for key in pd.terms for p, k in key if p in ram_pts):
+        raise RecursionError_(f"omega_({pd.g},{pd.n}) has a pole of order above {bound}")
     if not pd.is_symmetric():
         raise RecursionError_(f"omega_({pd.g},{pd.n}) is not symmetric")

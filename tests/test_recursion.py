@@ -6,17 +6,27 @@ Bergman-kernel products, expanded at the ramification point), and are
 frozen here.
 """
 
+import hashlib
+import itertools
+import json
+import math
 import random
 from fractions import Fraction as F
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from trq.algebra import LogRat, RatFun
 from trq.algebra import poly as P
-from trq.curve import SpectralCurve
+from trq.curve import SpectralCurve, find_ramification
 from trq.recursion import (
     OmegaStore,
     PoleDifferential,
+    RecursionError_,
+    _Branch,
+    _check_invariants,
+    _window,
     logtr_term,
     run_tr,
     s_inverse_coeff,
@@ -60,11 +70,122 @@ class TestAiry:
             for key in pd.terms:
                 assert sum(k for _p, k in key) == 6 * g - 6 + 4 * n
 
+    def test_tr_step_outside_run_tr(self):
+        # without a run's tables, tr_step builds its own for the one step
+        st = run_tr(airy(), 2)
+        assert tr_step(airy(), st, 2, 1) == run_tr(airy(), 3).get(2, 1)
+
     def test_even_orders_only(self):
         st = run_tr(airy(), 3)
         for pd in st.omegas.values():
             for key in pd.terms:
                 assert all(k % 2 == 0 for _p, k in key)
+
+
+def _dfact(n: int) -> int:
+    """n!! for odd n >= -1."""
+    return math.prod(range(n, 1, -2))
+
+
+@lru_cache(maxsize=None)
+def wk(g: int, ds: tuple) -> F:
+    """Witten-Kontsevich <tau_d1 ... tau_dn>_g (ds sorted) by the DVV
+    recursion, removing the largest insertion tau_{k+1}."""
+    n = len(ds)
+    if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
+        return F(0)
+    if (g, ds) in ((0, (0, 0, 0)), (1, (1,))):
+        return F(1) if g == 0 else F(1, 24)
+    *rest, top = ds
+    k = top - 1
+    if k < 0:
+        return F(0)
+    acc = F(0)
+    for j, d in enumerate(rest):
+        others = rest[:j] + rest[j + 1:] + [d + k]
+        acc += F(_dfact(2 * k + 2 * d + 1), _dfact(2 * d - 1)) * wk(g, tuple(sorted(others)))
+    for a in range(k):
+        b = k - 1 - a
+        c = F(_dfact(2 * a + 1) * _dfact(2 * b + 1), 2)
+        acc += c * wk(g - 1, tuple(sorted(rest + [a, b])))
+        for g1 in range(g + 1):
+            for mask in range(1 << len(rest)):
+                part1 = [d for i, d in enumerate(rest) if mask >> i & 1]
+                part2 = [d for i, d in enumerate(rest) if not mask >> i & 1]
+                acc += c * wk(g1, tuple(sorted(part1 + [a]))) * wk(g - g1, tuple(sorted(part2 + [b])))
+    return acc / _dfact(2 * k + 3)
+
+
+class TestWittenKontsevich:
+    """Airy omegas against intersection numbers on M_{g,n}bar, an oracle
+    that shares no code with the recursion engine."""
+
+    def test_known_intersection_numbers(self):
+        assert wk(0, (0, 0, 0, 1)) == 1
+        assert wk(1, (1, 1)) == F(1, 24)
+        assert wk(2, (4,)) == F(1, 1152)
+        assert wk(2, (2, 3)) == F(29, 5760)
+        assert wk(3, (7,)) == F(1, 82944)
+
+    def test_airy_omegas(self):
+        st = run_tr(airy(), 4)
+        assert len(st.omegas) == 10
+        for (g, n), pd in st.omegas.items():
+            norm = (-1) ** n * F(2) ** (2 - 2 * g - n)
+            expect = {}
+            for ds in itertools.product(range(3 * g - 2 + n), repeat=n):
+                v = wk(g, tuple(sorted(ds)))
+                if v:
+                    key = tuple((F(0), 2 * d + 2) for d in ds)
+                    expect[key] = norm * v * math.prod(_dfact(2 * d + 1) for d in ds)
+            assert pd.terms == expect, (g, n)
+
+
+def _golden_cases():
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
+    return [(name, int(chi), digest) for name, d in golden["omega_sha256"].items() for chi, digest in d.items()]
+
+
+class TestGoldenDigests:
+    """Stores hash to the digests recorded for the benchmark's unsheared curves."""
+
+    @pytest.mark.parametrize("name,chi,digest", _golden_cases())
+    def test_store_digest(self, name, chi, digest):
+        xc = {"airy": [0, 0, 1], "cubic": [0, -3, 0, 1]}[name]
+        curve = mk(xc, [0, 1], name)
+        assert hashlib.sha256(run_tr(curve, chi).to_json().encode()).hexdigest() == digest
+
+
+class TestPoleBound:
+    """omega_{g,n} has poles of order at most 6g-4+2n at a simple
+    ramification point; Airy attains the bound."""
+
+    @pytest.mark.parametrize("curve,chi,attained", [
+        (airy(), 4, True), (bessel(), 4, False), (mk([0, -3, 0, 1], [0, 1]), 2, False),
+    ])
+    def test_bound(self, curve, chi, attained):
+        rams = {r.location for r in find_ramification(curve)}
+        for (g, n), pd in run_tr(curve, chi).omegas.items():
+            top = max((k for key in pd.terms for a, k in key if a in rams), default=0)
+            assert top <= 6 * g - 4 + 2 * n, (g, n)
+            if attained:
+                assert top == 6 * g - 4 + 2 * n, (g, n)
+
+    def test_invariants_reject_a_pole_above_the_bound(self):
+        pd = PoleDifferential(0, 3, {((F(0), 4),) * 3: F(1)})
+        with pytest.raises(RecursionError_, match="above 2"):
+            _check_invariants(pd, {F(0)}, set())
+
+    def test_entries_symmetric(self):
+        # a slot pair's residue is unchanged by t <-> sigma(t), which the
+        # tables use to store one entry per unordered pair
+        curve = mk([0, -3, 0, 1], [0, 1, 1])
+        for ram in find_ramification(curve):
+            p = ram.location
+            slots = [(p, 2), (p, 5), (-p, 3), (p, 0), (p, -2), (F(5), 2)]
+            one, other = _Branch(curve, ram, _window(3)), _Branch(curve, ram, _window(3))
+            for e1, e2 in itertools.combinations(slots, 2):
+                assert one.entry(e1, e2) == other.entry(e2, e1), (e1, e2)
 
 
 class TestBessel:
