@@ -9,7 +9,7 @@ derivative of a LogRat is always a plain rational function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly as P
@@ -85,21 +85,6 @@ class LogRat:
             f = RatFun.make(arg)
             out = out + f.derivative() / f * c
         return out
-
-    def subst_poly(self, b: P.Poly) -> "LogRat":
-        """Substitute z -> b(z) (used for coordinate changes)."""
-        return LogRat.make(
-            self.rat.compose_poly(b),
-            [(c, RatFun.make(P.compose(a, b))) for c, a in self.logs]
-            + [(c, RatFun.const(k)) for c, k in self.const_logs],
-        )
-
-    def subst_ratfun(self, b: RatFun) -> "LogRat":
-        return LogRat.make(
-            self.rat.compose(b),
-            [(c, RatFun.make(a).compose(b)) for c, a in self.logs]
-            + [(c, RatFun.const(k)) for c, k in self.const_logs],
-        )
 
     def __str__(self) -> str:
         parts = [str(self.rat)] if not self.rat.is_zero() else []

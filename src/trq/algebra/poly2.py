@@ -159,10 +159,6 @@ def _subst(a: Poly2, x, axis: int) -> P.Poly:
     return tuple([Fraction(c, den) for c in out])  # a list: see poly.gcd
 
 
-def eval_at(a: Poly2, z0, w0) -> Fraction:
-    return P.evaluate(subst_w_const(a, w0), z0)
-
-
 def to_z_coeffs(a: Poly2) -> list[P.Poly]:
     """Coefficients of z^i as polynomials in the spectator variable."""
     n = deg_z(a)

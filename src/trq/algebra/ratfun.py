@@ -110,10 +110,6 @@ class RatFun:
             raise ZeroDivisionError(f"pole at {x}")
         return P.evaluate(self.num, x) / d
 
-    def compose_poly(self, b: P.Poly) -> "RatFun":
-        """Substitute a polynomial for the variable."""
-        return RatFun.make(P.compose(self.num, b), P.compose(self.den, b))
-
     def compose(self, other: "RatFun") -> "RatFun":
         """Substitute another rational function for the variable."""
         n = P.degree(self.num)

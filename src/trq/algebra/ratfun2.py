@@ -189,30 +189,8 @@ class Rf2:
             raise ZeroDivisionError(f"denominator vanishes at base point {w0}")
         return RatFun.make(P2.subst_w_const(self.num, w0), den)
 
-    def subst_z(self, z0) -> RatFun:
-        den = P2.subst_z_const(self.den, z0)
-        if P.is_zero(den):
-            raise ZeroDivisionError(f"denominator vanishes at {z0}")
-        return RatFun.make(P2.subst_z_const(self.num, z0), den)
-
     def eval(self, z0, w0) -> Fraction:
         return self.subst_w(w0).eval(z0)
-
-    def depends_on_w(self) -> bool:
-        return P2.deg_w(self.num) > 0 or P2.deg_w(self.den) > 0
-
-    def depends_on_z(self) -> bool:
-        return P2.deg_z(self.num) > 0 or P2.deg_z(self.den) > 0
-
-    def as_ratfun_z(self) -> RatFun:
-        if self.depends_on_w():
-            raise ValueError("depends on the base variable")
-        return RatFun.make(P2.subst_w_const(self.num, 0), P2.subst_w_const(self.den, 0))
-
-    def as_ratfun_w(self) -> RatFun:
-        if self.depends_on_z():
-            raise ValueError("depends on the main variable")
-        return RatFun.make(P2.subst_z_const(self.num, 0), P2.subst_z_const(self.den, 0))
 
     def __str__(self) -> str:
         if self.den == P2.p2_const(1):

@@ -106,7 +106,7 @@ def find_ramification(curve: SpectralCurve) -> list[RamPoint]:
         locs = []
         for p in curve.declared_ram:
             p = Fraction(p)
-            m = _zero_order(dx, p)
+            m = _form_order(dx, p)
             if m < 1:
                 raise CurveError(f"declared ramification point {p} has dx({p}) != 0")
             locs.append((p, m))
@@ -118,24 +118,13 @@ def find_ramification(curve: SpectralCurve) -> list[RamPoint]:
                 "dx has zeros outside Q; irreducible factor "
                 f"{P.to_str(leftover)} (declare ramification points explicitly)"
             )
-        locs = [(p, m) for p, m in roots if _zero_order(dx, p) >= 1]
+        locs = [(p, m) for p, m in roots if _form_order(dx, p) >= 1]
     if _dx_zero_at_infinity(curve):
         raise CurveError("dx vanishes at infinity; ramification at infinity is unsupported")
     out = []
     for p, m in locs:
         out.append(RamPoint(p, m, _y_type_at(curve, p)))
     return out
-
-
-def _zero_order(dx: RatFun, p: Fraction) -> int:
-    if P.evaluate(dx.den, p) == 0:
-        return -1
-    k = 0
-    num = dx.num
-    while not P.is_zero(num) and P.evaluate(num, p) == 0:
-        num = P.divexact(num, (-p, Fraction(1)))
-        k += 1
-    return k
 
 
 def _dx_zero_at_infinity(curve: SpectralCurve) -> bool:

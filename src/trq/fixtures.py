@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .algebra import INF, HSeries, LogRat, RatFun, Rf2
+from .algebra import INF, LogRat, RatFun, Rf2
 from .algebra import poly as P
 from .curve import SpectralCurve
 from .laplace import SaddleProblem, check_extlaplace_airy, check_transform_inverse_airy, saddle_expand
@@ -40,9 +40,7 @@ from .operators import (
     hb,
     normal_order_mul_rule,
     op_text,
-    ratsubst,
     sc,
-    shear_rewrite,
     simplify,
     singular_limit,
     sub,
@@ -68,6 +66,9 @@ class Check:
     label: str
     passed: bool
     detail: str = ""
+    # "engine": a failure is an engine defect; "paper": a comparison with
+    # coefficients printed in the paper, reported but not held against it
+    kind: str = "engine"
 
 
 @dataclass
@@ -80,12 +81,13 @@ class FixtureResult:
     omega_summary: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
-    def record(self, label: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(Check(label, bool(passed), detail))
+    def record(self, label: str, passed: bool, detail: str = "", kind: str = "engine") -> None:
+        self.checks.append(Check(label, bool(passed), detail, kind))
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """Whether every engine check passed; paper comparisons do not count."""
+        return all(c.passed for c in self.checks if c.kind == "engine")
 
 
 def _lr(coeffs, den=(1,)) -> LogRat:
@@ -253,7 +255,7 @@ def fixture_bessel(order: int = 6, seed: int = 1, fast: bool = False) -> Fixture
     lim = normal_order_mul_rule(singular_limit(op, "inf", 0))
     res.emitted["bessel_singular"] = op_text(lim)
     expect = simplify(sub(sc(1), Mul((Y, X, Y))))
-    res.record("singular limit emits 1 - y x y", op_text(lim) == op_text(expect), op_text(lim))
+    res.record("singular limit emits 1 - y x y", lim == expect, op_text(lim))
     # annihilation of the emitted operator on regularized singular-base data
     wave_s = build_wave_data(store, ("main", INF), order)
     rep2 = check_annihilation(lim, wave_s, order)
@@ -299,7 +301,7 @@ def fixture_pq(order: int = 6, seed: int = 11, samples: int = 3, fast: bool = Fa
         # route 1: literal x-y dual rewrite must give the rational quantum curve
         emitted = simplify(xy_dual_rewrite(pq_dual_operator(p, q, side="dual")))
         expect = simplify(pq_generic_operator(p, q))
-        res.record(f"sample {i}: x-y dual emits the rational quantum curve", op_text(emitted) == op_text(expect))
+        res.record(f"sample {i}: x-y dual emits the rational quantum curve", emitted == expect)
         if i == 0:
             res.emitted["pq_generic"] = op_text(expect)
         # route 2: symplectic transport of the trivial curve + reduce-modulo
@@ -330,7 +332,7 @@ def _pq_route2(p: P.Poly, q: P.Poly) -> tuple[bool, str]:
         rsA0,
         A0,
     )))
-    if not _op_equal(p2, p2_expect):
+    if expand(sub(p2, p2_expect)) != sc(0):
         return False, f"transported second operator has unexpected form: {op_text(p2)[:200]}"
     # p1 = p/q(A) - x + hbar/D with D = (p2 content) + (y - y0)
     D_expect = Add((X, Mul((sc(-1), rsA)), Mul((sc(-1), A)), Mul((sc(-1), X0)), rsA0, A0, sub(Y, Y0)))
@@ -340,45 +342,16 @@ def _pq_route2(p: P.Poly, q: P.Poly) -> tuple[bool, str]:
         Mul((sc(-1), X)),
         Mul((hb(), Inv(D_expect))),
     )))
-    if not _op_equal(p1, p1_expect):
+    if expand(sub(p1, p1_expect)) != sc(0):
         return False, f"transported first operator has unexpected form: {op_text(p1)[:200]}"
     # reduce-modulo: the p2 summand inside the denominator is replaced by 0;
     # multiply by q(A) from the left and distribute over the four terms
     reduced = Add((rsA, A, Mul((sc(-1), X)), Mul((hb(), Inv(sub(Y, Y0))))))
     qA = RatSubst(q, P.ONE, A)
     final = Add(tuple(Mul((qA, t)) for t in reduced.children))
-    target = Add(tuple(_dist1(t) for t in _add_terms(simplify(pq_generic_operator(p, q)))))
-    if not _op_equal(final, target):
+    if expand(sub(final, pq_generic_operator(p, q))) != sc(0):
         return False, f"reduced operator differs from the x-y dual route: {op_text(simplify(final))[:200]}"
     return True, ""
-
-
-def _add_terms(e: OpExpr):
-    from .operators import _split_coeff
-
-    if isinstance(e, Add):
-        return e.children
-    coeff, core = _split_coeff(e)
-    if isinstance(core, Add):
-        return tuple(Mul((sc(coeff), t)) for t in core.children)
-    return (e,)
-
-
-def _dist1(t: OpExpr) -> OpExpr:
-    """Distribute a single product over the sum in its last factor."""
-    from .operators import _split_coeff
-
-    coeff, core = _split_coeff(t)
-    if isinstance(core, Mul) and isinstance(core.children[-1], Add):
-        head = core.children[:-1]
-        return Add(tuple(Mul((sc(coeff),) + head + (u,)) for u in core.children[-1].children))
-    return t
-
-
-def _op_equal(a: OpExpr, b: OpExpr) -> bool:
-    """Structural equality through the canonical difference."""
-    d = simplify(Add((a, Mul((sc(-1), b)))))
-    return op_text(d) == op_text(sc(0))
 
 
 def fixture_rspin(r: int, order: int = 6, negative: bool = False, fast: bool = False) -> FixtureResult:
@@ -406,7 +379,7 @@ def fixture_rspin(r: int, order: int = 6, negative: bool = False, fast: bool = F
         expect = simplify(sub(Pow(Y, r), X))
         label = "y^r - x"
     res.emitted[f"{name}_singular"] = op_text(lim)
-    res.record(f"singular limit emits {label}", op_text(lim) == op_text(expect), op_text(lim))
+    res.record(f"singular limit emits {label}", lim == expect, op_text(lim))
     return res
 
 
@@ -492,7 +465,7 @@ def fixture_hurwitz(q: int = 1, r: int = 2, order: int = 6, fast: bool = False) 
         Mul((sc(-1), hb(), sc(Fraction(1, 2)))),
         Mul((sc(-1), Exp(Add((Mul((sc(q), Gen("x", "dagger"))), Mul((sc(q), Pow(Gen("y", "dagger"), r)))))))),
     )))
-    res.record("transported operator matches the sign-resolved form", op_text(emitted) == op_text(expect), op_text(emitted))
+    res.record("transported operator matches the sign-resolved form", emitted == expect, op_text(emitted))
     # BCH identity in the Weyl algebra
     for rr in (1, 2, 3):
         res.record(f"BCH identity to q^6 for r={rr}", _bch_holds(rr, 6))
@@ -559,7 +532,7 @@ def fixture_homfly(order: int = 4, seed: int = 23, fast: bool = False) -> Fixtur
             Exp(Mul((sc(Fraction(-1, 2)), Gen("y", "dagger")))),
         )),
     ))
-    res.record("transported operator matches the sign-resolved form", op_text(emitted) == op_text(expect), op_text(emitted))
+    res.record("transported operator matches the sign-resolved form", emitted == expect, op_text(emitted))
     # classical certification of the emitted operator
     y_t = y
     x_t = x - y_t.scale(Fraction(Pq, Qq))
@@ -629,7 +602,7 @@ def fixture_gaiotto(order: int = 4, seed: int = 31, fast: bool = False) -> Fixtu
         Mul((Add((sc(Sym.const(q1) + Sym.hbar()), Mul((sc(-1), Y)))), Exp(X))),
         Mul((sc(lam**2), Add((sc(p1), Y)), Add((sc(p2), Y)))),
     )))
-    res.record("scripted emission matches the Q + hbar shift pattern", op_text(final) == op_text(expect), op_text(final))
+    res.record("scripted emission matches the Q + hbar shift pattern", final == expect, op_text(final))
     property_suite(res, wave, order)
     return res
 
@@ -675,8 +648,6 @@ def fixture_gentr_airy(order: int = 6, fast: bool = False) -> FixtureResult:
     amp: dict = {}
     coeff = one
     inv_chi = RatFun.const(-1) / v
-    from math import factorial as _fact
-
     binom = Fraction(1)
     for k in range(0, 2 * order + 2):
         if k == 0:
@@ -774,6 +745,7 @@ def fixture_rs_curve(r: int, order: int = 6, fast: bool = False) -> FixtureResul
         "script reproduces the printed operator with the 9 hbar^2/16 term",
         nf == paper,
         "printed coefficients are inconsistent with the printed wave function; see notes",
+        kind="paper",
     )
     res.notes.append(
         "base factor carries hbar/4 (not 3 hbar/4): the printed regularized "
@@ -789,8 +761,9 @@ def fixture_rs_curve(r: int, order: int = 6, fast: bool = False) -> FixtureResul
     emitted_paper = normal_order_mul_rule(simplify(Mul((Pow(Y, r), singular_limit(xy_dual_rewrite(_relabel_dual(paper_ast)), "inf", 0)))))
     res.record(
         "final emission matches the printed last display",
-        op_text(emitted) == op_text(emitted_paper),
+        emitted == emitted_paper,
         "differs in the inherited hbar and hbar^2 coefficients",
+        kind="paper",
     )
     return res
 
@@ -809,10 +782,10 @@ def _base_normal_form(e: OpExpr):
     the collected result must be even in w, else the operator is
     fractional and None is returned.
     """
-    from .operators import _split_coeff
+    from .operators import _power_of
 
     e = expand(e)
-    terms = _add_terms(e)
+    terms = e.children if isinstance(e, Add) else (e,)
     out: dict = {}  # (m in w-units, y0 power) -> Sym
 
     def addterm(key, v):
@@ -825,9 +798,7 @@ def _base_normal_form(e: OpExpr):
     from math import comb
 
     for t in terms:
-        coeff, core = _split_coeff(t)
-        factors = list(core.children) if isinstance(core, Mul) else [core]
-        pending = [(coeff, 0, 0, factors)]
+        pending = [(Sym.const(1), 0, 0, list(t.children) if isinstance(t, Mul) else [t])]
         while pending:
             c, m_, yp_, rest = pending.pop()
             if c.is_zero():
@@ -836,29 +807,13 @@ def _base_normal_form(e: OpExpr):
                 addterm((m_, yp_), c)
                 continue
             f, rest = rest[0], rest[1:]
+            power, base = _power_of(f)
             if isinstance(f, Scalar):
                 pending.append((c * f.value, m_, yp_, rest))
-            elif isinstance(f, Gen) and f.kind == "y0":
-                pending.append((c, m_, yp_ + 1, rest))
-            elif isinstance(f, Pow) and isinstance(f.child, Gen) and f.child.kind == "y0":
-                pending.append((c, m_, yp_ + f.exp, rest))
-            elif isinstance(f, Gen) and f.kind == "x0":
-                pending.append((c, m_, yp_, [CoordMul("z0", RatFun.make(P.ONE, P.poly([0, 0, 1])))] + rest))
-            elif isinstance(f, Pow) and isinstance(f.child, Gen) and f.child.kind == "x0":
-                pending.append((c, m_, yp_, [CoordMul("z0", RatFun.make(P.ONE, P.poly([0] * (2 * f.exp) + [1])))] + rest))
-            elif isinstance(f, Inv):
-                inner = f.child
-                if isinstance(inner, CoordMul) and inner.var == "z0":
-                    minv = _w_monomial(inner.fn)
-                    if minv is None:
-                        return None
-                    pending.append((c, m_, yp_, [CoordMul("z0", RatFun.make(P.ONE, P.poly([0] * minv + [1])) if minv >= 0 else RatFun.make(P.poly([0] * (-minv) + [1])))] + rest))
-                elif isinstance(inner, Gen) and inner.kind == "x0":
-                    pending.append((c, m_, yp_, [CoordMul("z0", RatFun.make(P.poly([0, 0, 1])))] + rest))
-                elif isinstance(inner, Pow) and isinstance(inner.child, Gen) and inner.child.kind == "x0":
-                    pending.append((c, m_, yp_, [CoordMul("z0", RatFun.make(P.poly([0] * (2 * inner.exp) + [1])))] + rest))
-                else:
-                    return None
+            elif isinstance(base, Gen) and base.kind == "y0" and power > 0:
+                pending.append((c, m_, yp_ + power, rest))
+            elif isinstance(base, Gen) and base.kind == "x0":
+                pending.append((c, m_, yp_, [CoordMul("z0", RatFun.var() ** (-2 * power))] + rest))
             elif isinstance(f, CoordMul) and f.var == "z0":
                 m = _w_monomial(f.fn)
                 if m is None:

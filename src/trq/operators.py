@@ -5,6 +5,37 @@ x, y (acting on the main variable) and x0, y0 (acting on the base point),
 with exact scalar coefficients that may involve hbar and named parameters.
 The duality substitutions are literal: no normal ordering is ever applied
 by a rewrite.
+
+Canonical form.  `simplify` rebuilds a tree bottom-up, once, and returns a
+fixed point: simplify(simplify(e)) == simplify(e) as nodes.  Its rules:
+
+- A sum is flat: nested sums are spliced, like terms are collected by
+  their core node (the term without its scalar coefficient), and terms
+  are ordered by the text of their cores.  A sum keeps the sign of its
+  first term: no -1 is ever taken out of a sum as a whole.
+- Terms that are rational functions of one base (its powers, inverse
+  powers and RatSubst nodes) are merged when one of them is a RatSubst:
+  the constant, one term per power of the polynomial part, and the
+  proper part as one RatSubst, or as inverse powers when its denominator
+  is a power of t.
+- Signs go into factor position only.  A sum that is a factor of a
+  product, or the base of an inverse, a power or a RatSubst, is divided by
+  the leading rational coefficient of its first term; that coefficient
+  moves into the enclosing scalar (raised to k for a power, composed into
+  R for a RatSubst).  So 1/(12 - y) is -1/(y - 12), and (1 - y)^3 is
+  -(y - 1)^3.  A scalar times a single sum is that sum, scaled term by
+  term.
+- A product is flat, with at most one scalar, first; adjacent factors
+  that are functions of one base are merged (y^2 * 1/y is y).
+- Powers and inverses of scalars, coordinate multipliers and function
+  nodes are evaluated or composed; a RatSubst has a monic numerator, its
+  leading coefficient a scalar factor.
+
+`expand` returns the canonical form with every product distributed over
+sums: a flat sum of products of atoms.  expand(a - b) == sc(0) proves
+a = b.  For polynomial expressions in the generators the converse holds
+too, as equality of noncommutative polynomials: expand never normal-orders,
+so y x - x y - hbar does not expand to 0.
 """
 
 from __future__ import annotations
@@ -243,10 +274,6 @@ def ratsubst(num, den, child) -> RatSubst:
     return RatSubst(P.poly(num), P.poly(den), child)
 
 
-def poly_of(coeffs, child) -> RatSubst:
-    return ratsubst(coeffs, (1,), child)
-
-
 # ---------------------------------------------------------------------------
 # canonical text
 
@@ -274,63 +301,36 @@ def op_text(e: OpExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# simplification
+# canonical form
 
 
 def simplify(e: OpExpr) -> OpExpr:
-    prev = None
-    cur = e
-    for _ in range(30):
-        cur = _simp(cur)
-        text = op_text(cur)
-        if text == prev:
-            return cur
-        prev = text
-    return cur
+    """The canonical form of e, reached in one bottom-up pass.
+
+    Every node is rebuilt from canonical children by the constructors below
+    (`_add`, `_mul`, `_pow`, `_fn`, `_exp`), each of which returns a
+    canonical node, so simplify(simplify(e)) == simplify(e) as nodes.
+    """
+    return _simp(e)
 
 
 def _simp(e: OpExpr) -> OpExpr:
-    if isinstance(e, (Scalar, Gen, CoordMul)):
+    if isinstance(e, (Scalar, Gen)):
         return e
+    if isinstance(e, CoordMul):
+        return _coord(e.var, e.fn) if e.fn.is_const() else e
     if isinstance(e, Add):
-        return _simp_add(e)
+        return _add([_simp(c) for c in e.children])
     if isinstance(e, Mul):
-        return _simp_mul(e)
+        return _mul([_simp(c) for c in e.children])
     if isinstance(e, Inv):
-        return _simp_inv(_simp(e.child))
+        return _pow(_simp(e.child), -1)
     if isinstance(e, Pow):
-        c = _simp(e.child)
-        if e.exp == 0:
-            return sc(1)
-        if e.exp == 1:
-            return c
-        if e.exp < 0:
-            return Inv(Pow(c, -e.exp))
-        if isinstance(c, Scalar):
-            return Scalar(c.value.pow(e.exp))
-        if isinstance(c, CoordMul):
-            return CoordMul(c.var, c.fn**e.exp)
-        return Pow(c, e.exp)
+        return _pow(_simp(e.child), e.exp)
     if isinstance(e, Exp):
-        a = _simp(e.arg)
-        if isinstance(a, Scalar) and a.value.is_zero():
-            return sc(1)
-        coeff, core = _split_coeff(a)
-        if isinstance(core, Add) and not (coeff == ONE):
-            a = _simp(Add(tuple(Mul((Scalar(coeff), t)) for t in core.children)))
-        return Exp(a)
+        return _exp(_simp(e.arg))
     if isinstance(e, RatSubst):
-        c = _simp(e.child)
-        if isinstance(c, Scalar):
-            num = _poly_eval_sym(e.num, c.value)
-            den = _poly_eval_sym(e.den, c.value)
-            if den.is_const():
-                return Scalar(num.scale(1 / den.const_value()))
-        if isinstance(c, CoordMul):
-            return CoordMul(c.var, RatFun.make(e.num, e.den).compose(c.fn))
-        # stays atomic here; sums of functions of one base decompose in the
-        # Add canonicalization, products merge through adjacency
-        return _function_node(RatFun.make(e.num, e.den), c)
+        return _fn(RatFun.make(e.num, e.den), _simp(e.child))
     raise TypeError(type(e))
 
 
@@ -341,304 +341,353 @@ def _poly_eval_sym(p: tuple, v: Sym) -> Sym:
     return acc
 
 
+_ONE = sc(1)
+_T = RatFun.var()
+
+
 def _split_coeff(e: OpExpr) -> tuple[Sym, OpExpr]:
-    """Write e as coeff * core with a scalar coefficient pulled out."""
+    """Write a canonical term e as coeff * core with a scalar coefficient pulled out."""
     if isinstance(e, Scalar):
-        return e.value, sc(1)
-    if isinstance(e, Mul):
-        coeff = ONE
-        rest = []
-        for c in e.children:
-            if isinstance(c, Scalar):
-                coeff = coeff * c.value
-            else:
-                rest.append(c)
-        if not rest:
-            return coeff, sc(1)
-        if len(rest) == 1:
-            return coeff, rest[0]
-        return coeff, Mul(tuple(rest))
+        return e.value, _ONE
+    if isinstance(e, Mul) and isinstance(e.children[0], Scalar):
+        rest = e.children[1:]
+        return e.children[0].value, rest[0] if len(rest) == 1 else Mul(rest)
     return ONE, e
 
 
-def _simp_add(e: Add) -> OpExpr:
-    work = [(ONE, c) for c in e.children]
-    flat = []
-    while work:
-        outer, c = work.pop()
-        c = _simp(c)
-        if isinstance(c, Add):
-            work.extend((outer, t) for t in c.children)
-            continue
-        coeff, core = _split_coeff(c)
-        coeff = coeff * outer
-        if isinstance(core, Add):
-            work.extend((coeff, t) for t in core.children)
-            continue
-        flat.append((coeff, core))
-    groups: dict = {}
-    order: list = []
-    for coeff, core in flat:
-        if isinstance(core, Scalar):  # pure scalar term (core == 1)
-            coeff = coeff * core.value
-            core = sc(1)
-        key = op_text(core)
-        if key not in groups:
-            groups[key] = [coeff, core]
-            order.append(key)
-        else:
-            groups[key][0] = groups[key][0] + coeff
-    # canonicalize rational functions of a common base operator: members of
-    # a base-group merge additively whenever more than one is present or a
-    # RatSubst is involved, with the constant part split off as a scalar
-    fgroups: dict = {}
-    for key in list(order):
-        coeff, core = groups[key]
-        if not coeff.is_const() or coeff.is_zero():
-            continue
-        if isinstance(core, (Gen, Pow, Inv, RatSubst)):
-            r, child = _as_function_of(core)
-            if isinstance(child, Scalar):
-                continue
-            fgroups.setdefault(op_text(child), []).append((key, r, child))
-    for ckey, members in fgroups.items():
-        if len(members) < 2 and not any(isinstance(groups[k][1], RatSubst) for k, _r, _c in members):
-            continue
-        total = RatFun.const(0)
-        child = members[0][2]
-        for key, r, _c in members:
-            total = total + r * groups[key][0].const_value()
-            groups[key][0] = Sym.const(0)
-        if total.is_zero():
-            continue
-        quot, rem = P.divmod_(total.num, total.den)
-        pieces = []
-        if quot and quot[0]:
-            pieces.append(sc(quot[0]))
-        poly_rest = P.poly((Fraction(0),) + tuple(quot[1:]))
-        if not P.is_zero(poly_rest):
-            pieces.append(_function_node(RatFun.make(poly_rest, P.ONE), child))
-        if not P.is_zero(rem):
-            pieces.append(RatSubst(rem, total.den, child))
-        for piece in pieces:
-            piece = _simp(piece)
-            pcoeff, pcore = _split_coeff(piece)
-            if isinstance(pcore, Scalar):
-                pcoeff = pcoeff * pcore.value
-                pcore = sc(1)
-            pkey = op_text(pcore)
-            if pkey not in groups:
-                groups[pkey] = [pcoeff, pcore]
-                order.append(pkey)
-            else:
-                groups[pkey][0] = groups[pkey][0] + pcoeff
-    terms = []
-    for key in sorted(order):
-        coeff, core = groups[key]
-        if coeff.is_zero():
-            continue
-        if isinstance(core, Scalar):
-            terms.append(Scalar(coeff))
-        elif coeff == ONE:
-            terms.append(core)
-        else:
-            terms.append(Mul((Scalar(coeff), core)))
-    if not terms:
+def _term(coeff: Sym, core: OpExpr) -> OpExpr:
+    """coeff * core as a canonical term, for a core that is not a sum."""
+    if core == _ONE:
+        return Scalar(coeff)
+    if coeff == ONE:
+        return core
+    if isinstance(core, Mul):
+        return Mul((Scalar(coeff),) + core.children)
+    return Mul((Scalar(coeff), core))
+
+
+def _scale(c: Sym, e: OpExpr) -> OpExpr:
+    """c * e for canonical e; a sum is scaled term by term and stays flat."""
+    if c == ONE:
+        return e
+    if c.is_zero():
         return sc(0)
-    if len(terms) == 1:
-        return terms[0]
-    # factor a global -1 when the canonically first coefficient is negative
-    first = terms[0]
-    fc, _ = _split_coeff(first)
-    if isinstance(first, Scalar):
-        fc = first.value
-    if fc.lead_coeff() < 0:
-        neg = [_simp(Mul((sc(-1), t))) for t in terms]
-        return Mul((sc(-1), Add(tuple(neg))))
-    return Add(tuple(terms))
+    if isinstance(e, Add):
+        terms = [_scale(c, t) for t in e.children]
+        # a rational factor keeps every core, its order and its function group
+        return Add(tuple(terms)) if c.is_const() else _add(terms)
+    coeff, core = _split_coeff(e)
+    return _term(c * coeff, core)
 
 
-def _ratfun_const_part(r: RatFun) -> Fraction:
-    """The constant coefficient of the polynomial part of r."""
-    quot, _rem = P.divmod_(r.num, r.den)
-    return quot[0] if quot else Fraction(0)
+def _primitive(s: Add) -> tuple[Fraction, Add]:
+    """(l, s / l) with l the leading rational coefficient of the canonically
+    first term of s: the form a sum takes in factor position."""
+    lead = _split_coeff(s.children[0])[0].lead_coeff()
+    return lead, s if lead == 1 else _scale(Sym.const(1 / lead), s)
 
 
-def _as_function_of(e: OpExpr):
-    """View e as (R, child): a rational function applied to a base operator."""
-    if isinstance(e, RatSubst):
-        return RatFun.make(e.num, e.den), e.child
+def _coord(var: str, fn: RatFun) -> OpExpr:
+    return sc(fn.const_value()) if fn.is_const() else CoordMul(var, fn)
+
+
+def _exp(a: OpExpr) -> OpExpr:
+    return sc(1) if isinstance(a, Scalar) and a.value.is_zero() else Exp(a)
+
+
+def _power_of(e: OpExpr) -> tuple[int, OpExpr]:
+    """(k, base) with e = base^k, for a canonical node that is not a RatSubst."""
     if isinstance(e, Pow):
-        return RatFun.var() ** e.exp, e.child
+        return e.exp, e.child
     if isinstance(e, Inv):
-        inner = e.child
-        if isinstance(inner, Pow):
-            return RatFun.var() ** (-inner.exp), inner.child
-        return RatFun.const(1) / RatFun.var(), inner
-    return RatFun.var(), e
+        c = e.child
+        return (-c.exp, c.child) if isinstance(c, Pow) else (-1, c)
+    return 1, e
 
 
-def _simp_mul(e: Mul) -> OpExpr:
-    flat = []
-    for c in e.children:
-        c = _simp(c)
-        if isinstance(c, Mul):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
+def _as_function_of(e: OpExpr) -> tuple[RatFun, OpExpr]:
+    """View a canonical node as (R, base): a rational function of a base operator."""
+    if isinstance(e, RatSubst):
+        return RatFun(e.num, e.den), e.child
+    k, base = _power_of(e)
+    return _T**k, base
+
+
+def _pow_node(base: OpExpr, k: int) -> OpExpr:
+    if k == 1:
+        return base
+    if k > 1:
+        return Pow(base, k)
+    return Inv(base) if k == -1 else Inv(Pow(base, -k))
+
+
+def _pow(c: OpExpr, k: int) -> OpExpr:
+    """c^k for canonical c and any integer k; negative powers are inverses."""
+    if k == 0:
+        return sc(1)
+    if k == 1:
+        return c
+    if isinstance(c, Scalar):
+        v = c.value
+        if k > 0 or len(v.terms) == 1:
+            return Scalar(v.pow(k))
+        return _pow_node(Scalar(v.pow(-k)), -1)
+    if isinstance(c, CoordMul):
+        return _coord(c.var, c.fn**k)
+    if isinstance(c, RatSubst):
+        return _fn(RatFun(c.num, c.den) ** k, c.child)
+    if isinstance(c, Add):
+        lead, prim = _primitive(c)
+        return _scale(Sym.const(lead**k), _pow_node(prim, k))
+    if isinstance(c, Mul):
+        v, rest = _split_coeff(c)
+        if v != ONE and (k > 0 or len(v.terms) == 1):
+            return _scale(v.pow(k), _pow(rest, k))
+        if k < 0:  # a scalar that has no inverse stays inside
+            return _pow_node(_pow(c, -k), -1)
+        return _pow_node(c, k)
+    k0, base = _power_of(c)
+    if base is not c:
+        return _pow(base, k0 * k)
+    return _pow_node(c, k)
+
+
+def _monomial(r: RatFun):
+    """(a, k) when r = a t^k, else None."""
+    num = [i for i, v in enumerate(r.num) if v]
+    den = [i for i, v in enumerate(r.den) if v]
+    if len(num) == 1 and len(den) == 1:
+        return r.num[num[0]] / r.den[den[0]], num[0] - den[0]
+    return None
+
+
+def _fn(r: RatFun, base: OpExpr) -> OpExpr:
+    """r(base) for canonical base.
+
+    Scalars are evaluated, coordinate multipliers composed, nested function
+    nodes composed into one, and the rational coefficient of a product base
+    or the leading one of a sum base moved into r.  What is left is a power
+    of the base or one RatSubst with a monic numerator, its leading
+    coefficient a scalar factor.
+    """
+    if r.is_zero():
+        return sc(0)
+    mono = _monomial(r)
+    if mono is not None:
+        a, k = mono
+        return _scale(Sym.const(a), _pow(base, k))
+    if isinstance(base, Scalar):
+        num, den = _poly_eval_sym(r.num, base.value), _poly_eval_sym(r.den, base.value)
+        if len(den.terms) == 1:
+            return Scalar(num * den.pow(-1))
+    elif isinstance(base, CoordMul):
+        return _coord(base.var, r.compose(base.fn))
+    elif isinstance(base, (Pow, Inv, RatSubst)):
+        inner, b = _as_function_of(base)
+        return _fn(r.compose(inner), b)
+    elif isinstance(base, Add):
+        lead, prim = _primitive(base)
+        if lead != 1:
+            return _fn(r.compose(_T * lead), prim)
+    elif isinstance(base, Mul):
+        c, rest = _split_coeff(base)
+        if c != ONE and c.is_const():
+            return _fn(r.compose(_T * c.const_value()), rest)
+    lc = r.num[-1]
+    node = RatSubst(P.scale(r.num, 1 / lc), r.den, base)
+    return _scale(Sym.const(lc), node)
+
+
+def _merge(a: OpExpr, b: OpExpr):
+    """a * b as one factor when both are functions of one base, else None."""
+    if isinstance(a, CoordMul) and isinstance(b, CoordMul):
+        return _coord(a.var, a.fn * b.fn) if a.var == b.var else None
+    if isinstance(a, RatSubst) or isinstance(b, RatSubst):
+        ra, ba = _as_function_of(a)
+        rb, bb = _as_function_of(b)
+        return _fn(ra * rb, ba) if ba == bb else None
+    ka, ba = _power_of(a)
+    kb, bb = _power_of(b)
+    return _pow(ba, ka + kb) if ba == bb else None
+
+
+def _mul(factors: list) -> OpExpr:
+    """The canonical product of canonical factors, in order.
+
+    Nested products are spliced, scalars collected in front, every sum
+    factor divided by its leading rational coefficient (which joins the
+    scalar, with the sign), and adjacent
+    functions of one base merged until no neighbours merge.  A scalar
+    times a single sum is that sum, scaled term by term.
+    """
     coeff = ONE
-    rest = []
-    for c in flat:
-        if isinstance(c, Scalar):
-            coeff = coeff * c.value
-        else:
-            rest.append(c)
+    out: list = []
+    todo = list(reversed(factors))
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Mul):
+            todo.extend(reversed(g.children))
+            continue
+        if isinstance(g, Scalar):
+            coeff = coeff * g.value
+            continue
+        if isinstance(g, Add):
+            lead, g = _primitive(g)
+            if lead != 1:
+                coeff = coeff.scale(lead)
+        if out:
+            m = _merge(out[-1], g)
+            if m is not None:
+                out.pop()
+                todo.append(m)
+                continue
+        out.append(g)
     if coeff.is_zero():
         return sc(0)
-    # merge adjacent commuting pieces
-    merged: list = []
-    for c in rest:
-        if merged:
-            prev = merged[-1]
-            if isinstance(prev, CoordMul) and isinstance(c, CoordMul) and prev.var == c.var:
-                merged[-1] = CoordMul(prev.var, prev.fn * c.fn)
-                continue
-            r1, b1 = _as_function_of(prev)
-            r2, b2 = _as_function_of(c)
-            if op_text(b1) == op_text(b2) and not isinstance(b1, (Scalar,)):
-                prod = r1 * r2
-                merged[-1] = _function_node(prod, b1)
-                continue
-        merged.append(c)
-    merged = [m for m in merged if not (isinstance(m, Scalar) and m.value == ONE)]
-    out = []
-    for m in merged:
-        if isinstance(m, Scalar):
-            coeff = coeff * m.value
-        else:
-            out.append(m)
     if not out:
         return Scalar(coeff)
-    if coeff == ONE and len(out) == 1:
-        return out[0]
-    if coeff == ONE:
-        return Mul(tuple(out))
-    return Mul((Scalar(coeff),) + tuple(out))
+    if len(out) == 1:
+        return _scale(coeff, out[0])
+    return Mul(tuple(out)) if coeff == ONE else Mul((Scalar(coeff),) + tuple(out))
 
 
-def _function_node(r: RatFun, base: OpExpr) -> OpExpr:
-    if r.is_const():
-        return sc(r.const_value())
-    if r == RatFun.var():
-        return base
-    if P.degree(r.den) == 0:
-        num = P.scale(r.num, 1 / r.den[0])
-        mono = [i for i, v in enumerate(num) if v]
-        if len(mono) == 1 and mono[0] >= 1:
-            c = num[mono[0]]
-            node = base if mono[0] == 1 else Pow(base, mono[0])
-            return node if c == 1 else Mul((sc(c), node))
-        return RatSubst(num, P.ONE, base)
-    if P.degree(r.num) == 0 and r.num:
-        mono = [i for i, v in enumerate(r.den) if v]
-        if len(mono) == 1:
-            k = mono[0]
-            c = r.num[0] / r.den[k]
-            node = Inv(base) if k == 1 else Inv(Pow(base, k))
-            return node if c == 1 else Mul((sc(c), node))
-    return RatSubst(r.num, r.den, base)
+def _add(terms: list) -> OpExpr:
+    """The canonical sum of canonical terms.
+
+    Nested sums are spliced and like terms collected by their core node.
+    Terms that are functions of one base merge when one of them is a
+    RatSubst (`_merge_function_groups`).  Terms are ordered by the text of
+    their cores; the sum keeps whatever sign its first term has.
+    """
+    coeffs: dict = {}
+
+    def push(t: OpExpr) -> None:
+        if isinstance(t, Add):
+            for u in t.children:
+                push(u)
+            return
+        c, core = _split_coeff(t)
+        old = coeffs.get(core)
+        coeffs[core] = c if old is None else old + c
+
+    for t in terms:
+        push(t)
+    _merge_function_groups(coeffs, push)
+    items = [(core, c) for core, c in coeffs.items() if not c.is_zero()]
+    if not items:
+        return sc(0)
+    if len(items) == 1:
+        return _term(items[0][1], items[0][0])
+    items.sort(key=lambda item: op_text(item[0]))
+    return Add(tuple(_term(c, core) for core, c in items))
 
 
-def _simp_inv(c: OpExpr) -> OpExpr:
-    if isinstance(c, Inv):
-        return c.child
-    if isinstance(c, Scalar):
-        if len(c.value.terms) == 1:
-            return Scalar(c.value.pow(-1))
-        return Inv(c)
-    if isinstance(c, CoordMul):
-        return CoordMul(c.var, RatFun.const(1) / c.fn)
-    if isinstance(c, Mul) and c.children and isinstance(c.children[0], Scalar):
-        v = c.children[0].value
-        rest = c.children[1:]
-        inner = rest[0] if len(rest) == 1 else Mul(rest)
-        return _simp(Mul((Scalar(v.pow(-1)), Inv(inner))))
-    return Inv(c)
+def _merge_function_groups(coeffs: dict, push) -> None:
+    """Rewrite, per base, the rational-coefficient terms R_i(base) of a sum
+    when one of them is a RatSubst: their total R is split into its
+    constant, one term per power of its polynomial part, and its proper
+    part as one RatSubst (or as inverse powers when its denominator is a
+    power of t).  A power-1 term of a sum base is spliced back into the sum
+    through `push`; it only holds bases nested inside this one, so the
+    rounds end.  A group already in this form splits into itself.
+    """
+    while True:
+        groups: dict = {}
+        for core, c in coeffs.items():
+            if isinstance(core, (Gen, Pow, Inv, RatSubst)) and c.is_const() and not c.is_zero():
+                base = core.child if isinstance(core, RatSubst) else _power_of(core)[1]
+                if not isinstance(base, Scalar):
+                    groups.setdefault(base, []).append(core)
+        spilled = False
+        for base, members in groups.items():
+            if not any(isinstance(m, RatSubst) for m in members):
+                continue
+            total = RatFun.const(0)
+            for m in members:
+                total = total + _as_function_of(m)[0] * coeffs.pop(m).const_value()
+            pieces = _split_ratfun(total, base)
+            for piece in pieces:
+                push(piece)
+            if any(isinstance(piece, Add) for piece in pieces):
+                spilled = True
+                break
+        if not spilled:
+            return
+
+
+def _split_ratfun(r: RatFun, base: OpExpr) -> list:
+    """r(base) as canonical terms: constant, powers, proper part."""
+    quot, rem = P.divmod_(r.num, r.den)
+    pieces = [_scale(Sym.const(v), _pow(base, i)) for i, v in enumerate(quot) if v]
+    if P.is_zero(rem):
+        return pieces
+    m = P.degree(r.den)
+    if not any(r.den[:m]):  # the denominator is t^m
+        return pieces + [_scale(Sym.const(v), _pow(base, i - m)) for i, v in enumerate(rem) if v]
+    return pieces + [_fn(RatFun(rem, r.den), base)]
 
 
 def expand(e: OpExpr) -> OpExpr:
-    """Distribute products over sums; canonical additive normal form.
+    """The canonical form with products distributed over sums: a flat sum
+    of products of atoms.
 
-    Rational-function nodes stay atomic; adjacent functions of a common
-    base still merge through their exact rational arithmetic.
+    Positive powers of sums and products are multiplied out, and every
+    RatSubst is split into its polynomial part, multiplied out, and its
+    proper part.  The atoms are generators, coordinate multipliers, powers
+    of these, exponentials, inverses and proper RatSubst nodes (whose
+    denominator is not a power of t), each with expanded children.
     """
-    return simplify(_expand(simplify(e)))
+    return _add(_terms(simplify(e)))
 
 
-def _expand(e: OpExpr) -> OpExpr:
+def _terms(e: OpExpr) -> list:
+    """A canonical e as a list of canonical products of atoms."""
     if isinstance(e, Add):
-        return Add(tuple(_expand(c) for c in e.children))
+        return [t for c in e.children for t in _terms(c)]
     if isinstance(e, Mul):
-        factor_lists = [[sc(1)]]
-        for c in e.children:
-            c = simplify(_expand(c))
-            terms = list(c.children) if isinstance(c, Add) else [c]
-            factor_lists = [fl + [t] for fl in factor_lists for t in terms]
-        return Add(tuple(Mul(tuple(fl)) for fl in factor_lists))
+        return _products([_terms(c) for c in e.children])
     if isinstance(e, Pow):
-        base = simplify(_expand(e.child))
-        if isinstance(base, Add) and e.exp >= 1:
-            return _expand(Mul(tuple([base] * e.exp)))
-        return Pow(base, e.exp)
+        base = _add(_terms(e.child))
+        if isinstance(base, (Add, Mul)):
+            return _products([list(base.children) if isinstance(base, Add) else [base]] * e.exp)
+        return _checked(_pow(base, e.exp))
     if isinstance(e, Inv):
-        return Inv(simplify(_expand(e.child)))
+        return _checked(_pow(_add(_terms(e.child)), -1))
     if isinstance(e, Exp):
-        return Exp(simplify(_expand(e.arg)))
+        return [_exp(_add(_terms(e.arg)))]
     if isinstance(e, RatSubst):
-        return RatSubst(e.num, e.den, simplify(_expand(e.child)))
-    return e
+        base = _add(_terms(e.child))
+        return [t for p in _split_ratfun(RatFun(e.num, e.den), base) for t in _checked(p)]
+    return [e]
 
 
-def lower_ratsubst(e: OpExpr) -> OpExpr:
-    """Replace R(child) nodes by explicit polynomial-and-inverse trees."""
-    if isinstance(e, RatSubst):
-        child = lower_ratsubst(e.child)
-        num_terms = [Mul((sc(v), Pow(child, i))) for i, v in enumerate(e.num) if v]
-        out: OpExpr = Add(tuple(num_terms)) if num_terms else sc(0)
-        if P.degree(e.den) == 0:
-            return simplify(Mul((sc(Fraction(1) / e.den[0]), out)))
-        den_terms = [Mul((sc(v), Pow(child, i))) for i, v in enumerate(e.den) if v]
-        return simplify(Mul((out, Inv(Add(tuple(den_terms))))))
-    if isinstance(e, Add):
-        return Add(tuple(lower_ratsubst(c) for c in e.children))
-    if isinstance(e, Mul):
-        return Mul(tuple(lower_ratsubst(c) for c in e.children))
-    if isinstance(e, Inv):
-        return Inv(lower_ratsubst(e.child))
-    if isinstance(e, Pow):
-        return Pow(lower_ratsubst(e.child), e.exp)
-    if isinstance(e, Exp):
-        return Exp(lower_ratsubst(e.arg))
-    return e
+def _products(factor_terms: list) -> list:
+    out = [_ONE]
+    for fts in factor_terms:
+        out = [t for a in out for u in fts for t in _checked(_mul([a, u]))]
+    return out
 
 
-def subst_params(e: OpExpr, values: dict) -> OpExpr:
-    """Bind named parameters to rationals everywhere in the tree."""
-    if isinstance(e, Scalar):
-        return Scalar(e.value.subs(values))
-    if isinstance(e, Add):
-        return Add(tuple(subst_params(c, values) for c in e.children))
-    if isinstance(e, Mul):
-        return Mul(tuple(subst_params(c, values) for c in e.children))
-    if isinstance(e, Inv):
-        return Inv(subst_params(e.child, values))
-    if isinstance(e, Pow):
-        return Pow(subst_params(e.child, values), e.exp)
-    if isinstance(e, Exp):
-        return Exp(subst_params(e.arg, values))
-    if isinstance(e, RatSubst):
-        return RatSubst(e.num, e.den, subst_params(e.child, values))
-    return e
+def _checked(t: OpExpr) -> list:
+    """[t] when t is a product of atoms, else its terms; merging adjacent
+    atoms can make a polynomial part or a sum (t^2/(t+1) times 1/t)."""
+    if isinstance(t, Mul):
+        factors = t.children[1:] if isinstance(t.children[0], Scalar) else t.children
+        if all(_is_atom(f) for f in factors):
+            return [t]
+    elif isinstance(t, Scalar) or _is_atom(t):
+        return [t]
+    return _terms(t)
+
+
+def _is_atom(f: OpExpr) -> bool:
+    if isinstance(f, (Add, Mul)):
+        return False
+    if isinstance(f, Pow):
+        return not isinstance(f.child, (Add, Mul))
+    if isinstance(f, RatSubst):
+        return P.degree(f.num) < P.degree(f.den) and any(f.den[:-1])
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -837,8 +886,8 @@ def _y_power(e: OpExpr) -> int:
 
 
 def _is_x_minus_h_over_y(e: OpExpr) -> bool:
-    target_pos = simplify(sub(Gen("x", _gen_side(e)), Mul((hb(), Inv(Gen("y", _gen_side(e)))))))
-    return op_text(simplify(e)) == op_text(target_pos)
+    side = _gen_side(e)
+    return e == simplify(sub(Gen("x", side), Mul((hb(), Inv(Gen("y", side))))))
 
 
 def _gen_side(e: OpExpr) -> str:

@@ -38,7 +38,6 @@ from .operators import (
     RatSubst,
     Scalar,
     Sym,
-    lower_ratsubst,
     op_text,
     simplify,
 )
@@ -134,10 +133,6 @@ def make_term(rho: Rf2, logs: dict, consts: dict, series: HSeries):
 Symbol = dict  # key -> (Prefactor, HSeries of Rf2)
 
 
-def sym_zero() -> Symbol:
-    return {}
-
-
 def sym_unit(trunc: int) -> Symbol:
     pref = Prefactor(Rf2.const(0), (), ())
     return {pref.key(): (pref, HSeries({0: Rf2.const(1)}, trunc))}
@@ -179,10 +174,6 @@ def sym_scale_rf2(sym: Symbol, f: Rf2) -> Symbol:
     for _k, (p, s) in sym.items():
         sym_insert(out, p, s.map(lambda v: v * f))
     return out
-
-
-def sym_neg(sym: Symbol) -> Symbol:
-    return {k: (p, -s) for k, (p, s) in sym.items()}
 
 
 def sym_mul_prefactor(sym: Symbol, rho: Rf2, logs: dict, consts: dict) -> Symbol:
@@ -400,20 +391,15 @@ def build_wave_data(store: OmegaStore, base, trunc: int) -> WaveData:
     else:
         raise WaveError(f"unknown base mode {base}")
 
-    wd = WaveData(curve, mode, trunc, x_main=curve.x, x_base=_to_base_var(curve.x), base_value=frozen)
+    wd = WaveData(curve, mode, trunc, x_main=curve.x, x_base=curve.x, base_value=frozen)
 
     if "z" in live:
         wd.y_main = curve.y
         wd.y_tail = _assemble_tail(store, curve, "z", mode, frozen, trunc)
     if "w" in live:
-        wd.y0_main = _to_base_var(curve.y)
+        wd.y0_main = curve.y
         wd.y0_tail = _assemble_tail(store, curve, "w", mode, frozen, trunc)
     return wd
-
-
-def _to_base_var(f: LogRat) -> LogRat:
-    # same function, read in the base variable; representation unchanged
-    return f
 
 
 def _assemble_tail(store: OmegaStore, curve: SpectralCurve, var: str, mode: str, frozen, trunc: int) -> HSeries:
@@ -502,10 +488,6 @@ def _pref_deriv(pref: Prefactor, var: str) -> Rf2:
         if not d.is_zero():
             out = out + d / arg * c
     return out
-
-
-def apply_mult_rf2(sym: Symbol, f: Rf2) -> Symbol:
-    return sym_scale_rf2(sym, f)
 
 
 def apply_dbar(sym: Symbol, wave: WaveData, var: str) -> Symbol:

@@ -1,0 +1,269 @@
+"""Property tests of the canonical operator form against independent oracles.
+
+Random trees over x and y with Scalar, Add, Mul and Pow nodes are read two
+ways that share no code with `simplify`/`expand`:
+- as Weyl-algebra elements (`WeylPoly`, whose product applies y x = x y + hbar);
+- as free noncommutative polynomials: a dict from words in x, y to scalars.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trq.operators import (
+    X0,
+    Y0,
+    Add,
+    Exp,
+    Gen,
+    Inv,
+    Mul,
+    OperatorError,
+    Pow,
+    RatSubst,
+    Scalar,
+    Sym,
+    WeylPoly,
+    X,
+    Y,
+    expand,
+    hb,
+    sc,
+    simplify,
+    sub,
+)
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _scalar_st():
+    small = st.integers(-3, 3)
+    return st.builds(
+        lambda a, b, d: Scalar(Sym.const(F(a, d)) + Sym.hbar().scale(b)),
+        small, small, st.sampled_from((1, 2)),
+    )
+
+
+_leaf = st.one_of(st.just(X), st.just(Y), _scalar_st())
+
+
+def _extend(children):
+    kids = st.lists(children, min_size=1, max_size=3).map(tuple)
+    return st.one_of(
+        kids.map(Add),
+        kids.map(Mul),
+        st.builds(Pow, children, st.integers(0, 3)),
+    )
+
+
+_tree = st.recursive(_leaf, _extend, max_leaves=8)
+
+# trees with every generator, inverses, negative powers, rational functions
+# and exponentials, for the properties that need no oracle
+_poly = st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(lambda cs: tuple(F(c) for c in cs))
+
+
+def _extend_rich(children):
+    kids = st.lists(children, min_size=1, max_size=3).map(tuple)
+    return st.one_of(
+        kids.map(Add),
+        kids.map(Mul),
+        st.builds(Pow, children, st.integers(-2, 3)),
+        st.builds(Inv, children),
+        st.builds(RatSubst, _poly, _poly.filter(any), children),
+        st.builds(Exp, st.sampled_from((X, Y0, Add((X, Mul((sc(2), Y))))))),
+    )
+
+
+_rich_tree = st.recursive(st.one_of(st.sampled_from((X, Y, X0, Y0)), _scalar_st()), _extend_rich, max_leaves=7)
+
+
+def weyl(e) -> WeylPoly:
+    """The Weyl-algebra element of a tree built from x, y and scalars."""
+    if isinstance(e, Scalar):
+        return WeylPoly({(0, 0): e.value}) if not e.value.is_zero() else WeylPoly.zero()
+    if isinstance(e, Gen):
+        return WeylPoly.monomial(1, 0) if e.kind == "x" else WeylPoly.monomial(0, 1)
+    if isinstance(e, Add):
+        out = WeylPoly.zero()
+        for c in e.children:
+            out = out + weyl(c)
+        return out
+    if isinstance(e, Mul):
+        out = WeylPoly.one()
+        for c in e.children:
+            out = out * weyl(c)
+        return out
+    if isinstance(e, Pow):
+        out = WeylPoly.one()
+        for _ in range(e.exp):
+            out = out * weyl(e.child)
+        return out
+    if isinstance(e, RatSubst) and e.den == (1,):
+        base, out, power = weyl(e.child), WeylPoly.zero(), WeylPoly.one()
+        for v in e.num:
+            out = out + power.scale_sym(Sym.const(v))
+            power = power * base
+        return out
+    raise TypeError(type(e))
+
+
+def free(e) -> dict:
+    """The free noncommutative polynomial of a tree: word -> nonzero Sym."""
+    def mul(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for wa, ca in a.items():
+            for wb, cb in b.items():
+                out[wa + wb] = out.get(wa + wb, Sym()) + ca * cb
+        return {w: c for w, c in out.items() if not c.is_zero()}
+
+    if isinstance(e, Scalar):
+        return {(): e.value} if not e.value.is_zero() else {}
+    if isinstance(e, Gen):
+        return {(e.kind,): Sym.const(1)}
+    if isinstance(e, Add):
+        out: dict = {}
+        for c in e.children:
+            for w, v in free(c).items():
+                out[w] = out.get(w, Sym()) + v
+        return {w: c for w, c in out.items() if not c.is_zero()}
+    if isinstance(e, (Mul, Pow)):
+        factors = e.children if isinstance(e, Mul) else (e.child,) * e.exp
+        out = {(): Sym.const(1)}
+        for c in factors:
+            out = mul(out, free(c))
+        return out
+    if isinstance(e, RatSubst) and e.den == (1,):
+        return free(Add(tuple(Mul((sc(v), Pow(e.child, i))) for i, v in enumerate(e.num))))
+    raise TypeError(type(e))
+
+
+def from_free(poly: dict):
+    """A tree for a free polynomial, one word per term, letters left to right."""
+    terms = tuple(Mul((Scalar(c),) + tuple(Gen(k) for k in w)) for w, c in sorted(poly.items()))
+    return Add(terms) if terms else sc(0)
+
+
+def is_flat(e) -> bool:
+    terms = e.children if isinstance(e, Add) else (e,)
+    return all(
+        not isinstance(t, Add) and not (isinstance(t, Mul) and any(isinstance(f, Add) for f in t.children))
+        for t in terms
+    )
+
+
+class TestCanonicalForm:
+    @_PROPERTY
+    @given(_tree)
+    def test_same_weyl_element(self, e):
+        w = weyl(e)
+        assert weyl(simplify(e)) == w
+        assert weyl(expand(e)) == w
+
+    @_PROPERTY
+    @given(_tree)
+    def test_simplify_is_idempotent(self, e):
+        s = simplify(e)
+        assert simplify(s) == s
+
+    @_PROPERTY
+    @given(_rich_tree)
+    def test_fixed_points_with_inverses_and_functions(self, e):
+        try:
+            s = simplify(e)
+        except (OperatorError, ZeroDivisionError):  # e.g. a pole of a RatSubst at a scalar
+            return
+        assert simplify(s) == s
+        x = expand(e)
+        assert is_flat(x)
+        assert expand(x) == x
+        assert simplify(x) == x
+
+    @_PROPERTY
+    @given(_tree)
+    def test_expand_is_flat_and_canonical(self, e):
+        x = expand(e)
+        assert is_flat(x)
+        assert expand(x) == x
+        assert simplify(x) == x
+
+    @_PROPERTY
+    @given(_tree, _tree)
+    def test_expanded_difference_decides_free_equality(self, a, b):
+        zero = expand(sub(a, b)) == sc(0)
+        assert zero == (free(a) == free(b))
+        if zero:
+            assert weyl(a) == weyl(b)
+
+    @_PROPERTY
+    @given(_tree)
+    def test_expanded_difference_proves_equal_rewrites(self, e):
+        # the same free polynomial written as a sum of words
+        assert expand(sub(e, from_free(free(e)))) == sc(0)
+
+
+class TestExpand:
+    def test_power_of_a_product_is_multiplied_out(self):
+        assert expand(sub(Pow(Mul((X, Y)), 2), Mul((X, Y, X, Y)))) == sc(0)
+
+    def test_polynomial_part_of_a_ratsubst_is_multiplied_out(self):
+        # (t^2 + 1)/(t + 1) = t - 1 + 2/(t + 1), at t = x + y
+        s = Add((X, Y))
+        e = expand(Mul((X, RatSubst((F(1), F(0), F(1)), (F(1), F(1)), s))))
+        proper = RatSubst((F(1),), (F(1), F(1)), s)
+        assert e == expand(Add((Mul((X, X)), Mul((X, Y)), Mul((sc(-1), X)), Mul((sc(2), X, proper)))))
+
+    def test_no_normal_ordering(self):
+        # y x and x y + hbar are the same Weyl element but different words
+        assert expand(sub(Mul((Y, X)), Add((Mul((X, Y)), hb())))) != sc(0)
+
+
+class TestFunctionGroups:
+    def test_rational_functions_of_one_base_merge(self):
+        # 1/t + 1/(t + 1) = (2t + 1)/(t^2 + t) at t = y - y0
+        s = sub(Y, Y0)
+        parts = (
+            Inv(s),
+            RatSubst((F(1),), (F(1), F(1)), s),
+            Mul((sc(-1), RatSubst((F(1), F(2)), (F(0), F(1), F(1)), s))),
+        )
+        assert simplify(Add(parts)) == sc(0)
+
+    def test_spilled_terms_merge_with_their_own_group(self):
+        # t^2/(t + 1) = t - 1 + 1/(t + 1) at t = x + 1/(y + 1): the t term
+        # splices x + 1/(y + 1) into the sum, where 1/(y + 1) and 1/(y + 2)
+        # merge into (2y + 3)/(y^2 + 3y + 2)
+        inner = Add((X, RatSubst((F(1),), (F(1), F(1)), Y)))
+        e = Add((RatSubst((F(0), F(0), F(1)), (F(1), F(1)), inner), RatSubst((F(1),), (F(2), F(1)), Y)))
+        s = simplify(e)
+        assert simplify(s) == s
+        merged = RatSubst((F(3), F(2)), (F(2), F(3), F(1)), Y)
+        assert s == simplify(Add((X, sc(-1), RatSubst((F(1),), (F(1), F(1)), inner), merged)))
+
+
+class TestSignsInFactorPosition:
+    def test_top_level_sum_stays_flat(self):
+        e = expand(sub(sc(1), Mul((Y, X, Y))))
+        assert e == Add((Mul((sc(-1), Y, X, Y)), sc(1)))
+
+    def test_inverse_takes_the_sign_out(self):
+        a = simplify(Inv(sub(sc(12), Y)))
+        assert a == Mul((sc(-1), Inv(Add((Y, sc(-12))))))
+        assert simplify(Add((Inv(sub(Y, sc(12))), Inv(sub(sc(12), Y))))) == sc(0)
+
+    def test_power_takes_the_sign_out(self):
+        assert simplify(Pow(sub(sc(1), Y), 3)) == Mul((sc(-1), Pow(Add((Y, sc(-1))), 3)))
+
+    def test_factor_takes_the_rational_content_out(self):
+        e = simplify(Mul((X, Add((Mul((sc(2), Y)), sc(4))))))
+        assert e == Mul((sc(2), X, Add((Y, sc(2)))))
+
+    def test_scalar_times_product_is_one_product(self):
+        e = simplify(Mul((sc(3), Mul((sc(2), X, Y)))))
+        assert e == Mul((sc(6), X, Y))
+
+    def test_hbar_over_sum_cancels_across_orientations(self):
+        d = Mul((hb(), Inv(sub(Y, Gen("y0")))))
+        e = Add((d, Mul((hb(), Inv(sub(Gen("y0"), Y))))))
+        assert simplify(e) == sc(0)
