@@ -3,19 +3,24 @@
 A Poly2 is a dict {(i, j): Fraction} mapping (z-degree, w-degree) to a
 nonzero coefficient; the second variable is the spectator (base point).
 
-`p2_gcd` tries three methods in turn:
-1. specialisation shortcut: if the univariate gcd at one w-sample that keeps
-   both z-degrees is constant, the gcd is the gcd of the w-contents;
-2. univariate gcds at integer w-samples, interpolated in w on one shared
-   Lagrange basis; the candidate counts only if it divides both operands
-   exactly;
-3. otherwise a primitive remainder sequence over Q[w][z].
+`p2_gcd(a, b)` returns the gcd g, normalized to lex-leading coefficient 1,
+together with the cofactors a/g and b/g.  Results are memoized in
+`_GCD_CACHE` on the unordered pair; on a miss `_p2_gcd_impl` works on the
+primitive integer parts of a and b and tries two methods in turn:
+1. the heuristic gcd GCDHEU (`_heu_gcd`): evaluate at w = x and z = y, take
+   one integer gcd and read the candidate back from its balanced base-y and
+   base-x digits; it counts only if it divides both operands exactly over
+   the integers, and those quotients are the cofactors.  Up to six growing
+   points are tried;
+2. otherwise a primitive remainder sequence over Q[w][z] (`_prs_gcd`),
+   whose result is divided out of both operands the same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd as igcd
+from math import isqrt, lcm
 
 from . import poly as P
 
@@ -122,26 +127,17 @@ def lead_key(a: Poly2) -> tuple[int, int]:
 
 
 def subst_w_const(a: Poly2, w0) -> P.Poly:
-    """Evaluate the spectator variable at a rational point."""
-    return _subst(a, w0, 1)
-
-
-def subst_z_const(a: Poly2, z0) -> P.Poly:
-    return _subst(a, z0, 0)
-
-
-def _subst(a: Poly2, x, axis: int) -> P.Poly:
-    """Put x = p/q for the variable at key position `axis`.
+    """Evaluate the spectator variable at a rational point w0 = p/q.
 
     Every term goes over the one denominator lcm(denominators) * q^n, n the
-    degree in that variable, so the sums run over ints with the powers
-    p^e q^(n-e) computed once.
+    degree in w, so the sums run over ints with the powers p^e q^(n-e)
+    computed once.
     """
     if not a:
         return P.ZERO
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    n = max(k[axis] for k in a)
+    w0 = Fraction(w0)
+    p, q = w0.numerator, w0.denominator
+    n = deg_w(a)
     pw = [1] * (n + 1)
     for e in range(1, n + 1):
         pw[e] = pw[e - 1] * p
@@ -150,9 +146,9 @@ def _subst(a: Poly2, x, axis: int) -> P.Poly:
         qe *= q
         pw[e] *= qe
     den = lcm(*[v.denominator for v in a.values()])
-    out = [0] * (max(k[1 - axis] for k in a) + 1)
-    for k, v in a.items():
-        out[k[1 - axis]] += v.numerator * (den // v.denominator) * pw[k[axis]]
+    out = [0] * (deg_z(a) + 1)
+    for (i, j), v in a.items():
+        out[i] += v.numerator * (den // v.denominator) * pw[j]
     while out and not out[-1]:
         out.pop()
     den *= qe
@@ -219,48 +215,186 @@ def _pseudo_rem(a: list[P.Poly], b: list[P.Poly]) -> list[P.Poly]:
     return a
 
 
+# the bench tracer reports the size and the hit ratio of this memo
 _GCD_CACHE: dict = {}
 
 
-def p2_gcd(a: Poly2, b: Poly2) -> Poly2:
-    """Gcd, normalized so the lex-leading coefficient is 1 (memoized)."""
-    if not a:
-        return _monic_lex(b)
-    if not b:
-        return _monic_lex(a)
+def p2_gcd(a: Poly2, b: Poly2) -> tuple[Poly2, Poly2, Poly2]:
+    """(g, a/g, b/g): the gcd g, with lex-leading coefficient 1, and the
+    cofactors (memoized).  gcd(0, b) is b made lex-monic; gcd(0, 0) is 0,
+    and then both cofactors are 0 too."""
+    if not a or not b:
+        c = a or b
+        if not c:
+            return {}, {}, {}
+        one = p2_const(c[lead_key(c)])
+        return _monic_lex(c), (one if a else {}), (one if b else {})
     ka = tuple(sorted(a.items()))
     kb = tuple(sorted(b.items()))
-    key = (ka, kb) if ka <= kb else (kb, ka)
-    hit = _GCD_CACHE.get(key)
-    if hit is not None:
-        return dict(hit)
-    g = _p2_gcd_impl(a, b)
-    if len(_GCD_CACHE) > 200000:
-        _GCD_CACHE.clear()
-    _GCD_CACHE[key] = dict(g)
-    return g
+    swap = kb < ka
+    if swap:
+        a, b, ka, kb = b, a, kb, ka
+    hit = _GCD_CACHE.get((ka, kb))
+    if hit is None:
+        out = _p2_gcd_impl(a, b)
+        if len(_GCD_CACHE) > 200000:
+            _GCD_CACHE.clear()
+        # a coprime pair is its own cofactors: only the marker () is kept
+        _GCD_CACHE[ka, kb] = () if out[0] == _UNIT else tuple(tuple(p.items()) for p in out)
+    elif hit:
+        out = tuple(dict(p) for p in hit)
+    else:
+        out = p2_const(1), a, b
+    g, qa, qb = out
+    return (g, qb, qa) if swap else (g, qa, qb)
 
 
-def _p2_gcd_impl(a: Poly2, b: Poly2) -> Poly2:
-    if deg_z(a) == 0 and deg_z(b) == 0:
-        g = P.gcd(subst_z_const(a, 0), subst_z_const(b, 0))
-        return from_z_coeffs([g])
-    if deg_w(a) == 0 and deg_w(b) == 0:
-        g = P.gcd(subst_w_const(a, 0), subst_w_const(b, 0))
-        return from_z(g)
-    # specialization shortcut: a degree-preserving w-sample with a trivial
-    # univariate gcd proves the gcd has z-degree 0
-    da, db = deg_z(a), deg_z(b)
-    for w0 in (Fraction(2), Fraction(3), Fraction(5), Fraction(7, 2)):
-        fa, fb = subst_w_const(a, w0), subst_w_const(b, w0)
-        if P.degree(fa) == da and P.degree(fb) == db:
-            if P.degree(P.gcd(fa, fb)) == 0:
-                cw = P.gcd(_content_w(a), _content_w(b))
-                return _monic_lex(from_z_coeffs([cw])) if P.degree(cw) >= 0 else p2_const(1)
-            break
-    g = _gcd_interpolate(a, b)
-    if g is not None:
-        return _monic_lex(g)
+def _p2_gcd_impl(a: Poly2, b: Poly2) -> tuple[Poly2, Poly2, Poly2]:
+    """`p2_gcd` of nonzero a and b, without the cache."""
+    if len(a) == 1 and (0, 0) in a or len(b) == 1 and (0, 0) in b:
+        return p2_const(1), a, b
+    ca, ia = _primitive(a)
+    cb, ib = _primitive(b)
+    found = _heu_gcd(ia, ib)
+    if found is None:
+        h = _primitive(_prs_gcd(a, b))[1]
+        found = h, _divide(ia, h), _divide(ib, h)
+    h, qa, qb = found
+    if h == _UNIT:
+        return p2_const(1), a, b
+    lc = h[lead_key(h)]
+    ca, cb = ca * lc, cb * lc
+    g = {k: Fraction(v, lc) for k, v in h.items()}
+    return g, {k: ca * v for k, v in qa.items()}, {k: cb * v for k, v in qb.items()}
+
+
+def _primitive(a: Poly2) -> tuple[Fraction, dict]:
+    """(c, A) with a = c*A, c > 0 rational and A with coprime integer
+    coefficients."""
+    c = P.content_int(a.values())
+    n, d = c.numerator, c.denominator
+    return c, {k: v.numerator * (d // v.denominator) // n for k, v in a.items()}
+
+
+_HEU_TRIES = 6
+_UNIT = {(0, 0): 1}
+
+
+def _heu_gcd(a: dict, b: dict):
+    """The heuristic gcd GCDHEU of primitive integer polynomials a and b:
+    (h, a/h, b/h) with h primitive, or None when no point verifies.
+
+    Both are evaluated at w = x and z = y, with |.| the largest absolute
+    coefficient and
+        x >= 2*min(|a|, |b|) + 2,  y >= max(x, 2*max(|a(z, x)|, |b(z, x)|) + 2);
+    the max puts y beyond every root of a(z, x) and b(z, x), so neither
+    value is 0 unless its polynomial is (with min, z - w would vanish at
+    y = x for small norms).  The integer gcd of the two values is read back as h(z, w):
+    its balanced base-y digits are the z-coefficients at w = x, and their
+    balanced base-x digits the coefficients of h.  Then h(y, x) is that
+    integer gcd and every coefficient of h is at most x/2 in size.  If the
+    primitive part of h divides a and b over the integers, it is their gcd:
+    a further primitive factor c would divide the content of h, at most
+    x/2, while the root bounds of Cauchy that x and y leave behind make
+    |c(y, x)| > x/2 (the argument of Char, Geddes and Gonnet, J. Symb.
+    Comput. 7, 1989, one variable at a time).  The exact divisions give the
+    cofactors.
+    """
+    # the margin beyond the bound keeps small integer factors shared by
+    # the two values within single digits, so pp(h) removes them
+    x = 2 * min(_norm(a.values()), _norm(b.values())) + 29
+    for _ in range(_HEU_TRIES):
+        ea, eb = _eval_w(a, x), _eval_w(b, x)
+        y = max(x, 2 * max(_norm(ea), _norm(eb)) + 29)
+        va, vb = _horner(ea, y), _horner(eb, y)
+        if va and vb:
+            h = {}
+            for i, c in enumerate(_digits(igcd(va, vb), y)):
+                for j, d in enumerate(_digits(c, x)):
+                    if d:
+                        h[(i, j)] = d
+            s = igcd(*h.values())
+            if h[lead_key(h)] < 0:
+                s = -s
+            h = {k: v // s for k, v in h.items()}
+            if h == _UNIT:
+                return h, a, b
+            qa = _divide(a, h)
+            if qa is not None:
+                qb = _divide(b, h)
+                if qb is not None:
+                    return h, qa, qb
+        x = x * isqrt(isqrt(x)) * 73794 // 27011
+    return None
+
+
+def _norm(vs) -> int:
+    return max(map(abs, vs))
+
+
+def _eval_w(a: dict, x: int) -> list[int]:
+    """z-coefficients of a(z, x), lowest first."""
+    pw = [1]
+    for _ in range(deg_w(a)):
+        pw.append(pw[-1] * x)
+    out = [0] * (deg_z(a) + 1)
+    for (i, j), v in a.items():
+        out[i] += v * pw[j]
+    return out
+
+
+def _horner(c: list[int], y: int) -> int:
+    acc = 0
+    for v in reversed(c):
+        acc = acc * y + v
+    return acc
+
+
+def _digits(n: int, x: int) -> list[int]:
+    """Balanced base-x digits of n, lowest first, each in (-x/2, x/2]."""
+    out = []
+    while n:
+        d = n % x
+        if d > x // 2:
+            d -= x
+        out.append(d)
+        n = (n - d) // x
+    return out
+
+
+def _divide(a: dict, b: dict):
+    """a/b over Z[z, w], or None unless b divides a exactly.
+
+    Lex-leading terms are cancelled one by one on a single remainder dict;
+    each step only adds terms below the one it removes.
+    """
+    lk = lead_key(b)
+    lv = b[lk]
+    rem = dict(a)
+    out = {}
+    while rem:
+        k = lead_key(rem)
+        i, j = k[0] - lk[0], k[1] - lk[1]
+        if i < 0 or j < 0:
+            return None
+        c, r = divmod(rem[k], lv)
+        if r:
+            return None
+        out[(i, j)] = c
+        for (bi, bj), v in b.items():
+            key = (bi + i, bj + j)
+            s = rem.get(key, 0) - c * v
+            if s:
+                rem[key] = s
+            else:
+                del rem[key]
+    return out
+
+
+def _prs_gcd(a: Poly2, b: Poly2) -> Poly2:
+    """Lex-monic gcd of nonzero a and b by a primitive remainder sequence
+    over Q[w][z]; the fallback of `_p2_gcd_impl` when no GCDHEU point
+    verifies."""
     ca, cb = _content_w(a), _content_w(b)
     pa, pb = _primitive_part(a), _primitive_part(b)
     u, v = to_z_coeffs(pa), to_z_coeffs(pb)
@@ -288,121 +422,6 @@ def _monic_lex(a: Poly2) -> Poly2:
     if not a:
         return {}
     return p2_scale(a, 1 / a[lead_key(a)])
-
-
-def _lead_z_coeff(a: Poly2) -> P.Poly:
-    d = deg_z(a)
-    return P.poly([a.get((d, j), Fraction(0)) for j in range(deg_w(a) + 1)])
-
-
-def _gcd_interpolate(a: Poly2, b: Poly2):
-    """Gcd by univariate sampling at integer w and Lagrange interpolation.
-
-    Returns None when sampling is inconclusive (caller falls back to the
-    remainder sequence); a returned value is verified by exact division.
-    """
-    da, db = deg_z(a), deg_z(b)
-    la, lb = _lead_z_coeff(a), _lead_z_coeff(b)
-    lg = P.gcd(la, lb)
-    bound = min(deg_w(a), deg_w(b)) + P.degree(lg) + 2
-    samples = []
-    dg = None
-    w0 = 2
-    tried = 0
-    while len(samples) < bound + 1 and tried < 8 * (bound + 2):
-        tried += 1
-        w0 += 1
-        fa, fb = subst_w_const(a, w0), subst_w_const(b, w0)
-        if P.degree(fa) != da or P.degree(fb) != db:
-            continue
-        g1 = P.gcd(fa, fb)
-        d1 = P.degree(g1)
-        if dg is None or d1 < dg:
-            dg = d1
-            samples = []
-        if d1 == dg:
-            lv = P.evaluate(lg, w0)
-            samples.append((w0, P.scale(g1, lv)))
-    if dg is None or len(samples) < bound + 1:
-        return None
-    if dg == 0:
-        cw = P.gcd(_content_w(a), _content_w(b))
-        return from_z_coeffs([cw])
-    # interpolate each z-coefficient as a polynomial in w, all on one basis;
-    # a column's terms share one denominator, so the sums run over ints
-    basis = _lagrange_basis([s[0] for s in samples])
-    cand2: Poly2 = {}
-    for i in range(dg + 1):
-        terms = [(s[1][i], qd) for s, qd in zip(samples, basis) if i < len(s[1]) and s[1][i]]
-        if not terms:
-            continue
-        den = lcm(*[y.denominator * d for y, (_, d) in terms])
-        acc = [0] * len(samples)
-        for y, (q, d) in terms:
-            c = y.numerator * (den // (y.denominator * d))
-            for j, qj in enumerate(q):
-                acc[j] += c * qj
-        for j, v in enumerate(acc):
-            if v:
-                cand2[(i, j)] = Fraction(v, den)
-    cand2 = _primitive_part(cand2)
-    if not cand2:
-        return None
-    try:
-        p2_divexact(a, cand2)
-        p2_divexact(b, cand2)
-    except (ValueError, ZeroDivisionError):
-        return None
-    cw = P.gcd(_content_w(a), _content_w(b))
-    return p2_mul(cand2, from_z_coeffs([cw]))
-
-
-def _lagrange_basis(xs: list[int]) -> list[tuple[list[int], int]]:
-    """The Lagrange basis on distinct integer points, as integers.
-
-    For each x_k: the coefficients of M(w)/(w - x_k), M = prod_j (w - x_j),
-    by synthetic division of the one M, and d_k = prod_{j != k} (x_k - x_j).
-    The k-th basis polynomial is M(w)/(w - x_k) divided by d_k.
-    """
-    m = [1]
-    for x in xs:
-        m = [0] + m
-        for i in range(len(m) - 1):
-            m[i] -= x * m[i + 1]
-    n = len(xs)
-    out = []
-    for x in xs:
-        q = [0] * n
-        q[-1] = 1
-        for j in range(n - 1, 0, -1):
-            q[j - 1] = m[j] + x * q[j]
-        d = 1
-        for xj in xs:
-            if xj != x:
-                d *= x - xj
-        out.append((q, d))
-    return out
-
-
-def p2_divexact(a: Poly2, b: Poly2) -> Poly2:
-    """Exact division; raises if not divisible."""
-    if not b:
-        raise ZeroDivisionError
-    if not a:
-        return {}
-    out: Poly2 = {}
-    rem = dict(a)
-    lk = lead_key(b)
-    lv = b[lk]
-    while rem:
-        k = lead_key(rem)
-        qk = (k[0] - lk[0], k[1] - lk[1])
-        if qk[0] < 0 or qk[1] < 0:
-            raise ValueError("inexact bivariate division")
-        c = rem[k] / lv
-        out[qk] = out.get(qk, Fraction(0)) + c
-        rem = p2_sub(rem, p2_mul({qk: c}, b))
-    return p2(out)
 
 
 def p2_str(a: Poly2, vz: str = "z", vw: str = "w") -> str:

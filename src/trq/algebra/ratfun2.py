@@ -3,6 +3,11 @@
 Canonical form: numerator and denominator coprime with the denominator
 normalized to lex-leading coefficient 1.  Specialization at rational
 points is exact.
+
+Every reduction takes the cofactors that `p2_gcd` returns with the gcd:
+`make` keeps num/g and den/g, a sum over denominators d1*g and d2*g
+cancels only against g, and a product cancels each numerator against the
+other factor's denominator.  No step divides a polynomial again.
 """
 
 from __future__ import annotations
@@ -29,15 +34,12 @@ class Rf2:
         if len(den) == 1 and P2.lead_key(den) == (0, 0):
             lc = den[(0, 0)]
             return Rf2(P2.p2_scale(num, 1 / lc), P2.p2_const(1))
-        g = P2.p2_gcd(num, den)
-        if g != P2.p2_const(1):
-            num = P2.p2_divexact(num, g)
-            den = P2.p2_divexact(den, g)
+        _, num, den = P2.p2_gcd(num, den)
         lc = den[P2.lead_key(den)]
         if lc != 1:
             num = P2.p2_scale(num, 1 / lc)
             den = P2.p2_scale(den, 1 / lc)
-        return Rf2({k: v for k, v in num.items()}, {k: v for k, v in den.items()})
+        return Rf2(num, den)
 
     @staticmethod
     def const(v) -> "Rf2":
@@ -85,7 +87,7 @@ class Rf2:
             return self
         if self.den == o.den:
             return Rf2.make(P2.p2_add(self.num, o.num), self.den)
-        g = P2.p2_gcd(self.den, o.den)
+        g, d1, d2 = P2.p2_gcd(self.den, o.den)
         if g == P2.p2_const(1):
             num = P2.p2_add(P2.p2_mul(self.num, o.den), P2.p2_mul(o.num, self.den))
             den = P2.p2_mul(self.den, o.den)
@@ -95,17 +97,12 @@ class Rf2:
             if lc != 1:
                 num, den = P2.p2_scale(num, 1 / lc), P2.p2_scale(den, 1 / lc)
             return Rf2(num, den)  # coprime by construction
-        d2 = P2.p2_divexact(o.den, g)
-        d1 = P2.p2_divexact(self.den, g)
         num = P2.p2_add(P2.p2_mul(self.num, d2), P2.p2_mul(o.num, d1))
         if P2.p2_is_zero(num):
             return RF2_ZERO
         # only the common part g can still cancel
-        g2 = P2.p2_gcd(num, g)
+        _, num, g = P2.p2_gcd(num, g)
         den = P2.p2_mul(P2.p2_mul(d1, d2), g)
-        if g2 != P2.p2_const(1):
-            num = P2.p2_divexact(num, g2)
-            den = P2.p2_divexact(den, g2)
         lc = den[P2.lead_key(den)]
         if lc != 1:
             num, den = P2.p2_scale(num, 1 / lc), P2.p2_scale(den, 1 / lc)
@@ -127,12 +124,8 @@ class Rf2:
         if self.is_zero() or o.is_zero():
             return RF2_ZERO
         n1, d1, n2, d2 = self.num, self.den, o.num, o.den
-        g1 = P2.p2_gcd(n1, d2)
-        if g1 != P2.p2_const(1):
-            n1, d2 = P2.p2_divexact(n1, g1), P2.p2_divexact(d2, g1)
-        g2 = P2.p2_gcd(n2, d1)
-        if g2 != P2.p2_const(1):
-            n2, d1 = P2.p2_divexact(n2, g2), P2.p2_divexact(d1, g2)
+        _, n1, d2 = P2.p2_gcd(n1, d2)
+        _, n2, d1 = P2.p2_gcd(n2, d1)
         num, den = P2.p2_mul(n1, n2), P2.p2_mul(d1, d2)
         lc = den[P2.lead_key(den)]
         if lc != 1:

@@ -327,52 +327,170 @@ def _poly2_st(max_deg, coeff=_small):
     return st.dictionaries(keys, coeff, max_size=4).map(P2.p2)
 
 
-# a common factor of positive degree in both z and w, so that p2_gcd cannot
-# stop at the specialisation shortcut
+# a common factor of positive degree in both z and w
 _factor2 = st.tuples(_poly2_st(1), st.integers(1, 2), st.integers(1, 2), _small.filter(bool)).map(
     lambda t: P2.p2_add(t[0], {(t[1], t[2]): t[3]})
 )
+_huge = st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+_monomial = st.tuples(st.integers(0, 3), st.integers(0, 3), _coeff.filter(bool)).map(
+    lambda t: {(t[0], t[1]): t[2]}
+)
+_w_only = _poly_st(3).filter(lambda p: P.degree(p) >= 1).map(P2.from_w)
+
+# the remainder sequence, taken before any test replaces it: the oracle
+_REMAINDER_GCD = P2._prs_gcd
+
+
+def _sympy2(sp, p):
+    z, w = sp.symbols("z w")
+    terms = [sp.Rational(v.numerator, v.denominator) * z**i * w**j for (i, j), v in p.items()]
+    return sp.Poly(sp.Add(*terms), z, w, domain=sp.QQ)
+
+
+def _from_sympy2(p) -> P2.Poly2:
+    return {k: F(int(c.p), int(c.q)) for k, c in p.terms() if c}
+
+
+def _no_fallback(a, b):
+    raise AssertionError(f"GCDHEU fell back on {a}, {b}")
+
+
+def _check_p2_gcd(a, b, factor=None):
+    """The checks below, on the heuristic alone and on the fallback alone,
+    each with an empty cache."""
+    for attr, value in (("_prs_gcd", _no_fallback), ("_HEU_TRIES", 0)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(P2, attr, value)
+            mp.setattr(P2, "_GCD_CACHE", {})
+            _check_p2_gcd_path(a, b, factor)
+
+
+def _check_p2_gcd_path(a, b, factor):
+    sp = pytest.importorskip("sympy")
+    g, qa, qb = P2.p2_gcd(a, b)
+    if not a and not b:
+        assert (g, qa, qb) == ({}, {}, {})
+        return
+    assert g[P2.lead_key(g)] == 1
+    assert all(type(v) is F for p in (g, qa, qb) for v in p.values())
+    assert P2.p2_mul(g, qa) == a and P2.p2_mul(g, qb) == b
+    if qa and qb:
+        assert _REMAINDER_GCD(qa, qb) == P2.p2_const(1)
+        assert g == _REMAINDER_GCD(a, b)
+    else:
+        assert (P2.deg_z(qa or qb), P2.deg_w(qa or qb)) == (0, 0)
+    ref = _from_sympy2(sp.gcd(_sympy2(sp, a), _sympy2(sp, b)))
+    assert g == P2.p2_scale(ref, 1 / ref[P2.lead_key(ref)])
+    if factor and a and b:
+        assert _sympy2(sp, g).rem(_sympy2(sp, factor)).is_zero
 
 
 class TestPoly2Gcd:
     @_PROPERTY
     @given(_poly2_st(2), _poly2_st(2), _factor2)
     def test_common_factor(self, f, h, g):
-        sp = pytest.importorskip("sympy")
-        a, b = P2.p2_mul(f, g), P2.p2_mul(h, g)
-        d = P2.p2_gcd(a, b)
-        if not a and not b:
-            assert d == {}
-            return
-        assert d[P2.lead_key(d)] == 1
-        # p2_divexact raises unless the division is exact
-        ca, cb = P2.p2_divexact(a, d), P2.p2_divexact(b, d)
-        assert P2.p2_gcd(ca, cb) == P2.p2_const(1)
-        P2.p2_divexact(d, g)
-        z, w = sp.symbols("z w")
-
-        def to_sympy(p):
-            terms = [sp.Rational(v.numerator, v.denominator) * z**i * w**j for (i, j), v in p.items()]
-            return sp.Poly(sp.Add(*terms), z, w, domain=sp.QQ)
-
-        ref = sp.gcd(to_sympy(a), to_sympy(b))
-        ref = {k: F(int(c.p), int(c.q)) for k, c in ref.terms() if c}
-        assert d == P2.p2_scale(ref, 1 / ref[P2.lead_key(ref)])
+        _check_p2_gcd(P2.p2_mul(f, g), P2.p2_mul(h, g), g)
 
     @_PROPERTY
-    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=12, unique=True))
-    def test_lagrange_basis(self, xs):
-        # the k-th basis polynomial is 1 at x_k and 0 at every other point
-        for k, (q, d) in enumerate(P2._lagrange_basis(xs)):
-            assert [P.evaluate(P.poly(q), x) / d for x in xs] == [int(i == k) for i in range(len(xs))]
+    @given(_poly2_st(3), _poly2_st(3))
+    def test_random_pairs(self, a, b):
+        _check_p2_gcd(a, b)
+
+    @_PROPERTY
+    @given(_poly2_st(2, _huge), _poly2_st(2, _huge), _factor2)
+    def test_huge_coefficients(self, f, h, g):
+        # numerators and denominators up to 10^40
+        g = P2.p2_scale(g, F(10**40 + 7, 10**39 + 1))
+        _check_p2_gcd(P2.p2_mul(f, g), P2.p2_mul(h, g), g)
+
+    @_PROPERTY
+    @given(_poly2_st(2), _poly2_st(2), _w_only)
+    def test_gcd_in_w_only(self, f, h, c):
+        _check_p2_gcd(P2.p2_mul(f, c), P2.p2_mul(h, c), c)
+
+    @_PROPERTY
+    @given(st.one_of(_coeff.map(P2.p2_const), _monomial), _poly2_st(3))
+    def test_zero_constant_and_monomial_operands(self, a, b):
+        _check_p2_gcd(a, b)
+        _check_p2_gcd(b, a)
+
+    def test_cache_hit_in_either_order(self, monkeypatch):
+        monkeypatch.setattr(P2, "_GCD_CACHE", {})
+        g = P2.p2({(1, 1): 1, (0, 0): -2})
+        a = P2.p2_mul(g, P2.p2({(2, 0): 3, (0, 1): 1}))
+        b = P2.p2_mul(g, P2.p2({(0, 2): F(1, 5), (1, 0): -1}))
+        first = P2.p2_gcd(a, b)
+        assert len(P2._GCD_CACHE) == 1
+        first[1][(9, 9)] = F(1)  # results are copies, not the cached entry
+        monkeypatch.setattr(P2, "_p2_gcd_impl", lambda a, b: pytest.fail("cache miss"))
+        g1, qa, qb = P2.p2_gcd(a, b)
+        assert P2.p2_gcd(b, a) == (g1, qb, qa)
+        assert P2.p2_mul(g1, qa) == a and P2.p2_mul(g1, qb) == b
+
+    def test_gcd_of_zeros(self):
+        assert P2.p2_gcd({}, {}) == ({}, {}, {})
+        b = P2.p2({(1, 1): F(2, 3), (0, 0): F(-4)})
+        assert P2.p2_gcd({}, b) == (P2.p2({(1, 1): 1, (0, 0): -6}), {}, P2.p2_const(F(2, 3)))
+
+
+# num*c / den*c with a common factor c (often 1), so that make has to cancel
+_rf2 = st.tuples(_poly2_st(2), _poly2_st(2).filter(bool), st.one_of(st.just(P2.p2_const(1)), _factor2)).map(
+    lambda t: Rf2.make(P2.p2_mul(t[0], t[2]), P2.p2_mul(t[1], t[2]))
+)
+
+
+def _rf2_sympy(sp, f: Rf2):
+    return _sympy2(sp, f.num).as_expr() / _sympy2(sp, f.den).as_expr()
+
+
+def _check_rf2(sp, f: Rf2, expr) -> None:
+    """f is canonical and equals sympy's cancel of expr."""
+    z, w = sp.symbols("z w")
+    assert f.den[P2.lead_key(f.den)] == 1
+    if f.num:
+        assert _REMAINDER_GCD(f.num, f.den) == P2.p2_const(1)
+    num, den = sp.fraction(sp.cancel(expr))
+    num, den = sp.Poly(num, z, w, domain=sp.QQ), sp.Poly(den, z, w, domain=sp.QQ)
+    lc = den.LC()
+    assert (f.num, f.den) == (_from_sympy2(num.quo_ground(lc)), _from_sympy2(den.quo_ground(lc)))
+
+
+class TestRf2Properties:
+    @_PROPERTY
+    @given(_rf2, _rf2)
+    def test_field_ops_match_sympy_cancel(self, f, g):
+        sp = pytest.importorskip("sympy")
+        ef, eg = _rf2_sympy(sp, f), _rf2_sympy(sp, g)
+        _check_rf2(sp, f, ef)
+        _check_rf2(sp, f + g, ef + eg)
+        _check_rf2(sp, f - g, ef - eg)
+        _check_rf2(sp, f * g, ef * eg)
+        if not g.is_zero():
+            _check_rf2(sp, f / g, ef / eg)
+
+    @_PROPERTY
+    @given(_rf2)
+    def test_derivatives_and_swap_match_sympy_cancel(self, f):
+        sp = pytest.importorskip("sympy")
+        z, w = sp.symbols("z w")
+        e = _rf2_sympy(sp, f)
+        _check_rf2(sp, f.deriv_z(), sp.diff(e, z))
+        _check_rf2(sp, f.deriv_w(), sp.diff(e, w))
+        _check_rf2(sp, f.swap(), e.subs({z: w, w: z}, simultaneous=True))
+
+    @_PROPERTY
+    @given(_rf2, _rf2)
+    def test_field_identities(self, f, g):
+        assert (f + g) - g == f
+        if not g.is_zero():
+            assert (f * g) / g == f
 
 
 class TestPoly2Subst:
     @_PROPERTY
     @given(_poly2_st(3, _coeff), _coeff)
     def test_matches_termwise_sum(self, a, x):
-        for subst, axis in ((P2.subst_w_const, 1), (P2.subst_z_const, 0)):
-            out = [F(0)] * 4
-            for k, v in a.items():
-                out[k[1 - axis]] += v * x ** k[axis]
-            assert subst(a, x) == P.poly(out)
+        out = [F(0)] * 4
+        for (i, j), v in a.items():
+            out[i] += v * x**j
+        assert P2.subst_w_const(a, x) == P.poly(out)

@@ -11,9 +11,6 @@ BOUND = (
     "hurwitz-q1", "hurwitz-q2", "rs-r3", "rs-r5",
 )
 
-# pq spends about 40 s in its property suite in fast mode; it runs in the bench
-FAST = tuple(name for name in FIXTURES if name != "pq")
-
 # comparisons with the paper's printed coefficients, which the fixture's notes
 # show to be inconsistent with the paper's own wave function
 PAPER_CHECKS = (
@@ -29,7 +26,7 @@ def test_seed_is_dropped_for_entries_without_one(name):
     assert isinstance(res, FixtureResult) and res.checks
 
 
-@pytest.mark.parametrize("name", FAST)
+@pytest.mark.parametrize("name", list(FIXTURES))
 def test_fixture_certifies_in_fast_mode(name):
     res = run_fixture(name, fast=True, order=3)
     assert res.checks
