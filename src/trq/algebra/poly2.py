@@ -1,12 +1,20 @@
-"""Sparse bivariate polynomials over exact rationals.
+"""Sparse bivariate polynomials with exact coefficients.
 
-A Poly2 is a dict {(i, j): Fraction} mapping (z-degree, w-degree) to a
+A Poly2 is a dict {(i, j): coefficient} mapping (z-degree, w-degree) to a
 nonzero coefficient; the second variable is the spectator (base point).
+The ring operations take ints or Fractions and keep integer inputs
+integer.  `p2_clear` turns rational polynomials into proportional integer
+ones, once, where they enter `Rf2`, which stores only polynomials over Z.
 
-`p2_gcd(a, b)` returns the gcd g, normalized to lex-leading coefficient 1,
-together with the cofactors a/g and b/g.  Results are memoized in
-`_GCD_CACHE` on the unordered pair; on a miss `_p2_gcd_impl` works on the
-primitive integer parts of a and b and tries two methods in turn:
+`p2_gcd(a, b)` is the gcd over Z[z, w]: for integer a and b it returns
+(g, a/g, b/g) exactly, where g has a positive lex-leading coefficient and
+carries the integer gcd of the two contents, so the cofactors are coprime
+integer polynomials.  A constant operand is answered from the integer gcd
+alone.  Other results are memoized in `_GCD_CACHE` on the unordered pair of
+integer term tuples; `Rf2` meets the same pairs many times over, and the
+benchmark's tracer reports the memo's size and hit ratio.  On a miss
+`_p2_gcd_impl` splits off the two contents and tries two methods in turn on
+the primitive parts:
 1. the heuristic gcd GCDHEU (`_heu_gcd`): evaluate at w = x and z = y, take
    one integer gcd and read the candidate back from its balanced base-y and
    base-x digits; it counts only if it divides both operands exactly over
@@ -24,7 +32,7 @@ from math import isqrt, lcm
 
 from . import poly as P
 
-Poly2 = dict  # dict[tuple[int, int], Fraction]
+Poly2 = dict  # dict[tuple[int, int], int | Fraction]
 
 
 def p2(d) -> Poly2:
@@ -54,7 +62,7 @@ def from_w(p: P.Poly) -> Poly2:
 def p2_add(a: Poly2, b: Poly2) -> Poly2:
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, Fraction(0)) + v
+        s = out.get(k, 0) + v
         if s:
             out[k] = s
         else:
@@ -75,23 +83,12 @@ def p2_mul(a: Poly2, b: Poly2) -> Poly2:
     for (i, j), u in a.items():
         for (k, l), v in b.items():
             key = (i + k, j + l)
-            s = out.get(key, Fraction(0)) + u * v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-def p2_scale(a: Poly2, c) -> Poly2:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
+            out[key] = out.get(key, 0) + u * v
+    return {k: v for k, v in out.items() if v}
 
 
 def p2_pow(a: Poly2, n: int) -> Poly2:
-    r = p2_const(1)
+    r = {(0, 0): 1}
     b = a
     while n:
         if n & 1:
@@ -215,20 +212,35 @@ def _pseudo_rem(a: list[P.Poly], b: list[P.Poly]) -> list[P.Poly]:
     return a
 
 
+def p2_clear(*ps: Poly2) -> list[Poly2]:
+    """The polynomials times one positive rational, chosen so that their
+    coefficients are integers with no common factor."""
+    vs = [v for p in ps for v in p.values()]
+    d = lcm(*[v.denominator for v in vs])
+    n = igcd(*[v.numerator for v in vs]) or 1
+    return [{k: v.numerator * (d // v.denominator) // n for k, v in p.items()} for p in ps]
+
+
 # the bench tracer reports the size and the hit ratio of this memo
 _GCD_CACHE: dict = {}
 
 
 def p2_gcd(a: Poly2, b: Poly2) -> tuple[Poly2, Poly2, Poly2]:
-    """(g, a/g, b/g): the gcd g, with lex-leading coefficient 1, and the
-    cofactors (memoized).  gcd(0, b) is b made lex-monic; gcd(0, 0) is 0,
-    and then both cofactors are 0 too."""
+    """(g, a/g, b/g) for integer a and b: the gcd g over Z[z, w], with a
+    positive lex-leading coefficient, and the cofactors (memoized).
+    gcd(0, b) is b or -b; gcd(0, 0) is 0, and then both cofactors are 0
+    too."""
     if not a or not b:
         c = a or b
         if not c:
             return {}, {}, {}
-        one = p2_const(c[lead_key(c)])
-        return _monic_lex(c), (one if a else {}), (one if b else {})
+        one = {(0, 0): 1}
+        if c[lead_key(c)] < 0:
+            c, one = p2_neg(c), {(0, 0): -1}
+        return c, (one if a else {}), (one if b else {})
+    if len(a) == 1 and (0, 0) in a or len(b) == 1 and (0, 0) in b:
+        c = igcd(*a.values(), *b.values())
+        return {(0, 0): c}, _exquo(a, c), _exquo(b, c)
     ka = tuple(sorted(a.items()))
     kb = tuple(sorted(b.items()))
     swap = kb < ka
@@ -244,36 +256,30 @@ def p2_gcd(a: Poly2, b: Poly2) -> tuple[Poly2, Poly2, Poly2]:
     elif hit:
         out = tuple(dict(p) for p in hit)
     else:
-        out = p2_const(1), a, b
+        out = {(0, 0): 1}, a, b
     g, qa, qb = out
     return (g, qb, qa) if swap else (g, qa, qb)
 
 
 def _p2_gcd_impl(a: Poly2, b: Poly2) -> tuple[Poly2, Poly2, Poly2]:
-    """`p2_gcd` of nonzero a and b, without the cache."""
-    if len(a) == 1 and (0, 0) in a or len(b) == 1 and (0, 0) in b:
-        return p2_const(1), a, b
-    ca, ia = _primitive(a)
-    cb, ib = _primitive(b)
-    found = _heu_gcd(ia, ib)
+    """`p2_gcd` of nonconstant integer a and b, without the cache."""
+    ca, cb = igcd(*a.values()), igcd(*b.values())
+    a, b = _exquo(a, ca), _exquo(b, cb)
+    found = _heu_gcd(a, b)
     if found is None:
-        h = _primitive(_prs_gcd(a, b))[1]
-        found = h, _divide(ia, h), _divide(ib, h)
+        h = _prs_gcd(a, b)
+        found = h, _divide(a, h), _divide(b, h)
     h, qa, qb = found
-    if h == _UNIT:
-        return p2_const(1), a, b
-    lc = h[lead_key(h)]
-    ca, cb = ca * lc, cb * lc
-    g = {k: Fraction(v, lc) for k, v in h.items()}
-    return g, {k: ca * v for k, v in qa.items()}, {k: cb * v for k, v in qb.items()}
+    c = igcd(ca, cb)
+    return _times(h, c), _times(qa, ca // c), _times(qb, cb // c)
 
 
-def _primitive(a: Poly2) -> tuple[Fraction, dict]:
-    """(c, A) with a = c*A, c > 0 rational and A with coprime integer
-    coefficients."""
-    c = P.content_int(a.values())
-    n, d = c.numerator, c.denominator
-    return c, {k: v.numerator * (d // v.denominator) // n for k, v in a.items()}
+def _exquo(a: Poly2, c: int) -> Poly2:
+    return a if c == 1 else {k: v // c for k, v in a.items()}
+
+
+def _times(a: Poly2, c: int) -> Poly2:
+    return a if c == 1 else {k: v * c for k, v in a.items()}
 
 
 _HEU_TRIES = 6
@@ -392,9 +398,9 @@ def _divide(a: dict, b: dict):
 
 
 def _prs_gcd(a: Poly2, b: Poly2) -> Poly2:
-    """Lex-monic gcd of nonzero a and b by a primitive remainder sequence
-    over Q[w][z]; the fallback of `_p2_gcd_impl` when no GCDHEU point
-    verifies."""
+    """Primitive gcd over Z of nonzero a and b, with a positive lex-leading
+    coefficient, by a primitive remainder sequence over Q[w][z]; the
+    fallback of `_p2_gcd_impl` when no GCDHEU point verifies."""
     ca, cb = _content_w(a), _content_w(b)
     pa, pb = _primitive_part(a), _primitive_part(b)
     u, v = to_z_coeffs(pa), to_z_coeffs(pb)
@@ -414,14 +420,8 @@ def _prs_gcd(a: Poly2, b: Poly2) -> Poly2:
         u = v
         v = to_z_coeffs(_primitive_part(from_z_coeffs(r))) if r else []
     gz = _primitive_part(from_z_coeffs(u))
-    g = p2_mul(gz, from_z_coeffs([P.gcd(ca, cb)]))
-    return _monic_lex(g)
-
-
-def _monic_lex(a: Poly2) -> Poly2:
-    if not a:
-        return {}
-    return p2_scale(a, 1 / a[lead_key(a)])
+    (g,) = p2_clear(p2_mul(gz, from_z_coeffs([P.gcd(ca, cb)])))
+    return g if g[lead_key(g)] > 0 else p2_neg(g)
 
 
 def p2_str(a: Poly2, vz: str = "z", vw: str = "w") -> str:

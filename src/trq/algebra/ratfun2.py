@@ -1,13 +1,18 @@
 """Bivariate rational functions in (z, w), w the base-point variable.
 
-Canonical form: numerator and denominator coprime with the denominator
-normalized to lex-leading coefficient 1.  Specialization at rational
-points is exact.
+Canonical form: numerator and denominator are polynomials over Z, coprime
+in Z[z, w] (their integer contents included), and the denominator has a
+positive lex-leading coefficient.  `make`, `const` and the `from_ratfun`
+lifts clear rational coefficients once, on entry; every other operation
+works on Python ints.  `str` divides both by the denominator's leading
+coefficient, so the text is that of the lex-monic form over Q.
+Specialization at rational points is exact.
 
 Every reduction takes the cofactors that `p2_gcd` returns with the gcd:
 `make` keeps num/g and den/g, a sum over denominators d1*g and d2*g
-cancels only against g, and a product cancels each numerator against the
-other factor's denominator.  No step divides a polynomial again.
+cancels only against g, a product cancels each numerator against the
+other factor's denominator, and a derivative divides d' by gcd(d, d')
+instead of squaring d.  No step divides a polynomial again.
 """
 
 from __future__ import annotations
@@ -31,51 +36,43 @@ class Rf2:
             raise ZeroDivisionError("Rf2 with zero denominator")
         if P2.p2_is_zero(num):
             return RF2_ZERO
-        if len(den) == 1 and P2.lead_key(den) == (0, 0):
-            lc = den[(0, 0)]
-            return Rf2(P2.p2_scale(num, 1 / lc), P2.p2_const(1))
-        _, num, den = P2.p2_gcd(num, den)
-        lc = den[P2.lead_key(den)]
-        if lc != 1:
-            num = P2.p2_scale(num, 1 / lc)
-            den = P2.p2_scale(den, 1 / lc)
-        return Rf2(num, den)
+        _, num, den = P2.p2_gcd(*P2.p2_clear(num, den))
+        return _signed(num, den)
 
     @staticmethod
     def const(v) -> "Rf2":
         v = Fraction(v)
         if not v:
             return RF2_ZERO
-        return Rf2(P2.p2_const(v), P2.p2_const(1))
+        return Rf2({(0, 0): v.numerator}, {(0, 0): v.denominator})
 
     @staticmethod
     def z() -> "Rf2":
-        return Rf2({(1, 0): Fraction(1)}, P2.p2_const(1))
+        return Rf2({(1, 0): 1}, {(0, 0): 1})
 
     @staticmethod
     def w() -> "Rf2":
-        return Rf2({(0, 1): Fraction(1)}, P2.p2_const(1))
+        return Rf2({(0, 1): 1}, {(0, 0): 1})
 
     @staticmethod
     def from_ratfun_z(f: RatFun) -> "Rf2":
-        return Rf2(P2.from_z(f.num), P2.from_z(f.den))
+        # coprime over Q with a monic denominator: coprime over Z once cleared
+        return Rf2(*P2.p2_clear(P2.from_z(f.num), P2.from_z(f.den)))
 
     @staticmethod
     def from_ratfun_w(f: RatFun) -> "Rf2":
-        return Rf2(P2.from_w(f.num), P2.from_w(f.den))
+        return Rf2(*P2.p2_clear(P2.from_w(f.num), P2.from_w(f.den)))
 
     def is_zero(self) -> bool:
         return P2.p2_is_zero(self.num)
 
     def is_const(self) -> bool:
-        return P2.deg_z(self.num) <= 0 and P2.deg_w(self.num) <= 0 and self.den == P2.p2_const(1)
+        return self.num.keys() <= {(0, 0)} and self.den.keys() == {(0, 0)}
 
     def const_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_const():
             raise ValueError("not constant")
-        return self.num[(0, 0)]
+        return Fraction(self.num.get((0, 0), 0), self.den[(0, 0)])
 
     # arithmetic -----------------------------------------------------------
 
@@ -88,25 +85,12 @@ class Rf2:
         if self.den == o.den:
             return Rf2.make(P2.p2_add(self.num, o.num), self.den)
         g, d1, d2 = P2.p2_gcd(self.den, o.den)
-        if g == P2.p2_const(1):
-            num = P2.p2_add(P2.p2_mul(self.num, o.den), P2.p2_mul(o.num, self.den))
-            den = P2.p2_mul(self.den, o.den)
-            if P2.p2_is_zero(num):
-                return RF2_ZERO
-            lc = den[P2.lead_key(den)]
-            if lc != 1:
-                num, den = P2.p2_scale(num, 1 / lc), P2.p2_scale(den, 1 / lc)
-            return Rf2(num, den)  # coprime by construction
         num = P2.p2_add(P2.p2_mul(self.num, d2), P2.p2_mul(o.num, d1))
         if P2.p2_is_zero(num):
             return RF2_ZERO
         # only the common part g can still cancel
         _, num, g = P2.p2_gcd(num, g)
-        den = P2.p2_mul(P2.p2_mul(d1, d2), g)
-        lc = den[P2.lead_key(den)]
-        if lc != 1:
-            num, den = P2.p2_scale(num, 1 / lc), P2.p2_scale(den, 1 / lc)
-        return Rf2(num, den)
+        return Rf2(num, P2.p2_mul(P2.p2_mul(d1, d2), g))
 
     __radd__ = __add__
 
@@ -123,14 +107,9 @@ class Rf2:
         o = rf2(o)
         if self.is_zero() or o.is_zero():
             return RF2_ZERO
-        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
-        _, n1, d2 = P2.p2_gcd(n1, d2)
-        _, n2, d1 = P2.p2_gcd(n2, d1)
-        num, den = P2.p2_mul(n1, n2), P2.p2_mul(d1, d2)
-        lc = den[P2.lead_key(den)]
-        if lc != 1:
-            num, den = P2.p2_scale(num, 1 / lc), P2.p2_scale(den, 1 / lc)
-        return Rf2(num, den)  # factors pairwise coprime
+        _, n1, d2 = P2.p2_gcd(self.num, o.den)
+        _, n2, d1 = P2.p2_gcd(o.num, self.den)
+        return Rf2(P2.p2_mul(n1, n2), P2.p2_mul(d1, d2))  # factors pairwise coprime
 
     __rmul__ = __mul__
 
@@ -138,7 +117,7 @@ class Rf2:
         o = rf2(o)
         if o.is_zero():
             raise ZeroDivisionError
-        return Rf2.make(P2.p2_mul(self.num, o.den), P2.p2_mul(self.den, o.num))
+        return self * _signed(o.den, o.num)
 
     def __rtruediv__(self, o) -> "Rf2":
         return rf2(o) / self
@@ -146,35 +125,25 @@ class Rf2:
     def __pow__(self, n: int) -> "Rf2":
         if n < 0:
             return Rf2.const(1) / self ** (-n)
-        return Rf2.make(P2.p2_pow(self.num, n), P2.p2_pow(self.den, n))
+        return Rf2(P2.p2_pow(self.num, n), P2.p2_pow(self.den, n))  # powers of coprimes
 
     # calculus and substitution --------------------------------------------
 
     def deriv_z(self) -> "Rf2":
-        return Rf2.make(
-            P2.p2_sub(
-                P2.p2_mul(P2.p2_deriv_z(self.num), self.den),
-                P2.p2_mul(self.num, P2.p2_deriv_z(self.den)),
-            ),
-            P2.p2_mul(self.den, self.den),
-        )
+        return self._quotient_rule(P2.p2_deriv_z)
 
     def deriv_w(self) -> "Rf2":
-        return Rf2.make(
-            P2.p2_sub(
-                P2.p2_mul(P2.p2_deriv_w(self.num), self.den),
-                P2.p2_mul(self.num, P2.p2_deriv_w(self.den)),
-            ),
-            P2.p2_mul(self.den, self.den),
-        )
+        return self._quotient_rule(P2.p2_deriv_w)
+
+    def _quotient_rule(self, deriv) -> "Rf2":
+        """(n/e)' = (n'*(e/g) - n*(e'/g)) / (e*(e/g)) with g = gcd(e, e')."""
+        n, e = self.num, self.den
+        _, q, r = P2.p2_gcd(e, deriv(e))
+        return Rf2.make(P2.p2_sub(P2.p2_mul(deriv(n), q), P2.p2_mul(n, r)), P2.p2_mul(e, q))
 
     def swap(self) -> "Rf2":
         """Exchange the two variables."""
-        n, d = P2.p2_swap(self.num), P2.p2_swap(self.den)
-        lc = d[P2.lead_key(d)]
-        if lc != 1:
-            n, d = P2.p2_scale(n, 1 / lc), P2.p2_scale(d, 1 / lc)
-        return Rf2(n, d)
+        return _signed(P2.p2_swap(self.num), P2.p2_swap(self.den))
 
     def subst_w(self, w0) -> RatFun:
         den = P2.subst_w_const(self.den, w0)
@@ -186,9 +155,18 @@ class Rf2:
         return self.subst_w(w0).eval(z0)
 
     def __str__(self) -> str:
-        if self.den == P2.p2_const(1):
-            return P2.p2_str(self.num)
-        return f"({P2.p2_str(self.num)})/({P2.p2_str(self.den)})"
+        lc = Fraction(self.den[P2.lead_key(self.den)])
+        num = P2.p2_str({k: v / lc for k, v in self.num.items()})
+        if self.den.keys() == {(0, 0)}:
+            return num
+        return f"({num})/({P2.p2_str({k: v / lc for k, v in self.den.items()})})"
+
+
+def _signed(num: P2.Poly2, den: P2.Poly2) -> Rf2:
+    """num/den, coprime over Z, with the sign put on the numerator."""
+    if den[P2.lead_key(den)] < 0:
+        return Rf2(P2.p2_neg(num), P2.p2_neg(den))
+    return Rf2(num, den)
 
 
 def rf2(v) -> Rf2:
@@ -201,5 +179,5 @@ def rf2(v) -> Rf2:
     raise TypeError(f"cannot coerce {type(v)} to Rf2")
 
 
-RF2_ZERO = Rf2({}, {(0, 0): Fraction(1)})
-RF2_ONE = Rf2({(0, 0): Fraction(1)}, {(0, 0): Fraction(1)})
+RF2_ZERO = Rf2({}, {(0, 0): 1})
+RF2_ONE = Rf2({(0, 0): 1}, {(0, 0): 1})

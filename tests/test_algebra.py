@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -215,6 +216,9 @@ class TestRf2:
         z, w = Rf2.z(), Rf2.w()
         f = (z - w) / (z * w + 1)
         assert f.swap() == -f
+        # the swapped denominator w - z leads with -z: the sign moves up
+        g = 1 / (2 * z - 2 * w)
+        assert g.swap() == -g
 
     def test_random_field_ops(self):
         rng = random.Random(13)
@@ -239,6 +243,29 @@ class TestRf2:
         f = (z * z * w + 1) / (z - w)
         fz = f.deriv_z()
         assert fz.subst_w(F(3)) == f.subst_w(F(3)).derivative()
+
+    def test_str_is_the_lex_monic_text(self):
+        # non-unit integer leading coefficients and rational inputs
+        z, w = Rf2.z(), Rf2.w()
+        cases = [
+            ((z * z + w) / (2 * z - w), "(1/2*z^2 + 1/2*w)/(z + -1/2*w)"),
+            ((z + w) / 2, "1/2*z + 1/2*w"),
+            ((3 * z - 6 * w) / (-4 * z * w + 2), "(-3/4*z + 3/2*w)/(z*w + -1/2)"),
+            (
+                Rf2.from_ratfun_z(rf([F(1, 3), 0, F(2, 5)], [F(-7, 2), F(3, 4)])),
+                "(8/15*z^2 + 4/9)/(z + -14/3)",
+            ),
+            (
+                ((F(2, 3) * z + w) ** 2 / (F(5, 7) * w - 3 * z)).deriv_z(),
+                "(-4/27*z^2 + 40/567*z*w + 83/189*w^2)/(z^2 + -10/21*z*w + 25/441*w^2)",
+            ),
+            (((z - 2 * w) / (6 * w * w + 4)).swap(), "(-1/3*z + 1/6*w)/(z^2 + 2/3)"),
+            (-(z / 3 - F(1, 2)), "-1/3*z + 1/2"),
+            (Rf2.const(F(-3, 4)), "-3/4"),
+            (Rf2.const(0), "0"),
+        ]
+        for f, text in cases:
+            assert str(f) == text
 
 
 class TestLogRat:
@@ -341,10 +368,10 @@ _w_only = _poly_st(3).filter(lambda p: P.degree(p) >= 1).map(P2.from_w)
 _REMAINDER_GCD = P2._prs_gcd
 
 
-def _sympy2(sp, p):
+def _sympy2(sp, p, domain="QQ"):
     z, w = sp.symbols("z w")
     terms = [sp.Rational(v.numerator, v.denominator) * z**i * w**j for (i, j), v in p.items()]
-    return sp.Poly(sp.Add(*terms), z, w, domain=sp.QQ)
+    return sp.Poly(sp.Add(*terms), z, w, domain=domain)
 
 
 def _from_sympy2(p) -> P2.Poly2:
@@ -355,9 +382,24 @@ def _no_fallback(a, b):
     raise AssertionError(f"GCDHEU fell back on {a}, {b}")
 
 
+def _cleared(p: P2.Poly2) -> P2.Poly2:
+    """p times the lcm of its denominators: integer, content kept."""
+    d = lcm(*[v.denominator for v in p.values()])
+    return {k: int(v * d) for k, v in p.items()}
+
+
+def _scaled(p: P2.Poly2, c) -> P2.Poly2:
+    return {k: v * c for k, v in p.items()}
+
+
+def _content(*ps: P2.Poly2) -> int:
+    return gcd(*[v for p in ps for v in p.values()])
+
+
 def _check_p2_gcd(a, b, factor=None):
-    """The checks below, on the heuristic alone and on the fallback alone,
-    each with an empty cache."""
+    """The checks below on a and b with their denominators cleared, on the
+    heuristic alone and on the fallback alone, each with an empty cache."""
+    a, b = _cleared(a), _cleared(b)
     for attr, value in (("_prs_gcd", _no_fallback), ("_HEU_TRIES", 0)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(P2, attr, value)
@@ -371,16 +413,19 @@ def _check_p2_gcd_path(a, b, factor):
     if not a and not b:
         assert (g, qa, qb) == ({}, {}, {})
         return
-    assert g[P2.lead_key(g)] == 1
-    assert all(type(v) is F for p in (g, qa, qb) for v in p.values())
+    assert g[P2.lead_key(g)] > 0
+    assert all(type(v) is int for p in (g, qa, qb) for v in p.values())
     assert P2.p2_mul(g, qa) == a and P2.p2_mul(g, qb) == b
     if qa and qb:
         assert _REMAINDER_GCD(qa, qb) == P2.p2_const(1)
-        assert g == _REMAINDER_GCD(a, b)
+        assert _content(qa, qb) == 1
+        # the remainder sequence gives the primitive part of the gcd
+        assert g == _scaled(_REMAINDER_GCD(a, b), gcd(_content(a), _content(b)))
     else:
         assert (P2.deg_z(qa or qb), P2.deg_w(qa or qb)) == (0, 0)
-    ref = _from_sympy2(sp.gcd(_sympy2(sp, a), _sympy2(sp, b)))
-    assert g == P2.p2_scale(ref, 1 / ref[P2.lead_key(ref)])
+    # over ZZ sympy's gcd also carries the content gcd, with either sign
+    ref = _from_sympy2(sp.gcd(_sympy2(sp, a, "ZZ"), _sympy2(sp, b, "ZZ")))
+    assert g == (ref if ref[P2.lead_key(ref)] > 0 else P2.p2_neg(ref))
     if factor and a and b:
         assert _sympy2(sp, g).rem(_sympy2(sp, factor)).is_zero
 
@@ -400,7 +445,7 @@ class TestPoly2Gcd:
     @given(_poly2_st(2, _huge), _poly2_st(2, _huge), _factor2)
     def test_huge_coefficients(self, f, h, g):
         # numerators and denominators up to 10^40
-        g = P2.p2_scale(g, F(10**40 + 7, 10**39 + 1))
+        g = _scaled(g, F(10**40 + 7, 10**39 + 1))
         _check_p2_gcd(P2.p2_mul(f, g), P2.p2_mul(h, g), g)
 
     @_PROPERTY
@@ -416,12 +461,12 @@ class TestPoly2Gcd:
 
     def test_cache_hit_in_either_order(self, monkeypatch):
         monkeypatch.setattr(P2, "_GCD_CACHE", {})
-        g = P2.p2({(1, 1): 1, (0, 0): -2})
-        a = P2.p2_mul(g, P2.p2({(2, 0): 3, (0, 1): 1}))
-        b = P2.p2_mul(g, P2.p2({(0, 2): F(1, 5), (1, 0): -1}))
+        g = {(1, 1): 1, (0, 0): -2}
+        a = P2.p2_mul(g, {(2, 0): 3, (0, 1): 1})
+        b = P2.p2_mul(g, {(0, 2): 1, (1, 0): -5})
         first = P2.p2_gcd(a, b)
         assert len(P2._GCD_CACHE) == 1
-        first[1][(9, 9)] = F(1)  # results are copies, not the cached entry
+        first[1][(9, 9)] = 1  # results are copies, not the cached entry
         monkeypatch.setattr(P2, "_p2_gcd_impl", lambda a, b: pytest.fail("cache miss"))
         g1, qa, qb = P2.p2_gcd(a, b)
         assert P2.p2_gcd(b, a) == (g1, qb, qa)
@@ -429,12 +474,23 @@ class TestPoly2Gcd:
 
     def test_gcd_of_zeros(self):
         assert P2.p2_gcd({}, {}) == ({}, {}, {})
-        b = P2.p2({(1, 1): F(2, 3), (0, 0): F(-4)})
-        assert P2.p2_gcd({}, b) == (P2.p2({(1, 1): 1, (0, 0): -6}), {}, P2.p2_const(F(2, 3)))
+        b = {(1, 1): 2, (0, 0): -12}
+        assert P2.p2_gcd({}, b) == (b, {}, {(0, 0): 1})
+        assert P2.p2_gcd(P2.p2_neg(b), {}) == (b, {(0, 0): -1}, {})
+
+    def test_constant_operand_skips_the_cache(self, monkeypatch):
+        monkeypatch.setattr(P2, "_GCD_CACHE", {})
+        b = {(1, 1): 6, (0, 0): -4}
+        assert P2.p2_gcd({(0, 0): -10}, b) == ({(0, 0): 2}, {(0, 0): -5}, {(1, 1): 3, (0, 0): -2})
+        assert P2.p2_gcd(b, {(0, 0): 3}) == ({(0, 0): 1}, b, {(0, 0): 3})
+        assert P2._GCD_CACHE == {}
 
 
+# small coefficients, or signed ones with numerators and denominators up to
+# 10^40, which make clears to larger integers
+_rf2_poly = st.one_of(_poly2_st(2), _poly2_st(2, _huge))
 # num*c / den*c with a common factor c (often 1), so that make has to cancel
-_rf2 = st.tuples(_poly2_st(2), _poly2_st(2).filter(bool), st.one_of(st.just(P2.p2_const(1)), _factor2)).map(
+_rf2 = st.tuples(_rf2_poly, _rf2_poly.filter(bool), st.one_of(st.just(P2.p2_const(1)), _factor2)).map(
     lambda t: Rf2.make(P2.p2_mul(t[0], t[2]), P2.p2_mul(t[1], t[2]))
 )
 
@@ -444,15 +500,20 @@ def _rf2_sympy(sp, f: Rf2):
 
 
 def _check_rf2(sp, f: Rf2, expr) -> None:
-    """f is canonical and equals sympy's cancel of expr."""
+    """f is canonical over Z and equals sympy's cancel of expr."""
     z, w = sp.symbols("z w")
-    assert f.den[P2.lead_key(f.den)] == 1
+    assert all(type(v) is int for p in (f.num, f.den) for v in p.values())
+    lcf = f.den[P2.lead_key(f.den)]
+    assert lcf > 0 and _content(f.num, f.den) == 1
     if f.num:
         assert _REMAINDER_GCD(f.num, f.den) == P2.p2_const(1)
     num, den = sp.fraction(sp.cancel(expr))
     num, den = sp.Poly(num, z, w, domain=sp.QQ), sp.Poly(den, z, w, domain=sp.QQ)
     lc = den.LC()
-    assert (f.num, f.den) == (_from_sympy2(num.quo_ground(lc)), _from_sympy2(den.quo_ground(lc)))
+    assert (_scaled(f.num, F(1, lcf)), _scaled(f.den, F(1, lcf))) == (
+        _from_sympy2(num.quo_ground(lc)),
+        _from_sympy2(den.quo_ground(lc)),
+    )
 
 
 class TestRf2Properties:

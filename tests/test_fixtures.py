@@ -3,7 +3,7 @@
 import pytest
 
 from trq.algebra import poly as P
-from trq.fixtures import FIXTURES, FixtureResult, _pq_route2, run_fixture
+from trq.fixtures import FIXTURES, FixtureResult, _pq_route2, fixture_pq, run_fixture
 
 # registry entries that bind a fixture function's leading arguments
 BOUND = (
@@ -42,3 +42,11 @@ def test_pq_route2_with_q_a_multiple_of_y():
     # q = 2y: the reduced route-2 operator differed from the x-y dual route
     ok, note = _pq_route2(P.poly([-4, -1, -4, -1]), P.poly([0, 2]))
     assert ok, note
+
+
+def test_pq_first_sample_certifies_in_full_mode():
+    # sample 0 at the default order 6; sample 1 has poles of dy outside Q,
+    # which the engine refuses with a CurveError
+    res = fixture_pq(samples=1)
+    assert res.checks
+    assert res.passed, [(c.label, c.detail) for c in res.checks if not c.passed]

@@ -25,6 +25,7 @@ from trq.operators import (
 )
 from trq.recursion import run_tr
 from trq.wave import (
+    Prefactor,
     apply_inverse,
     apply_shift,
     build_wave_data,
@@ -225,3 +226,16 @@ class TestClassical:
             classical_symbol(
                 Exp(Add((Mul((sc(q), X)), Mul((sc(-q), Pow(Y, r)))))), x, y
             )
+
+
+def test_prefactor_key_text():
+    # rho with non-unit integer leading coefficients, from rational inputs
+    z, w = Rf2.z(), Rf2.w()
+    rho = (z * z + w) / (2 * z - w)
+    logs = (((((1, 0), F(2)), ((0, 0), F(-1))), F(1, 2)),)
+    key = Prefactor(rho, logs, ((2, F(1, 3)),)).key()
+    assert key == (
+        "(1/2*z^2 + 1/2*w)/(z + -1/2*w)|(((((1, 0), Fraction(2, 1)), ((0, 0), Fraction(-1, 1))), "
+        "Fraction(1, 2)),)|((2, Fraction(1, 3)),)"
+    )
+    assert Prefactor(Rf2.const(F(-3, 4)) * z / w, (), ()).key() == "(-3/4*z)/(w)|()|()"
