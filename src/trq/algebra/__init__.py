@@ -1,41 +1,20 @@
 """Exact scalar, polynomial, rational, logarithmic and series arithmetic."""
 
-from fractions import Fraction
-
 from . import poly
-from .hseries import HSeries, exp_fraction_series, hseries_arith
-from .lograt import LogRat, lograt_derivative
-from .partfrac import IrrationalPoleError, PartialFractions, partial_fractions
-from .poly2 import Poly2
-from .ratfun import RF_ONE, RF_Z, RF_ZERO, RatFun
-from .ratfun2 import RF2_ONE, RF2_ZERO, Rf2, rf2
-from .series import INF, LocalSeries, residue_at, series_at
-
-Rat = Fraction
+from .hseries import HSeries
+from .lograt import LogRat
+from .ratfun import RatFun
+from .ratfun2 import Rf2, rf2
+from .series import INF, LocalSeries, series_at
 
 __all__ = [
-    "Fraction",
-    "Rat",
     "poly",
     "RatFun",
-    "RF_ZERO",
-    "RF_ONE",
-    "RF_Z",
     "Rf2",
     "rf2",
-    "RF2_ZERO",
-    "RF2_ONE",
-    "Poly2",
     "LogRat",
-    "lograt_derivative",
     "LocalSeries",
     "series_at",
-    "residue_at",
     "INF",
     "HSeries",
-    "hseries_arith",
-    "exp_fraction_series",
-    "PartialFractions",
-    "partial_fractions",
-    "IrrationalPoleError",
 ]

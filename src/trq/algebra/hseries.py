@@ -1,95 +1,22 @@
-"""Truncated series in the quantization parameter hbar.
+"""Truncated series in a formal parameter: hbar, or the q of the Hurwitz
+BCH identity.
 
-Coefficients are duck-typed exact values (Fraction, RatFun, Rf2, or the
-symbolic scalars of the operator layer).  Exponent -1 is allowed (leading
-WKB term); truncation is tracked and never silently extended.
+All arithmetic, `invert`, `exp` and `log1p` come from `Series`.  An
+HSeries adds what the wave layer needs of a series in hbar: a constant
+series, multiplication by a power of the variable, and a map over the
+coefficients.  Coefficients are Fraction, RatFun, Rf2 or, for q-series,
+WeylPoly; exponent -1 is allowed (the leading WKB term).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial
-
-_BIG = 10**9
+from .series import Series
 
 
-def _is_zero(v) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return v == 0
-    return v.is_zero()
-
-
-def _listify(d: dict) -> dict:
-    return {k: v for k, v in d.items() if not _is_zero(v)}
-
-
-@dataclass(frozen=True)
-class HSeries:
-    coeffs: dict = field(default_factory=dict)  # exp -> coefficient
-    trunc: int = 0
-
-    @staticmethod
-    def make(coeffs: dict, trunc: int) -> "HSeries":
-        return HSeries({k: v for k, v in coeffs.items() if k <= trunc and not _is_zero(v)}, trunc)
-
+class HSeries(Series):
     @staticmethod
     def const(v, trunc: int) -> "HSeries":
         return HSeries.make({0: v}, trunc)
-
-    def coeff(self, k: int, default=Fraction(0)):
-        if k > self.trunc:
-            raise ValueError(f"hbar^{k} beyond truncation {self.trunc}")
-        return self.coeffs.get(k, default)
-
-    def order(self) -> int:
-        return min(self.coeffs, default=_BIG)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def truncate(self, n: int) -> "HSeries":
-        if n >= self.trunc:
-            return self
-        return HSeries({k: v for k, v in self.coeffs.items() if k <= n}, n)
-
-    def __add__(self, o: "HSeries") -> "HSeries":
-        t = min(self.trunc, o.trunc)
-        out = dict(self.coeffs)
-        for k, v in o.coeffs.items():
-            s = out[k] + v if k in out else v
-            if _is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return HSeries({k: v for k, v in out.items() if k <= t}, t)
-
-    def __neg__(self) -> "HSeries":
-        return HSeries({k: -v for k, v in self.coeffs.items()}, self.trunc)
-
-    def __sub__(self, o: "HSeries") -> "HSeries":
-        return self + (-o)
-
-    def __mul__(self, o: "HSeries") -> "HSeries":
-        t = min(self.trunc + o.order(), o.trunc + self.order(), _BIG)
-        out: dict = {}
-        for i, u in self.coeffs.items():
-            for j, v in o.coeffs.items():
-                k = i + j
-                if k <= t:
-                    w = u * v
-                    if k in out:
-                        w = out[k] + w
-                    if _is_zero(w):
-                        out.pop(k, None)
-                    else:
-                        out[k] = w
-        return HSeries(out, t)
-
-    def scale(self, c) -> "HSeries":
-        if _is_zero(c):
-            return HSeries({}, self.trunc)
-        return HSeries({k: v * c for k, v in self.coeffs.items()}, self.trunc)
 
     def shift(self, m: int) -> "HSeries":
         """Multiply by hbar^m."""
@@ -97,74 +24,3 @@ class HSeries:
 
     def map(self, fn) -> "HSeries":
         return HSeries.make({k: fn(v) for k, v in self.coeffs.items()}, self.trunc)
-
-    def invert(self, one) -> "HSeries":
-        """Reciprocal; the leading coefficient must be invertible.
-
-        `one` is the multiplicative unit of the coefficient domain.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverting the zero hbar-series")
-        m = self.order()
-        t = self.trunc - 2 * m
-        if t < -m:
-            raise ValueError("insufficient truncation to invert")
-        a0 = self.coeffs[m]
-        if isinstance(a0, (int, Fraction)):
-            inv0 = one * (Fraction(1) / Fraction(a0))
-        else:
-            inv0 = one / a0
-        out = {-m: inv0}
-        for n in range(1, t + m + 1):
-            acc = None
-            for i, u in self.coeffs.items():
-                d = i - m
-                if 1 <= d <= n:
-                    prev = out.get(-m + n - d)
-                    if prev is not None:
-                        term = u * prev
-                        acc = term if acc is None else acc + term
-            if acc is None:
-                continue
-            val = -(acc * inv0)
-            if not _is_zero(val):
-                out[-m + n] = val
-        return HSeries(_listify(out), t)
-
-    def exp(self, one) -> "HSeries":
-        """Exponential; requires no terms below hbar^1."""
-        if not self.is_zero() and self.order() < 1:
-            raise ValueError("exp needs a series with only positive hbar powers")
-        t = self.trunc
-        out = HSeries({0: one}, t)
-        term = HSeries({0: one}, t)
-        for k in range(1, t + 1):
-            term = (term * self).truncate(t).scale(Fraction(1, k))
-            if term.is_zero():
-                break
-            out = out + term
-        return out
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return f"O(h^{self.trunc + 1})"
-        parts = [f"({v})*h^{k}" for k, v in sorted(self.coeffs.items())]
-        return " + ".join(parts) + f" + O(h^{self.trunc + 1})"
-
-
-def hseries_arith(a: HSeries, b, op: str, one=Fraction(1)) -> HSeries:
-    """Dispatcher covering the four supported series operations."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "invert":
-        return a.invert(one)
-    if op == "exp-of-positive-part":
-        return a.exp(one)
-    raise ValueError(f"unknown op {op}")
-
-
-def exp_fraction_series(c: Fraction, trunc: int) -> HSeries:
-    """exp(c * hbar) as an exact truncated series over Q."""
-    return HSeries.make({k: Fraction(c**k, factorial(k)) for k in range(trunc + 1)}, trunc)

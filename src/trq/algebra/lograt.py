@@ -139,10 +139,3 @@ def _coerce(v) -> LogRat:
     if isinstance(v, (int, Fraction)):
         return LogRat(RatFun.const(v))
     raise TypeError(f"cannot coerce {type(v)} to LogRat")
-
-
-def lograt_derivative(f) -> RatFun:
-    """Exact derivative of a LogRat (or RatFun)."""
-    if isinstance(f, RatFun):
-        return f.derivative()
-    return f.derivative()

@@ -44,9 +44,6 @@ def p2_const(v) -> Poly2:
     return {(0, 0): v} if v else {}
 
 
-P2_ZERO: Poly2 = {}
-
-
 def p2_is_zero(a: Poly2) -> bool:
     return not a
 

@@ -49,6 +49,9 @@ class RatFun:
     def is_zero(self) -> bool:
         return P.is_zero(self.num)
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     def is_const(self) -> bool:
         return P.degree(self.num) <= 0 and P.degree(self.den) == 0
 
@@ -140,8 +143,3 @@ def _coerce(v) -> RatFun:
     if isinstance(v, (int, Fraction)):
         return RatFun.const(v)
     raise TypeError(f"cannot coerce {type(v)} to RatFun")
-
-
-RF_ZERO = RatFun(P.ZERO, P.ONE)
-RF_ONE = RatFun(P.ONE, P.ONE)
-RF_Z = RatFun(P.X, P.ONE)

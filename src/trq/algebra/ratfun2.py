@@ -66,6 +66,9 @@ class Rf2:
     def is_zero(self) -> bool:
         return P2.p2_is_zero(self.num)
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     def is_const(self) -> bool:
         return self.num.keys() <= {(0, 0)} and self.den.keys() == {(0, 0)}
 
@@ -180,4 +183,3 @@ def rf2(v) -> Rf2:
 
 
 RF2_ZERO = Rf2({}, {(0, 0): 1})
-RF2_ONE = Rf2({(0, 0): 1}, {(0, 0): 1})

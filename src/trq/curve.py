@@ -1,8 +1,11 @@
-"""Spectral curves on P^1: ramification data, local involutions, special points.
+"""Spectral curves on P^1: ramification points, the local deck
+transformation at each, and the vital points of dy.
 
 A curve is (x, y) as log-rational functions of the global coordinate z,
 with all bound parameters already substituted as exact rationals.  Points
-at infinity are handled through the chart w = 1/z.
+at infinity are handled through the chart w = 1/z.  Orders of vanishing of
+dx at a point come from `_form_order`; local expansions are `LocalSeries`,
+with the logarithms of x expanded through `log1p`.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class SpectralCurve:
             if a0 == 0:
                 raise CurveError(f"log argument of x vanishes at {p}")
             u = series_at(RatFun.make(arg), p, order).scale(1 / a0) - LocalSeries.make(p, {0: 1}, order)
-            out = out + _log1p(u, order).scale(c)
+            out = out + u.log1p().scale(c)
         return out
 
     def hash_key(self) -> str:
@@ -70,33 +73,11 @@ class SpectralCurve:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _log1p(u: LocalSeries, order: int) -> LocalSeries:
-    """log(1+u) for a series u of positive order."""
-    if not u.is_zero() and u.order() < 1:
-        raise CurveError("log(1+u) needs positive-order u")
-    acc = LocalSeries(u.point, {}, order)
-    term = LocalSeries(u.point, {0: Fraction(1)}, 10**9)
-    for k in range(1, order + 1):
-        term = (term * u).truncate(order)
-        if term.is_zero():
-            break
-        acc = acc + term.scale(Fraction((-1) ** (k + 1), k))
-    return acc
-
-
 @dataclass
 class RamPoint:
     location: Fraction
     order: int               # order of vanishing of dx (1 = simple)
     y_flag: str              # "regular" or "simple-pole"
-
-
-@dataclass(frozen=True)
-class SpecialPointClass:
-    location: object
-    r: int
-    s: int
-    special: bool
 
 
 def find_ramification(curve: SpectralCurve) -> list[RamPoint]:
@@ -171,15 +152,6 @@ def galois_series(curve: SpectralCurve, p: RamPoint, order: int) -> LocalSeries:
             c = rm / (2 * a2)
             sigma = sigma + LocalSeries.make(p.location, {m - 1: c}, order)
     return sigma
-
-
-def classify_special(curve: SpectralCurve, p) -> SpecialPointClass:
-    """Leading orders (r, s) of dx and dy at p; non-special iff r = s = 1
-    or r + s <= 0."""
-    r = _form_order(curve.dx, p) + 1
-    s = _form_order(curve.dy, p) + 1
-    nonspecial = (r == 1 and s == 1) or (r + s <= 0)
-    return SpecialPointClass(p, r, s, not nonspecial)
 
 
 def _form_order(f: RatFun, p) -> int:

@@ -28,24 +28,6 @@ def double_factorial_odd(k: int) -> int:
     return factorial(2 * k) // (2**k * factorial(k))
 
 
-def gaussian_moments(a, k: int, one=Fraction(1)) -> HSeries:
-    """Normalized even moment <t^{2k}> = (hbar/a)^k (2k-1)!! of the weight
-    exp(-a t^2 / (2 hbar)); odd moments vanish."""
-    if _is_zero(a):
-        raise SaddleError("degenerate quadratic form")
-    val = one * Fraction(double_factorial_odd(k))
-    inv = one / a
-    for _ in range(k):
-        val = val * inv
-    return HSeries.make({k: val}, k)
-
-
-def _is_zero(v) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return v == 0
-    return v.is_zero()
-
-
 @dataclass
 class SaddleProblem:
     """Data of a formal Gaussian integral around a critical point.
@@ -74,7 +56,7 @@ def saddle_expand(prob: SaddleProblem, order: int) -> HSeries:
     """
     n = prob.nvars()
     for a in prob.quad:
-        if _is_zero(a):
+        if not a:
             raise SaddleError("degenerate quadratic form")
     for e, _c in prob.vertices.items():
         if sum(e) < 3:
@@ -130,8 +112,6 @@ def _taylor_inverse_linear(c0, c1_list, order: int, one):
     inv0 = one / c0
     out: dict = {}
     n = len(c1_list)
-    from itertools import product
-
     # expand sum_k (-1)^k u^k via multinomials
     for k in range(order + 1):
         for exps in _compositions(k, n):
@@ -145,7 +125,7 @@ def _taylor_inverse_linear(c0, c1_list, order: int, one):
             cur = out.get(key)
             val = coeff * inv0
             out[key] = val if cur is None else cur + val
-    return {k: v for k, v in out.items() if not _is_zero(v)}
+    return {k: v for k, v in out.items() if v}
 
 
 def _compositions(total: int, n: int):

@@ -1005,6 +1005,9 @@ class WeylPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def __add__(self, o: "WeylPoly") -> "WeylPoly":
         out = dict(self.terms)
         for k, v in o.terms.items():
@@ -1021,12 +1024,11 @@ class WeylPoly:
     def __sub__(self, o: "WeylPoly") -> "WeylPoly":
         return self + (-o)
 
-    def scale_sym(self, s: Sym) -> "WeylPoly":
-        if s.is_zero():
-            return WeylPoly.zero()
-        return WeylPoly({k: v * s for k, v in self.terms.items()})
-
-    def __mul__(self, o: "WeylPoly") -> "WeylPoly":
+    def __mul__(self, o) -> "WeylPoly":
+        """Product in the Weyl algebra, or with a scalar (a Sym or a rational)."""
+        if not isinstance(o, WeylPoly):
+            s = o if isinstance(o, Sym) else Sym.const(o)
+            return WeylPoly({} if s.is_zero() else {k: v * s for k, v in self.terms.items()})
         out = WeylPoly.zero()
         for (a, b), u in self.terms.items():
             for (c, d), v in o.terms.items():
@@ -1041,18 +1043,6 @@ class WeylPoly:
                     else:
                         out.terms[key] = cur
         return out
-
-    def q_truncate(self, q_order: int) -> "WeylPoly":
-        out = {}
-        for k, v in self.terms.items():
-            kept = Sym(tuple((m, c) for m, c in v.terms if dict(m).get("q", 0) <= q_order))
-            if not kept.is_zero():
-                out[k] = kept
-        return WeylPoly(out)
-
-    def q_min_degree(self) -> int:
-        degs = [dict(m).get("q", 0) for v in self.terms.values() for m, _ in v.terms]
-        return min(degs, default=10**9)
 
     def check_no_negative_hbar(self) -> None:
         for v in self.terms.values():
@@ -1102,24 +1092,3 @@ def derivation_combine(steps, op: OpExpr, wave, order: int | None = None) -> OpE
         if not rep.passed:
             raise OperatorError(f"annihilation lost at step {i}: {rep.summary()}")
     return cur
-
-
-def weyl_expand(exponent: WeylPoly, q_order: int) -> WeylPoly:
-    """exp(exponent) as a q-adic series with normal-ordered coefficients.
-
-    Every term of the exponent must carry a positive power of q, and no
-    negative powers of hbar may appear.
-    """
-    exponent.check_no_negative_hbar()
-    if exponent.q_min_degree() < 1:
-        raise OperatorError("exponent must be at least first order in q")
-    out = WeylPoly.one()
-    term = WeylPoly.one()
-    k = 1
-    while True:
-        term = (term * exponent).q_truncate(q_order).scale_sym(Sym.const(Fraction(1, k)))
-        if term.is_zero():
-            break
-        out = out + term
-        k += 1
-    return out

@@ -31,7 +31,7 @@ from math import comb, factorial
 from .algebra import LocalSeries, RatFun, series_at
 from .algebra import poly as P
 from .curve import (
-    CurveError, RamPoint, SpectralCurve, _log1p, find_logvital, find_ramification, galois_series,
+    CurveError, RamPoint, SpectralCurve, find_logvital, find_ramification, galois_series,
 )
 
 _BIG = 10**9
@@ -175,7 +175,7 @@ def _y_diff_series(curve: SpectralCurve, p: Fraction, sigma: LocalSeries, order:
         aser = series_at(RatFun.make(arg), p, order)
         # log(A(t)) - log(A(sigma)) = log(A(t)/A(sigma))
         ratio = (aser * aser.compose(sigma).invert()) - LocalSeries.make(p, {0: 1}, order)
-        out = out + _log1p(ratio, order).scale(c)
+        out = out + ratio.log1p().scale(c)
     return out
 
 
@@ -332,18 +332,8 @@ def _factor(store: OmegaStore, br: _Branch, gi: int, ni: int) -> dict | None:
 
 def s_inverse_coeff(g: int) -> Fraction:
     """[t^{2g}] of 1/S(t) with S(t) = sum t^{2k} / (4^k (2k+1)!)."""
-    n = 2 * g
-    s = [Fraction(0)] * (n + 1)
-    for k in range(0, g + 1):
-        s[2 * k] = Fraction(1, 4**k * factorial(2 * k + 1))
-    inv = [Fraction(0)] * (n + 1)
-    inv[0] = Fraction(1)
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            acc += s[j] * inv[m - j]
-        inv[m] = -acc
-    return inv[n]
+    s = {2 * k: Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(g + 1)}
+    return LocalSeries.make(0, s, 2 * g).invert().coeff(2 * g)
 
 
 def logtr_term(curve: SpectralCurve, g: int, vital=None) -> PoleDifferential:

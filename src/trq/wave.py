@@ -93,9 +93,6 @@ class Prefactor:
         return f"{self.rho}|{self.logs}|{self.consts}"
 
 
-TRIVIAL = Prefactor(Rf2.const(0), (), ())
-
-
 def _canon_poly2(p: P2.Poly2) -> tuple:
     return tuple(sorted(p.items()))
 
@@ -536,20 +533,6 @@ def _flow_delta(wave: WaveData, var: str, c: Fraction) -> HSeries:
     return delta
 
 
-def _taylor_shift_rf2(f: Rf2, delta: HSeries, var: str, trunc: int) -> HSeries:
-    """f(v + delta) - f(v) as an hbar-series (order >= 1)."""
-    out = HSeries({}, trunc)
-    dp = HSeries({0: Rf2.const(1)}, trunc)
-    d = f
-    for j in range(1, trunc + 1):
-        dp = (dp * delta).truncate(trunc)
-        d = _deriv(d, var)
-        if dp.is_zero() or d.is_zero():
-            break
-        out = out + dp.scale(Fraction(1, math.factorial(j))).map(lambda v, dd=d: v * dd)
-    return out
-
-
 def _taylor_compose_series(s: HSeries, delta: HSeries, var: str, trunc: int) -> HSeries:
     """s with every coefficient shifted to v + delta."""
     out = s
@@ -562,19 +545,6 @@ def _taylor_compose_series(s: HSeries, delta: HSeries, var: str, trunc: int) -> 
             break
         out = out + (dp * ds).scale(Fraction(1, math.factorial(j)))
     return out
-
-
-def _log1p_hseries(u: HSeries, trunc: int) -> HSeries:
-    if not u.is_zero() and u.order() < 1:
-        raise WaveError("log(1+u) needs a positive-order series")
-    acc = HSeries({}, trunc)
-    term = HSeries({0: Rf2.const(1)}, trunc)
-    for k in range(1, trunc + 1):
-        term = (term * u).truncate(trunc)
-        if term.is_zero():
-            break
-        acc = acc + term.scale(Fraction((-1) ** (k + 1), k))
-    return acc
 
 
 def apply_shift(sym: Symbol, c: Fraction, wave: WaveData, var: str = "z") -> Symbol:
@@ -598,16 +568,20 @@ def apply_shift(sym: Symbol, c: Fraction, wave: WaveData, var: str = "z") -> Sym
     # sanity: for the base variable the m = 1 tail coefficient enters with +c
     out: Symbol = {}
     y_logdata = _lograt_exponent_data(y_main, var, c)
+
+    def shifted(f: Rf2) -> HSeries:
+        """f(v + delta) - f(v)."""
+        f = HSeries.const(f, N)
+        return _taylor_compose_series(f, delta, var, N) - f
+
     for _k, (p, s) in sym.items():
         # compose the series part
         s1 = _taylor_compose_series(s, delta, var, N)
         # prefactor composition factors
-        expo = _taylor_shift_rf2(p.rho, delta, var, N)
+        expo = shifted(p.rho)
         for argkey, ce in p.logs:
             arg = Rf2.make(_uncanon(argkey), P2.p2_const(1))
-            du = _taylor_shift_rf2(arg, delta, var, N)
-            u = du.map(lambda v: v / arg)
-            expo = expo + _log1p_hseries(u, N).scale(ce)
+            expo = expo + shifted(arg).map(lambda v: v / arg).log1p().scale(ce)
         expo = expo + wexp
         s2 = s1 * expo.exp(Rf2.const(1))
         rho_add, logs_add, consts_add = y_logdata
@@ -775,7 +749,7 @@ def evaluate_operator_on(op: OpExpr, sym: Symbol, wave: WaveData) -> Symbol:
         # central correction from splitting mult and shift parts
         cc = (a * b - a0 * b0) * Fraction(1, 2)
         if cc:
-            cur = sym_scale_hseries(cur, _exp_linear(cc, wave.trunc))
+            cur = sym_scale_hseries(cur, HSeries.make({1: cc}, wave.trunc).exp(Fraction(1)))
         # shifts
         if b:
             cur = apply_shift(cur, b, wave, "z")
@@ -797,10 +771,6 @@ def evaluate_operator_on(op: OpExpr, sym: Symbol, wave: WaveData) -> Symbol:
             cur = sym_mul_prefactor(cur, rho, logs, consts)
         return cur
     raise TypeError(type(op))
-
-
-def _exp_linear(c: Fraction, trunc: int) -> HSeries:
-    return HSeries.make({1: c}, trunc).exp(Fraction(1))
 
 
 def _merge_into(d: dict, other: dict) -> None:

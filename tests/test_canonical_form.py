@@ -103,7 +103,7 @@ def weyl(e) -> WeylPoly:
     if isinstance(e, RatSubst) and e.den == (1,):
         base, out, power = weyl(e.child), WeylPoly.zero(), WeylPoly.one()
         for v in e.num:
-            out = out + power.scale_sym(Sym.const(v))
+            out = out + power * v
             power = power * base
         return out
     raise TypeError(type(e))

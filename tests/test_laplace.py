@@ -17,11 +17,20 @@ from trq.laplace import (
     SaddleProblem,
     check_extlaplace_airy,
     check_transform_inverse_airy,
-    gaussian_moments,
+    double_factorial_odd,
     saddle_expand,
 )
 from trq.recursion import run_tr
 from tests.test_wave import airy_curve
+
+
+def gaussian_moments(a, k: int) -> HSeries:
+    """Normalized even moment <t^{2k}> = (hbar/a)^k (2k-1)!! of the weight
+    exp(-a t^2 / (2 hbar)); odd moments vanish.  The closed-form oracle of
+    saddle_expand."""
+    if not a:
+        raise SaddleError("degenerate quadratic form")
+    return HSeries.make({k: F(double_factorial_odd(k)) / a**k}, k)
 
 
 class TestMoments:

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from trq.algebra import RatFun
+from trq.algebra import HSeries, RatFun
 from trq.algebra import poly as P
 from trq.operators import (
     Add,
@@ -33,7 +33,6 @@ from trq.operators import (
     singular_limit,
     sub,
     sympl_dual_rewrite,
-    weyl_expand,
     xy_dual_rewrite,
 )
 
@@ -184,6 +183,25 @@ class TestSingularLimit:
         assert texteq(lim, X)
 
 
+def q_exp(terms: dict, q_order: int) -> HSeries:
+    """exp(sum_k q^k terms[k]) as a series in q with Weyl coefficients."""
+    return HSeries.make(terms, q_order).exp(WeylPoly.one())
+
+
+def bch_factors(r: int, q_order: int):
+    """exp(G), exp(q x) and exp(q(x - y^r)), where
+    G = ((y - q hbar)^{r+1} - y^{r+1}) / (hbar (r+1)) expanded binomially."""
+    from math import comb
+
+    G = {}
+    for j in range(1, r + 2):
+        coeff = Sym.const(comb(r + 1, j)) * Sym.hbar(j).scale((-1) ** j) * Sym.hbar(-1)
+        G[j] = WeylPoly.monomial(0, r + 1 - j, coeff) * F(1, r + 1)
+        G[j].check_no_negative_hbar()
+    x = WeylPoly.monomial(1, 0)
+    return q_exp(G, q_order), q_exp({1: x}, q_order), q_exp({1: x - WeylPoly.monomial(0, r)}, q_order)
+
+
 class TestWeyl:
     def test_commutator(self):
         yx = WeylPoly.monomial(0, 1) * WeylPoly.monomial(1, 0)
@@ -191,10 +209,14 @@ class TestWeyl:
         assert yx == expect
 
     def test_exp_qx(self):
-        e = weyl_expand(WeylPoly.monomial(1, 0, Sym.var("q")), 2)
-        assert e.terms[(0, 0)] == Sym.const(1)
-        assert e.terms[(1, 0)] == Sym.var("q")
-        assert e.terms[(2, 0)] == Sym.var("q").scale(F(1, 2)) * Sym.var("q")
+        e = q_exp({1: WeylPoly.monomial(1, 0)}, 2)
+        assert e.coeffs == {0: WeylPoly.one(), 1: WeylPoly.monomial(1, 0), 2: WeylPoly.monomial(2, 0, F(1, 2))}
+
+    def test_exp_guards(self):
+        with pytest.raises(ValueError):  # a q^0 term in the exponent
+            q_exp({0: WeylPoly.monomial(0, 1), 1: WeylPoly.monomial(1, 0)}, 2)
+        with pytest.raises(OperatorError):
+            WeylPoly.monomial(0, 1, Sym.hbar(-1)).check_no_negative_hbar()
 
     def test_associativity_random(self):
         import random
@@ -219,41 +241,14 @@ class TestWeyl:
         multiply in this order (the transposed order holds for the opposite
         sign convention).
         """
-        q_order = 6
-        qh = Sym.var("q") * Sym.hbar()
-        # (y - q hbar)^{r+1} expanded binomially
-        G = WeylPoly.zero()
-        from math import comb
-
-        for j in range(1, r + 2):
-            coeff = Sym.const(comb(r + 1, j)) * (Sym.const(-1) * qh).pow(j)
-            G = G + WeylPoly.monomial(0, r + 1 - j, coeff)
-        G = G.scale_sym(Sym.hbar(-1).scale(F(1, r + 1)))
-        G.check_no_negative_hbar()
-        lhs = weyl_expand(G, q_order) * weyl_expand(WeylPoly.monomial(1, 0, Sym.var("q")), q_order)
-        lhs = lhs.q_truncate(q_order)
-        # rhs: exp(q(x - y^r))
-        arg = WeylPoly.monomial(1, 0, Sym.var("q")) + WeylPoly.monomial(0, r, Sym.var("q").scale(-1))
-        rhs = weyl_expand(arg, q_order)
-        assert lhs == rhs
+        exp_g, exp_qx, rhs = bch_factors(r, 6)
+        assert exp_g * exp_qx == rhs
 
     @pytest.mark.parametrize("r", [2])
     def test_bch_identity_paper_order_fails(self, r):
         # with the factors in the other order the identity does not hold
-        q_order = 4
-        qh = Sym.var("q") * Sym.hbar()
-        from math import comb
-
-        G = WeylPoly.zero()
-        for j in range(1, r + 2):
-            coeff = Sym.const(comb(r + 1, j)) * (Sym.const(-1) * qh).pow(j)
-            G = G + WeylPoly.monomial(0, r + 1 - j, coeff)
-        G = G.scale_sym(Sym.hbar(-1).scale(F(1, r + 1)))
-        lhs = weyl_expand(WeylPoly.monomial(1, 0, Sym.var("q")), q_order) * weyl_expand(G, q_order)
-        lhs = lhs.q_truncate(q_order)
-        arg = WeylPoly.monomial(1, 0, Sym.var("q")) + WeylPoly.monomial(0, r, Sym.var("q").scale(-1))
-        rhs = weyl_expand(arg, q_order)
-        assert lhs != rhs
+        exp_g, exp_qx, rhs = bch_factors(r, 4)
+        assert exp_qx * exp_g != rhs
 
 
 class TestGaiottoShift:
