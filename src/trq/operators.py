@@ -36,6 +36,13 @@ sums: a flat sum of products of atoms.  expand(a - b) == sc(0) proves
 a = b.  For polynomial expressions in the generators the converse holds
 too, as equality of noncommutative polynomials: expand never normal-orders,
 so y x - x y - hbar does not expand to 0.
+
+Work done once.  `simplify` keeps a memo for the length of one call, from
+each node it has rebuilt to the result, so a subtree that a literal rewrite
+has put in many places is rebuilt once; nothing is cached across calls.
+Every node and every `Sym` computes its hash on first use and keeps it, so
+the memo, the like terms and the function groups, all keyed by node, hash
+each node once.
 """
 
 from __future__ import annotations
@@ -52,13 +59,27 @@ class OperatorError(ValueError):
     pass
 
 
+def _cached_hash(self) -> int:
+    """The dataclass hash of a frozen instance, computed on first use only."""
+    h = self._hash
+    if h is None:
+        h = hash(tuple(getattr(self, f) for f in self.__dataclass_fields__))
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
 # ---------------------------------------------------------------------------
 # scalars: Laurent polynomials in hbar and named parameters over Q
+
+_UNIT_TERMS = (((), Fraction(1)),)
 
 
 @dataclass(frozen=True)
 class Sym:
     terms: tuple = ()  # tuple[(monomial, Fraction)], monomial = tuple[(name, int)]
+
+    _hash = None  # set on first use by _cached_hash
+    __hash__ = _cached_hash
 
     @staticmethod
     def make(d: dict) -> "Sym":
@@ -110,10 +131,17 @@ class Sym:
         return self + (-o)
 
     def __mul__(self, o: "Sym") -> "Sym":
+        a, b = self.terms, o.terms
+        if a == _UNIT_TERMS or not b:
+            return o
+        if b == _UNIT_TERMS or not a:
+            return self
+        if len(a) == len(b) == 1 and not a[0][0] and not b[0][0]:  # two plain rationals
+            return Sym((((), a[0][1] * b[0][1]),))
         d: dict = {}
-        for m1, c1 in self.terms:
+        for m1, c1 in a:
             e1 = dict(m1)
-            for m2, c2 in o.terms:
+            for m2, c2 in b:
                 e = dict(e1)
                 for n, k in m2:
                     e[n] = e.get(n, 0) + k
@@ -190,18 +218,22 @@ ONE = Sym.const(1)
 
 @dataclass(frozen=True)
 class OpExpr:
-    pass
+    _hash = None  # set on first use by _cached_hash
 
 
 @dataclass(frozen=True)
 class Scalar(OpExpr):
     value: Sym
 
+    __hash__ = _cached_hash
+
 
 @dataclass(frozen=True)
 class Gen(OpExpr):
     kind: str          # "x", "y", "x0", "y0"
     side: str = ""     # "", "dual", "dagger"
+
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
@@ -211,20 +243,28 @@ class CoordMul(OpExpr):
     var: str           # "z" or "z0"
     fn: RatFun
 
+    __hash__ = _cached_hash
+
 
 @dataclass(frozen=True)
 class Add(OpExpr):
     children: tuple
+
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
 class Mul(OpExpr):
     children: tuple    # composition order: leftmost acts last
 
+    __hash__ = _cached_hash
+
 
 @dataclass(frozen=True)
 class Inv(OpExpr):
     child: OpExpr
+
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
@@ -232,10 +272,14 @@ class Pow(OpExpr):
     child: OpExpr
     exp: int
 
+    __hash__ = _cached_hash
+
 
 @dataclass(frozen=True)
 class Exp(OpExpr):
     arg: OpExpr        # scalar plus linear combination of generators
+
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
@@ -245,6 +289,8 @@ class RatSubst(OpExpr):
     num: tuple         # polynomial, low-to-high Fractions
     den: tuple
     child: OpExpr
+
+    __hash__ = _cached_hash
 
 
 def sc(v) -> Scalar:
@@ -311,27 +357,36 @@ def simplify(e: OpExpr) -> OpExpr:
     (`_add`, `_mul`, `_pow`, `_fn`, `_exp`), each of which returns a
     canonical node, so simplify(simplify(e)) == simplify(e) as nodes.
     """
-    return _simp(e)
+    return _simp(e, {})
 
 
-def _simp(e: OpExpr) -> OpExpr:
+def _simp(e: OpExpr, memo: dict) -> OpExpr:
+    """The canonical form of e; memo maps every node already rebuilt in
+    this pass to its result, so a subtree that occurs many times (as after
+    a literal substitution) is rebuilt once."""
     if isinstance(e, (Scalar, Gen)):
         return e
+    out = memo.get(e)
+    if out is not None:
+        return out
     if isinstance(e, CoordMul):
-        return _coord(e.var, e.fn) if e.fn.is_const() else e
-    if isinstance(e, Add):
-        return _add([_simp(c) for c in e.children])
-    if isinstance(e, Mul):
-        return _mul([_simp(c) for c in e.children])
-    if isinstance(e, Inv):
-        return _pow(_simp(e.child), -1)
-    if isinstance(e, Pow):
-        return _pow(_simp(e.child), e.exp)
-    if isinstance(e, Exp):
-        return _exp(_simp(e.arg))
-    if isinstance(e, RatSubst):
-        return _fn(RatFun.make(e.num, e.den), _simp(e.child))
-    raise TypeError(type(e))
+        out = _coord(e.var, e.fn) if e.fn.is_const() else e
+    elif isinstance(e, Add):
+        out = _add([_simp(c, memo) for c in e.children])
+    elif isinstance(e, Mul):
+        out = _mul([_simp(c, memo) for c in e.children])
+    elif isinstance(e, Inv):
+        out = _pow(_simp(e.child, memo), -1)
+    elif isinstance(e, Pow):
+        out = _pow(_simp(e.child, memo), e.exp)
+    elif isinstance(e, Exp):
+        out = _exp(_simp(e.arg, memo))
+    elif isinstance(e, RatSubst):
+        out = _fn(RatFun.make(e.num, e.den), _simp(e.child, memo))
+    else:
+        raise TypeError(type(e))
+    memo[e] = out
+    return out
 
 
 def _poly_eval_sym(p: tuple, v: Sym) -> Sym:
@@ -589,7 +644,8 @@ def _merge_function_groups(coeffs: dict, push) -> None:
     part as one RatSubst (or as inverse powers when its denominator is a
     power of t).  A power-1 term of a sum base is spliced back into the sum
     through `push`; it only holds bases nested inside this one, so the
-    rounds end.  A group already in this form splits into itself.
+    rounds end.  A group already in this form splits into itself; a group
+    of one proper RatSubst is the common case and is left as it is.
     """
     while True:
         groups: dict = {}
@@ -601,6 +657,8 @@ def _merge_function_groups(coeffs: dict, push) -> None:
         spilled = False
         for base, members in groups.items():
             if not any(isinstance(m, RatSubst) for m in members):
+                continue
+            if len(members) == 1 and _is_atom(members[0]):
                 continue
             total = RatFun.const(0)
             for m in members:
@@ -1032,10 +1090,14 @@ class WeylPoly:
         out = WeylPoly.zero()
         for (a, b), u in self.terms.items():
             for (c, d), v in o.terms.items():
+                uv = u * v
                 # y^b x^c = sum_k C(b,k) C(c,k) k! hbar^k x^(c-k) y^(b-k)
                 for k in range(min(b, c) + 1):
-                    coeff = Fraction(comb(b, k) * comb(c, k) * factorial(k))
-                    sym = (u * v).scale(coeff) * Sym.hbar(k)
+                    if k:
+                        coeff = Fraction(comb(b, k) * comb(c, k) * factorial(k))
+                        sym = uv * Sym((((("hbar", k),), coeff),))
+                    else:
+                        sym = uv
                     key = (a + c - k, b + d - k)
                     cur = out.terms.get(key, Sym.const(0)) + sym
                     if cur.is_zero():

@@ -4,22 +4,31 @@ Random trees over x and y with Scalar, Add, Mul and Pow nodes are read two
 ways that share no code with `simplify`/`expand`:
 - as Weyl-algebra elements (`WeylPoly`, whose product applies y x = x y + hbar);
 - as free noncommutative polynomials: a dict from words in x, y to scalars.
+
+Trees that reuse one subtree object are checked against a copy that shares
+no node, because `simplify` rebuilds each distinct subtree once and nodes
+cache their hashes.
 """
 
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trq.algebra import RatFun
 from trq.operators import (
     X0,
     Y0,
     Add,
+    CoordMul,
     Exp,
     Gen,
     Inv,
     Mul,
     OperatorError,
+    OpExpr,
     Pow,
     RatSubst,
     Scalar,
@@ -29,6 +38,7 @@ from trq.operators import (
     Y,
     expand,
     hb,
+    op_text,
     sc,
     simplify,
     sub,
@@ -153,6 +163,54 @@ def is_flat(e) -> bool:
     )
 
 
+def fresh(v):
+    """A structurally equal copy of v that shares no node or scalar object with it."""
+    if isinstance(v, (OpExpr, Sym)):
+        return type(v)(*(fresh(getattr(v, f.name)) for f in fields(v)))
+    if isinstance(v, tuple):
+        return tuple(fresh(c) for c in v)
+    return v
+
+
+def plug(v, s):
+    """v with the one object s in place of every x."""
+    if isinstance(v, Gen) and v.kind == "x":
+        return s
+    if isinstance(v, OpExpr):
+        return type(v)(*(plug(getattr(v, f.name), s) for f in fields(v)))
+    if isinstance(v, tuple):
+        return tuple(plug(c, s) for c in v)
+    return v
+
+
+def nodes(e):
+    """Every node object of a tree, once per occurrence."""
+    yield e
+    for f in fields(e):
+        v = getattr(e, f.name)
+        for c in v if isinstance(v, tuple) else (v,):
+            if isinstance(c, OpExpr):
+                yield from nodes(c)
+
+
+def outcome(f, e):
+    """f(e) and its text, or the type of the error f raises."""
+    try:
+        out = f(e)
+    except (OperatorError, ZeroDivisionError) as err:
+        return type(err)
+    return out, op_text(out)
+
+
+# a rich tree with one subtree object plugged in at every x, at least twice
+_shared_tree = st.builds(lambda t, s: plug(Add((t, Mul((X, Pow(X, 2))))), s), _rich_tree, _rich_tree)
+
+_COORD = CoordMul("z", RatFun.make((F(1), F(2)), (F(0), F(1))))
+_hashed_tree = st.recursive(
+    st.one_of(st.sampled_from((X, Y, X0, Y0, _COORD)), _scalar_st()), _extend_rich, max_leaves=7
+)
+
+
 class TestCanonicalForm:
     @_PROPERTY
     @given(_tree)
@@ -203,6 +261,52 @@ class TestCanonicalForm:
         assert expand(sub(e, from_free(free(e)))) == sc(0)
 
 
+class TestSharingAndHashing:
+    @_PROPERTY
+    @given(_shared_tree)
+    def test_shared_subtrees_give_the_result_of_an_unshared_copy(self, e):
+        copy = fresh(e)
+        ids = [id(n) for n in nodes(e)]
+        assert len(set(ids)) < len(ids)
+        copy_ids = {id(n) for n in nodes(copy)}
+        assert len(copy_ids) == len(ids) and not copy_ids & set(ids)
+        assert outcome(simplify, e) == outcome(simplify, copy)
+        assert outcome(expand, e) == outcome(expand, copy)
+
+    @_PROPERTY
+    @given(_hashed_tree)
+    def test_equal_trees_hash_equal_before_and_after_caching(self, e):
+        a, b = fresh(e), fresh(e)
+        assert {a: "a"}[b] == "a"
+        c, d = fresh(e), fresh(e)
+        h = hash(c)
+        assert all(n._hash is not None for n in nodes(c))
+        assert all(n._hash is None for n in nodes(d))
+        assert hash(d) == h
+        assert hash(c) == hash(d) == h
+        assert {d: "d"}[c] == "d" and {c: "c"}[d] == "c"
+
+    @pytest.mark.parametrize(
+        "obj, name",
+        [
+            (Sym.const(2), "terms"),
+            (sc(2), "value"),
+            (Gen("y", "dual"), "side"),
+            (_COORD, "fn"),
+            (Add((X, Y)), "children"),
+            (Mul((X, Y)), "children"),
+            (Inv(Y), "child"),
+            (Pow(Y, 2), "exp"),
+            (Exp(X), "arg"),
+            (RatSubst((F(1),), (F(1), F(1)), Y), "den"),
+        ],
+    )
+    def test_fields_stay_frozen_after_hashing(self, obj, name):
+        hash(obj)
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+
+
 class TestExpand:
     def test_power_of_a_product_is_multiplied_out(self):
         assert expand(sub(Pow(Mul((X, Y)), 2), Mul((X, Y, X, Y)))) == sc(0)
@@ -240,6 +344,29 @@ class TestFunctionGroups:
         assert simplify(s) == s
         merged = RatSubst((F(3), F(2)), (F(2), F(3), F(1)), Y)
         assert s == simplify(Add((X, sc(-1), RatSubst((F(1),), (F(1), F(1)), inner), merged)))
+
+
+    def test_lone_proper_ratsubst_in_a_sum_is_unchanged(self):
+        # 3/(y + 1) beside x and y0 is already split
+        e = Add((X, Y0, Mul((sc(3), RatSubst((F(1),), (F(1), F(1)), Y)))))
+        assert simplify(e) == e
+        assert expand(e) == e
+
+    def test_lone_ratsubst_over_a_power_of_t_splits_into_inverse_powers(self):
+        # (t + 2)/t^2 = 1/t + 2/t^2 at t = y
+        e = simplify(Add((X, RatSubst((F(2), F(1)), (F(0), F(0), F(1)), Y))))
+        assert e == Add((X, Inv(Y), Mul((sc(2), Inv(Pow(Y, 2))))))
+        assert not any(isinstance(n, RatSubst) for n in nodes(e))
+
+    def test_lone_improper_ratsubst_splits_off_its_polynomial_part(self):
+        # (t^2 + 1)/(t + 1) = t - 1 + 2/(t + 1) at t = y
+        e = simplify(Add((X, RatSubst((F(1), F(0), F(1)), (F(1), F(1)), Y))))
+        assert e == Add((X, Y, Mul((sc(2), RatSubst((F(1),), (F(1), F(1)), Y))), sc(-1)))
+
+    def test_two_ratsubst_members_of_one_base_merge(self):
+        # 1/(y + 1) + 1/(y + 2) = (2y + 3)/(y^2 + 3y + 2)
+        e = simplify(Add((X, RatSubst((F(1),), (F(1), F(1)), Y), RatSubst((F(1),), (F(2), F(1)), Y))))
+        assert e == Add((X, Mul((sc(2), RatSubst((F(3, 2), F(1)), (F(2), F(3), F(1)), Y)))))
 
 
 class TestSignsInFactorPosition:
