@@ -134,23 +134,27 @@ def _y_type_at(curve: SpectralCurve, p: Fraction) -> str:
 
 def galois_series(curve: SpectralCurve, p: RamPoint, order: int) -> LocalSeries:
     """Local deck transformation sigma(t) = -t + c2 t^2 + ... at a simple
-    ramification point, solved degree by degree on x(p+sigma) = x(p+t)."""
+    ramification point, exact to t^order: the root of u(sigma) = u(t), with
+    u(t) = x(p+t) - x(p), by Newton iteration from sigma = -t.  A step
+    sigma <- sigma - (u(sigma) - u(t))/u'(sigma) doubles the power of t to
+    which sigma is exact."""
     if p.order != 1:
         raise CurveError(
             f"ramification order {p.order + 1} at {p.location}: only simple branching is supported"
         )
     u = curve.x_series(p.location, order + 1)
-    a2 = u.coeff(2)
-    if u.coeff(1) != 0 or a2 == 0:
+    if u.coeff(1) != 0 or u.coeff(2) == 0:
         raise CurveError(f"x does not branch quadratically at {p.location}")
-    sigma = LocalSeries.make(p.location, {1: Fraction(-1)}, order)
-    for m in range(3, order + 2):
-        r = (u.compose(sigma.truncate(order)) - u).truncate(m)
-        rm = r.coeffs.get(m, Fraction(0))
-        if rm:
-            # u(sigma) gains -2*a2*c_{m-1} t^m from the correction
-            c = rm / (2 * a2)
-            sigma = sigma + LocalSeries.make(p.location, {m - 1: c}, order)
+    du = u.derivative()
+    sigma = LocalSeries.make(p.location, {1: -1}, 1)
+    while sigma.trunc < order:
+        k = min(2 * sigma.trunc, order)
+        # u(s) to t^(k+1) reads s only to t^k, since u starts at t^2; the
+        # residual starts at t^(sigma.trunc+2), so the quotient is exact to t^k
+        s = LocalSeries(sigma.coeffs, k + 1, p.location)
+        uk = u.truncate(k + 1)
+        step = (uk.compose(s) - uk) * du.truncate(k).compose(s).invert()
+        sigma = (s - step).truncate(k)
     return sigma
 
 

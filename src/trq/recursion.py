@@ -14,11 +14,21 @@ entries: the A/B/C/D form of topological recursion
 the second summand as a virtual differential over the slots (p, m+2), and
 the first as one table entry for its value at (t, sigma(t)).
 
+Inside a run (`_Run`) a pole point is a small int, its slot id: the
+ramification points first, then the vital points.  Every table, every
+accumulator and every omega the steps read back is keyed by (id, k), so no
+step hashes a Fraction.  Each omega is published once, as a
+`PoleDifferential` keyed by (point, k), and the id-keyed copies end with
+the run.
+
 omega_{g,n} has poles of order at most 6g-4+2n at a simple ramification
 point (Eynard-Orantin).  The series windows of a run follow from this
 bound, every computed omega is checked against it, and a residue that
-would read past a known window raises.  The logarithmic correction adds
-principal parts at the vital points of dy to every omega_{g,1}.
+would read past a known window raises.  Every omega is also checked to be
+symmetric, in one pass: the terms are grouped by their sorted key, and a
+group must hold every distinct permutation of it with one coefficient.
+The logarithmic correction adds principal parts at the vital points of dy
+to every omega_{g,1}.
 """
 
 from __future__ import annotations
@@ -26,7 +36,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from itertools import groupby
+from math import comb, factorial, prod
 
 from .algebra import LocalSeries, RatFun, series_at
 from .algebra import poly as P
@@ -77,15 +88,25 @@ class PoleDifferential:
         return isinstance(o, PoleDifferential) and (self.g, self.n) == (o.g, o.n) and self.terms == o.terms
 
     def is_symmetric(self) -> bool:
-        """Invariance under every transposition of slots."""
+        """Invariance under every transposition of slots: the terms with one
+        sorted key hold all its distinct permutations, with one coefficient.
+        A zero coefficient counts as an absent term."""
+        groups: dict = {}  # sorted key -> [coefficient, terms seen]
         for key, v in self.terms.items():
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    kk = list(key)
-                    kk[i], kk[j] = kk[j], kk[i]
-                    if self.terms.get(tuple(kk), Fraction(0)) != v:
-                        return False
-        return True
+            if not v:
+                continue
+            s = tuple(sorted(key))
+            got = groups.get(s)
+            if got is None:
+                groups[s] = [v, 1]
+            elif got[0] != v:
+                return False
+            else:
+                got[1] += 1
+        return all(
+            seen == factorial(len(s)) // prod(factorial(len(list(same))) for _e, same in groupby(s))
+            for s, (_v, seen) in groups.items()
+        )
 
     def pole_points(self) -> set:
         return {p for key in self.terms for p, _k in key}
@@ -109,8 +130,8 @@ class OmegaStore:
     curve: SpectralCurve
     omegas: dict = field(default_factory=dict)  # (g, n) -> PoleDifferential
     chi_max: int = 0
-    # residue tables of each ramification point while run_tr runs
-    ram_tables: list | None = field(default=None, repr=False, compare=False)
+    # slot ids, residue tables and id-keyed omegas while run_tr runs
+    run: _Run | None = field(default=None, repr=False, compare=False)
 
     def get(self, g: int, n: int) -> PoleDifferential:
         try:
@@ -182,14 +203,17 @@ def _y_diff_series(curve: SpectralCurve, p: Fraction, sigma: LocalSeries, order:
 class _Branch:
     """Residue tables at one simple ramification point p, for one run.
 
-    A slot (a, k) is dz/(z-a)^k; the virtual slot (p, -m) of omega_{0,2} is
-    (z-p)^m dz.  entry(e1, e2) lists (m, Res_t E_m D s_e1(t) s_e2(sigma t)
-    sigma'(t)) with E_m = (t^m - sigma^m)/2 and the kernel
-    D = 1/((y(t) - y(sigma t)) x'(t)); the output slot is (p, m+1).
+    A slot (a, k) is dz/(z-a)^k, with a the slot id of the point points[a];
+    the virtual slot (id of p, -m) of omega_{0,2} is (z-p)^m dz.
+    entry(e1, e2) lists (m, Res_t E_m D s_e1(t) s_e2(sigma t) sigma'(t))
+    with E_m = (t^m - sigma^m)/2 and the kernel
+    D = 1/((y(t) - y(sigma t)) x'(t)); the output slot is (id of p, m+1).
     """
 
-    def __init__(self, curve: SpectralCurve, ram: RamPoint, window: int):
+    def __init__(self, curve: SpectralCurve, ram: RamPoint, window: int, points: list):
         p = self.p = ram.location
+        self.points = points  # slot id -> point, shared with the run
+        pid = self.id = points.index(p)
         self.order = order = window + 3  # D is exact to t^(order-3), E_m D must reach t^(window-1)
         self.sigma = sigma = galois_series(curve, ram, order)
         self.sig_d = sigma.derivative()
@@ -203,7 +227,9 @@ class _Branch:
             self.kernel.append(em * D)
         # omega_{0,2}(z, p+t) = sum_m (m+1) dz/(z-p)^{m+2} t^m dt; a partner slot of
         # pole order k at p pairs with t^m only for m <= k <= window
-        self.bergman = {((p, m + 2), (p, -m)): Fraction(m + 1) for m in range(window + 1)}
+        self.bergman = {((pid, m + 2), (pid, -m)): Fraction(m + 1) for m in range(window + 1)}
+        # the output slot (p, m+1) of each m, shared by every output key
+        self.heads = [((pid, m + 1),) for m in range(window + 2)]
         # omega_{0,2}(p+t, p+sigma(t)) = sigma'(t) dt^2 / (t - sigma(t))^2
         self.diagonal = self._residues(0, (LocalSeries.make(p, {1: 1}, order) - sigma).pow(-2) * self.sig_d)
         self.powers: dict = {}   # (a, k > 0) -> [1, b, b^2, ...] for the base b of slots at sigma(t)
@@ -215,10 +241,10 @@ class _Branch:
         if got is None:
             a, k = e1
             s2 = self._slot_at_sigma(e2)
-            if a == self.p:
+            if a == self.id:
                 got = self._residues(-k, s2)
             else:
-                c, n = self.p - a, self.order
+                c, n = self.p - self.points[a], self.order
                 s1 = LocalSeries.make(self.p, {j: (-1) ** j * comb(k + j - 1, j) / c ** (k + j) for j in range(n + 1)}, n)
                 got = self._residues(0, s1 * s2)
             # t <-> sigma(t) maps the residue of (e1, e2) to that of (e2, e1)
@@ -231,8 +257,8 @@ class _Branch:
             a, k = e
             pows = self.powers.get((a, k > 0))
             if pows is None:
-                if a != self.p:
-                    base = (LocalSeries.make(self.p, {0: self.p - a}, _BIG) + self.sigma).invert()
+                if a != self.id:
+                    base = (LocalSeries.make(self.p, {0: self.p - self.points[a]}, _BIG) + self.sigma).invert()
                 else:
                     base = self.sigma.invert() if k > 0 else self.sigma
                 pows = self.powers[(a, k > 0)] = [LocalSeries.make(self.p, {0: 1}, _BIG), base]
@@ -256,6 +282,39 @@ class _Branch:
         return tuple(out)
 
 
+class _Run:
+    """What one run of the recursion keeps: the point of each slot id, the
+    residue tables of each ramification point, and every omega computed so
+    far keyed by slot ids."""
+
+    def __init__(self, curve: SpectralCurve, rams: list, vital_pts: list, window: int):
+        # slot id -> point: the ramification points, then the vital points
+        self.points = points = [r.location for r in rams] + vital_pts
+        self.ids = {p: i for i, p in enumerate(points)}
+        self.branches = [_Branch(curve, r, window, points) for r in rams]
+        self.omegas: dict = {}  # (g, n) -> PoleDifferential keyed by slot ids
+        self.slots: dict = {}  # (id, k) -> (point, k), shared by the published keys
+
+    def to_ids(self, pd: PoleDifferential) -> PoleDifferential:
+        """pd keyed by slot ids; a point without an id gets the next one."""
+        ids = self.ids
+        for p in pd.pole_points() - ids.keys():
+            ids[p] = len(self.points)
+            self.points.append(p)
+        return PoleDifferential(pd.g, pd.n, {tuple([(ids[p], k) for p, k in key]): v for key, v in pd.terms.items()})
+
+    def publish(self, pd: PoleDifferential) -> PoleDifferential:
+        """pd keyed by (point, k) again."""
+        points, slots = self.points, self.slots
+        terms = {}
+        for key, v in pd.terms.items():
+            for e in key:
+                if e not in slots:
+                    slots[e] = (points[e[0]], e[1])
+            terms[tuple([slots[e] for e in key])] = v
+        return PoleDifferential(pd.g, pd.n, terms)
+
+
 # ---------------------------------------------------------------------------
 # the recursion step
 
@@ -264,22 +323,23 @@ def tr_step(curve: SpectralCurve, store: OmegaStore, g: int, n: int) -> PoleDiff
     """omega_{g,n} from the residue formula (no logarithmic correction)."""
     if 2 * g + n - 2 < 1:
         raise ValueError("tr_step only computes stable differentials")
-    tables = store.ram_tables
-    if tables is None:
-        window = _window(2 * g - 2 + n)
-        tables = [_Branch(curve, r, window) for r in find_ramification(curve)]
+    run = store.run
+    if run is None:
+        run = _Run(curve, find_ramification(curve), [], _window(2 * g - 2 + n))
+        run.omegas = {gn: run.to_ids(pd) for gn, pd in store.omegas.items()}
     acc: dict = {}
-    for br in tables:
-        _tr_step_at(store, g, n, br, acc)
-    return PoleDifferential(g, n, {key: v for key, v in acc.items() if v})
+    for br in run.branches:
+        _tr_step_at(run, g, n, br, acc)
+    pd = run.omegas[(g, n)] = PoleDifferential(g, n, {key: v for key, v in acc.items() if v})
+    return run.publish(pd)
 
 
-def _tr_step_at(store: OmegaStore, g: int, n: int, br: _Branch, acc: dict) -> None:
-    p = br.p
+def _tr_step_at(run: _Run, g: int, n: int, br: _Branch, acc: dict) -> None:
+    heads = br.heads
 
     def emit(key: tuple, c, residues: tuple) -> None:
         for m, r in residues:
-            out = ((p, m + 1),) + key
+            out = heads[m] + key
             acc[out] = acc.get(out, 0) + c * r
 
     # first summand: omega_{g-1,n+1}(t, sigma(t), I)
@@ -287,7 +347,7 @@ def _tr_step_at(store: OmegaStore, g: int, n: int, br: _Branch, acc: dict) -> No
         if (g - 1, n + 1) == (0, 2):
             emit((), 1, br.diagonal)
         else:
-            for key, v in store.get(g - 1, n + 1).terms.items():
+            for key, v in run.omegas[(g - 1, n + 1)].terms.items():
                 emit(key[2:], v, br.entry(key[0], key[1]))
 
     # second summand: omega_{g1}(t, I1) omega_{g2}(sigma(t), I2); t <-> sigma(t)
@@ -300,8 +360,8 @@ def _tr_step_at(store: OmegaStore, g: int, n: int, br: _Branch, acc: dict) -> No
             if split[0] > split[1]:
                 continue
             n1 = bin(mask).count("1") + 1
-            f1 = _factor(store, br, g1, n1)
-            f2 = f1 and _factor(store, br, g - g1, spect + 2 - n1)
+            f1 = _factor(run, br, g1, n1)
+            f2 = f1 and _factor(run, br, g - g1, spect + 2 - n1)
             if not f2:
                 continue
             where = [i for i in range(spect) if mask >> i & 1] + [i for i in range(spect) if not mask >> i & 1]
@@ -316,14 +376,14 @@ def _tr_step_at(store: OmegaStore, g: int, n: int, br: _Branch, acc: dict) -> No
                         emit(tuple([rest[i] for i in perm]), weight * v1 * v2, residues)
 
 
-def _factor(store: OmegaStore, br: _Branch, gi: int, ni: int) -> dict | None:
+def _factor(run: _Run, br: _Branch, gi: int, ni: int) -> dict | None:
     """Terms of omega_{gi,ni} with the last slot at t or sigma(t); None when
     unstable and absent."""
     if (gi, ni) == (0, 2):
         return br.bergman
     if 2 * gi + ni - 2 < 1:
         return None
-    return store.get(gi, ni).terms
+    return run.omegas[(gi, ni)].terms
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +448,12 @@ def run_tr(curve: SpectralCurve, chi_max: int) -> OmegaStore:
                 f"ramification of order {r.order + 1} at {r.location} is unsupported"
             )
     vital = find_logvital(curve)
-    vital_pts = {a for a, _ in vital}
-    ram_pts = {r.location for r in rams}
-    if vital_pts & ram_pts:
+    vital_pts = [a for a, _ in vital]
+    if set(vital_pts) & {r.location for r in rams}:
         raise RecursionError_("vital point coincides with a ramification point")
-    window = _window(chi_max)
-    store.ram_tables = [_Branch(curve, r, window) for r in rams]
+    run = store.run = _Run(curve, rams, vital_pts, _window(chi_max))
+    ram_ids = set(range(len(rams)))
+    vital_ids = set(range(len(rams), len(run.points)))
     for chi in range(1, chi_max + 1):
         for g in range(chi // 2 + 2):
             n = chi + 2 - 2 * g
@@ -401,22 +461,28 @@ def run_tr(curve: SpectralCurve, chi_max: int) -> OmegaStore:
                 continue
             pd = tr_step(curve, store, g, n)
             if n == 1 and g >= 1 and vital:
-                pd = pd + logtr_term(curve, g, vital)
-            _check_invariants(pd, ram_pts, vital_pts)
+                corr = logtr_term(curve, g, vital)
+                pd = pd + corr
+                run.omegas[(g, n)] = run.omegas[(g, n)] + run.to_ids(corr)
+            _check_invariants(run.omegas[(g, n)], ram_ids, vital_ids, run.points)
             store.omegas[(g, n)] = pd
-    store.ram_tables = None
+    store.run = None
     return store
 
 
-def _check_invariants(pd: PoleDifferential, ram_pts: set, vital_pts: set) -> None:
+def _check_invariants(pd: PoleDifferential, ram_ids: set, vital_ids: set, points: list) -> None:
+    """pd is keyed by slot ids; the messages name the points."""
     if pd.min_order() < 2:
         raise RecursionError_(f"omega_({pd.g},{pd.n}) has a residue term")
-    allowed = ram_pts | (vital_pts if pd.n == 1 else set())
+    allowed = ram_ids | (vital_ids if pd.n == 1 else set())
     bad = pd.pole_points() - allowed
     if bad:
-        raise RecursionError_(f"omega_({pd.g},{pd.n}) has poles outside {sorted(allowed)}: {sorted(bad)}")
+        raise RecursionError_(
+            f"omega_({pd.g},{pd.n}) has poles outside {sorted(points[a] for a in allowed)}: "
+            f"{sorted(points[a] for a in bad)}"
+        )
     bound = _pole_bound(pd.g, pd.n)
-    if any(k > bound for key in pd.terms for p, k in key if p in ram_pts):
+    if any(k > bound for key in pd.terms for a, k in key if a in ram_ids):
         raise RecursionError_(f"omega_({pd.g},{pd.n}) has a pole of order above {bound}")
     if not pd.is_symmetric():
         raise RecursionError_(f"omega_({pd.g},{pd.n}) is not symmetric")

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from trq.algebra import INF, LogRat, RatFun
+from trq.algebra import INF, LocalSeries, LogRat, RatFun
 from trq.algebra import poly as P
 from trq.curve import (
     CurveError,
@@ -65,14 +65,35 @@ class TestGalois:
         assert s.coeffs == {1: F(-1)}
 
     def test_perturbed_quadratic(self):
-        # x = z^2 + z^3 at 0: solve by the substitution oracle degree by degree
+        # x = z^2 + z^3 at 0: sigma exact to t^6 makes u(sigma) - u(t) vanish
+        # through t^7, which reads sigma only to t^6
         c = curve(LogRat.from_ratfun(RatFun.make(P.poly([0, 0, 1, 1]))), lr([0, 1]))
         p = next(r for r in find_ramification(c) if r.location == 0)
         s = galois_series(c, p, 6)
         u = c.x_series(F(0), 8)
-        resid = u.compose(s) - u
-        assert all(v == 0 for k, v in resid.coeffs.items() if k <= 7)
+        resid = u.compose(LocalSeries(s.coeffs, 7, s.point)) - u
+        assert resid.trunc == 7 and all(v == 0 for k, v in resid.coeffs.items() if k <= 7)
         assert s.coeff(1) == -1
+
+    @pytest.mark.parametrize("xc", [[0, -3, 0, 1], [0, 0, 1, 1]])
+    @pytest.mark.parametrize("n", [2, 3, 6, 10])
+    def test_exact_to_truncation(self, xc, n):
+        c = curve(lr(xc), lr([0, 1]))
+        for p in find_ramification(c):
+            s = galois_series(c, p, n)
+            assert s.trunc == n
+            assert s == galois_series(c, p, n + 4).truncate(n)
+            u = c.x_series(p.location, n + 1)
+            resid = u.compose(LocalSeries(s.coeffs, n + 1, s.point)) - u
+            assert resid.trunc == n + 1 and resid.is_zero(), (p.location, resid)
+
+    def test_cubic_top_coefficients(self):
+        # x = z^3 - 3z: sigma o sigma = t forces c3 = -c2^2, and z -> -z
+        # flips the sign of every even coefficient
+        c = curve(lr([0, -3, 0, 1]), lr([0, 1]))
+        for p in find_ramification(c):
+            assert galois_series(c, p, 3).coeff(3) == F(-1, 9)
+            assert galois_series(c, p, 10).coeff(10) == -p.location * F(323, 19683)
 
     def test_involution_property(self):
         c = curve(LogRat.from_ratfun(RatFun.make(P.poly([0, -1, 0, F(1, 3)]))), lr([0, 1]))

@@ -16,6 +16,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trq.algebra import LogRat, RatFun
 from trq.algebra import poly as P
@@ -40,6 +42,12 @@ def mk(xc, yc, name="c", **kw):
 
 def airy(**kw):
     return mk([0, 0, 1], [0, 1], "airy", **kw)
+
+
+def vital_curve():
+    # x = z^2, y = z + log(1 - z/2): a vital point at 2
+    y = LogRat.make(RatFun.var(), [(1, RatFun.make(P.poly([1, F(-1, 2)])))])
+    return SpectralCurve("logc", LogRat.from_ratfun(RatFun.make(P.poly([0, 0, 1]))), y)
 
 
 def bessel():
@@ -146,14 +154,35 @@ def _golden_cases():
     return [(name, int(chi), digest) for name, d in golden["omega_sha256"].items() for chi, digest in d.items()]
 
 
+def _digest(store: OmegaStore) -> str:
+    return hashlib.sha256(store.to_json().encode()).hexdigest()
+
+
 class TestGoldenDigests:
-    """Stores hash to the digests recorded for the benchmark's unsheared curves."""
+    """Stores hash to recorded digests: those of the benchmark's unsheared
+    curves, and three beyond its sizes (Airy and the cubic at larger chi, and
+    a curve with a vital point), recorded at commit d43db26."""
 
     @pytest.mark.parametrize("name,chi,digest", _golden_cases())
     def test_store_digest(self, name, chi, digest):
         xc = {"airy": [0, 0, 1], "cubic": [0, -3, 0, 1]}[name]
         curve = mk(xc, [0, 1], name)
-        assert hashlib.sha256(run_tr(curve, chi).to_json().encode()).hexdigest() == digest
+        assert _digest(run_tr(curve, chi)) == digest
+
+    def test_airy_chi6(self):
+        digest = "3a1e97aee48286bd91668849be55735a7d86d325e2e02f2dc97f8b05c36f7973"
+        assert _digest(run_tr(airy(), 6)) == digest
+
+    def test_cubic_chi4(self):
+        digest = "f93037664aa632e7ea76d2c4fc6ea8affc9cec6901e89c89bbb17f995b409b8d"
+        assert _digest(run_tr(mk([0, -3, 0, 1], [0, 1], "cubic"), 4)) == digest
+
+    def test_vital_point_chi4(self):
+        # every omega_{g,1} has poles at the vital point; later steps read
+        # these slots back, at a point that is not the ramification point
+        store = run_tr(vital_curve(), 4)
+        assert all(F(2) in store.get(g, 1).pole_points() for g in (1, 2))
+        assert _digest(store) == "51dca4279135268d39640dddcfc66810d9658823423b267f9027554e6683876a"
 
 
 class TestPoleBound:
@@ -172,9 +201,20 @@ class TestPoleBound:
                 assert top == 6 * g - 4 + 2 * n, (g, n)
 
     def test_invariants_reject_a_pole_above_the_bound(self):
-        pd = PoleDifferential(0, 3, {((F(0), 4),) * 3: F(1)})
+        pd = PoleDifferential(0, 3, {((0, 4),) * 3: F(1)})
         with pytest.raises(RecursionError_, match="above 2"):
-            _check_invariants(pd, {F(0)}, set())
+            _check_invariants(pd, {0}, set(), [F(0)])
+
+    def test_invariants_name_the_points(self):
+        # slot ids 0 and 1 stand for the points 0 and 3
+        pd = PoleDifferential(0, 3, {((0, 2), (0, 2), (1, 2)): F(1)})
+        with pytest.raises(RecursionError_, match=r"poles outside \[Fraction\(0, 1\)\]: \[Fraction\(3, 1\)\]"):
+            _check_invariants(pd, {0}, set(), [F(0), F(3)])
+
+    def test_invariants_reject_an_asymmetric_omega(self):
+        pd = PoleDifferential(1, 2, {((0, 2), (0, 4)): F(1)})
+        with pytest.raises(RecursionError_, match="not symmetric"):
+            _check_invariants(pd, {0}, set(), [F(0)])
 
     def test_entries_symmetric(self):
         # a slot pair's residue is unchanged by t <-> sigma(t), which the
@@ -182,10 +222,73 @@ class TestPoleBound:
         curve = mk([0, -3, 0, 1], [0, 1, 1])
         for ram in find_ramification(curve):
             p = ram.location
-            slots = [(p, 2), (p, 5), (-p, 3), (p, 0), (p, -2), (F(5), 2)]
-            one, other = _Branch(curve, ram, _window(3)), _Branch(curve, ram, _window(3))
+            points = [p, -p, F(5)]  # slot ids 0, 1 and 2; 5 is a foreign point
+            slots = [(0, 2), (0, 5), (1, 3), (0, 0), (0, -2), (2, 2)]
+            one, other = (_Branch(curve, ram, _window(3), points) for _ in range(2))
             for e1, e2 in itertools.combinations(slots, 2):
                 assert one.entry(e1, e2) == other.entry(e2, e1), (e1, e2)
+
+
+def _symmetric_by_transpositions(pd: PoleDifferential) -> bool:
+    """The definition: invariance under every transposition of slots, a
+    zero coefficient counting as an absent term."""
+    for key, v in pd.terms.items():
+        for i in range(pd.n):
+            for j in range(i + 1, pd.n):
+                kk = list(key)
+                kk[i], kk[j] = kk[j], kk[i]
+                if pd.terms.get(tuple(kk), F(0)) != v:
+                    return False
+    return True
+
+
+@st.composite
+def _near_symmetric(draw):
+    """An omega that is symmetric, or nearly: every permutation of a few
+    sorted keys with one coefficient each, then possibly one permutation
+    dropped, one coefficient changed or one set to an explicit zero."""
+    n = draw(st.integers(1, 4))
+    points = draw(st.sampled_from([(0, 1), (F(0), F(1, 2))]))
+    slot = st.tuples(st.sampled_from(points), st.sampled_from((2, 3)))
+    terms = {}
+    for base in draw(st.lists(st.lists(slot, min_size=n, max_size=n), min_size=1, max_size=3)):
+        v = F(draw(st.integers(-2, 2)))
+        for key in itertools.permutations(base):
+            terms[key] = v
+    keys = sorted(terms)
+    how = draw(st.sampled_from(("none", "drop", "change", "zero")))
+    if how != "none":
+        key = draw(st.sampled_from(keys))
+        if how == "drop":
+            del terms[key]
+        else:
+            terms[key] = terms[key] + 1 if how == "change" else F(0)
+    return PoleDifferential(0, n, terms)
+
+
+class TestSymmetryCheck:
+    """The one-pass check against the transposition definition."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_near_symmetric())
+    def test_against_transpositions(self, pd):
+        assert pd.is_symmetric() == _symmetric_by_transpositions(pd)
+
+    @pytest.mark.parametrize("points", [(0, 1, 2), (F(0), F(1, 2), F(2))])
+    def test_cases(self, points):
+        a, b, c = ((p, 2) for p in points)
+        full = {key: F(3) for key in itertools.permutations((a, b, c))}
+        assert PoleDifferential(0, 3, full).is_symmetric()
+        missing = {k: v for k, v in full.items() if k != (a, b, c)}
+        unequal = full | {(a, b, c): F(4)}
+        zero = full | {(a, b, c): F(0)}
+        repeated = {(a, a, b): F(1), (a, b, a): F(1)}
+        for terms in (missing, unequal, zero, repeated):
+            pd = PoleDifferential(0, 3, terms)
+            assert not pd.is_symmetric() and not _symmetric_by_transpositions(pd)
+        # an explicit zero is an absent term, on either side
+        pd = PoleDifferential(0, 3, repeated | {(b, a, a): F(1), (b, b, a): F(0)})
+        assert pd.is_symmetric() and _symmetric_by_transpositions(pd)
 
 
 class TestBessel:
@@ -288,6 +391,11 @@ class TestLogTR:
         for (g, n), pd in st.omegas.items():
             if n >= 2:
                 assert pd.is_zero(), (g, n)
+
+    def test_tr_step_outside_run_tr_reads_vital_points(self):
+        st, ref = run_tr(vital_curve(), 2), run_tr(vital_curve(), 3)
+        for g, n in ((0, 5), (1, 3)):
+            assert tr_step(vital_curve(), st, g, n) == ref.get(g, n), (g, n)
 
     def test_no_vital_points_zero(self):
         assert logtr_term(airy(), 1).is_zero()
