@@ -100,18 +100,12 @@ def find_ramification(curve: SpectralCurve) -> list[RamPoint]:
                 f"{P.to_str(leftover)} (declare ramification points explicitly)"
             )
         locs = [(p, m) for p, m in roots if _form_order(dx, p) >= 1]
-    if _dx_zero_at_infinity(curve):
+    if _form_order(dx, INF) >= 1:
         raise CurveError("dx vanishes at infinity; ramification at infinity is unsupported")
     out = []
     for p, m in locs:
         out.append(RamPoint(p, m, _y_type_at(curve, p)))
     return out
-
-
-def _dx_zero_at_infinity(curve: SpectralCurve) -> bool:
-    dx = curve.dx
-    d = P.degree(dx.num) - P.degree(dx.den)
-    return -d - 2 >= 1
 
 
 def _y_type_at(curve: SpectralCurve, p: Fraction) -> str:

@@ -144,10 +144,9 @@ def pq_dual_operator(p: P.Poly, q: P.Poly, side: str = "dual") -> OpExpr:
 
 def property_suite(res: FixtureResult, wave: WaveData, order: int) -> None:
     """Commutators, inverse soundness, shift group law on given wave data."""
-    has_main = wave.y_main is not None
-    has_base = wave.y0_main is not None
-    main_rational = has_main and not wave.x_main.has_logs() and not wave.y_main.has_logs()
-    base_rational = has_base and not wave.x_base.has_logs() and not wave.y0_main.has_logs()
+    has_main, has_base = "z" in wave.y, "w" in wave.y
+    main_rational = has_main and not wave.x["z"].has_logs() and not wave.y["z"].has_logs()
+    base_rational = has_base and not wave.x["w"].has_logs() and not wave.y["w"].has_logs()
     if main_rational:
         com = sub(Mul((Y, X)), Mul((X, Y)))
         rep = check_annihilation(sub(com, hb()), wave, order)
@@ -171,11 +170,11 @@ def property_suite(res: FixtureResult, wave: WaveData, order: int) -> None:
             inv = apply_inverse(inner, target, wave)
             back = evaluate_operator_on(inner, inv, wave)
             res.record("inverse soundness", _sym_diff_zero(back, target))
-    if has_main and has_base and wave.y_tail is not None and wave.y0_tail is not None:
+    if has_main and has_base:
         ok = True
-        for j, v in wave.y_tail.coeffs.items():
+        for j, v in wave.tail["z"].coeffs.items():
             mirror = v.swap() if j % 2 == 0 else -v.swap()
-            if wave.y0_tail.coeffs.get(j, Rf2.const(0)) != mirror:
+            if wave.tail["w"].coeffs.get(j, Rf2.const(0)) != mirror:
                 ok = False
         res.record("base-swap parity of streams", ok)
 
@@ -640,7 +639,7 @@ def fixture_gentr_airy(order: int = 6, fast: bool = False) -> FixtureResult:
     res.record("explicit operator with hbar and hbar^2 corrections annihilates", rep.passed, rep.summary())
     # exactness: the symbol terminates, so passing at this order is an
     # all-orders statement; assert the streams are hbar-finite
-    res.record("wave streams terminate at hbar^1", all(k <= 1 for k in wave.y0_tail.coeffs))
+    res.record("wave streams terminate at hbar^1", all(k <= 1 for k in wave.tail["w"].coeffs))
 
     # dual side at the doubly singular base: build the wave data by a
     # one-variable formal Gaussian transform of the regularized psi
@@ -712,7 +711,7 @@ def fixture_rs_curve(r: int, order: int = 6, fast: bool = False) -> FixtureResul
     wave = build_wave_data(store, ("base", INF), order)
     # streams fix the regularized psi: Y0 = w^r - (hbar/4) w^2
     expect_tail = Rf2.from_ratfun_w(RatFun.make(P.poly([0, 0, Fraction(-1, 4)])))
-    res.record("regularized (0,2) stream equals -w^2/4 hbar", wave.y0_tail.coeff(1) == expect_tail)
+    res.record("regularized (0,2) stream equals -w^2/4 hbar", wave.tail["w"].coeff(1) == expect_tail)
     w_r = RatFun.make(P.poly([0] * r + [1]))
     w_2 = RatFun.make(P.poly([0, 0, 1]))
     u_op = CoordMul("z0", w_r)        # (x0)^{-r/2} via the pullback w^r

@@ -164,23 +164,6 @@ class Sym:
             out = out * self
         return out
 
-    def subs(self, values: dict) -> "Sym":
-        """Substitute rational values for named parameters (hbar kept)."""
-        d: dict = {}
-        for m, c in self.terms:
-            keep = []
-            for n, e in m:
-                if n in values:
-                    v = Fraction(values[n])
-                    if v == 0 and e < 0:
-                        raise ZeroDivisionError(f"parameter {n} = 0 raised to {e}")
-                    c = c * v**e
-                else:
-                    keep.append((n, e))
-            key = tuple(keep)
-            d[key] = d.get(key, Fraction(0)) + c
-        return Sym.make(d)
-
     def hbar_coefficients(self) -> dict:
         """hbar exponent -> Fraction; requires all parameters substituted."""
         out: dict = {}
@@ -909,11 +892,12 @@ def normal_order_mul_rule(e: OpExpr) -> OpExpr:
             kids = [walk(c) for c in node.children]
             for i in range(len(kids) - 1):
                 a, b = kids[i], kids[i + 1]
-                ka = _y_power(a)
-                if ka and _is_x_minus_h_over_y(b):
+                ka, side = _y_power(a), _side_of(a)
+                # x - hbar/y on the side of the y-power
+                if ka and b == simplify(sub(Gen("x", side), Mul((hb(), Inv(Gen("y", side)))))):
                     yk = ka - 1
-                    seq = ([Pow(Gen("y", _side_of(a)), yk)] if yk > 1 else ([Gen("y", _side_of(a))] if yk == 1 else []))
-                    repl = seq + [Gen("x", _side_of(a)), Gen("y", _side_of(a))]
+                    seq = ([Pow(Gen("y", side), yk)] if yk > 1 else ([Gen("y", side)] if yk == 1 else []))
+                    repl = seq + [Gen("x", side), Gen("y", side)]
                     return walk(simplify(Mul(tuple(kids[:i] + repl + kids[i + 2:]))))
             return Mul(tuple(kids))
         if isinstance(node, Add):
@@ -941,27 +925,6 @@ def _y_power(e: OpExpr) -> int:
     if isinstance(e, Pow) and isinstance(e.child, Gen) and e.child.kind == "y":
         return e.exp
     return 0
-
-
-def _is_x_minus_h_over_y(e: OpExpr) -> bool:
-    side = _gen_side(e)
-    return e == simplify(sub(Gen("x", side), Mul((hb(), Inv(Gen("y", side))))))
-
-
-def _gen_side(e: OpExpr) -> str:
-    # first generator side appearing in the expression
-    if isinstance(e, Gen):
-        return e.side
-    if isinstance(e, (Add, Mul)):
-        for c in e.children:
-            s = _gen_side(c)
-            if s is not None:
-                return s
-    if isinstance(e, (Inv, Exp)):
-        return _gen_side(e.child if isinstance(e, Inv) else e.arg)
-    if isinstance(e, Pow):
-        return _gen_side(e.child)
-    return ""
 
 
 def gaiotto_shift_identity(e: OpExpr) -> OpExpr:

@@ -1,16 +1,23 @@
 """Wave-function symbol engine.
 
-The wave function itself is never materialized: the engine stores the
-log-derivative streams Y = hbar d/dx log(psi) and Y0 = -hbar d/dx0 log(psi)
-and evaluates operators P through the ratio (P psi)/psi, a finite sum of
-terms (exponential prefactor) x (hbar-series of bivariate rationals).
-Annihilation holds when every merged prefactor class carries the zero
-series.
+The wave function psi(x, x0) has two live variables: the main coordinate z,
+on which y = hbar d/dx acts, and the base coordinate w, on which
+y0 = -hbar d/dx0 acts.  Either one may instead be frozen at a (singular)
+point.  psi itself is never materialized: for each live variable the engine
+stores the log-derivative stream, Y = hbar d/dx log(psi) or
+Y0 = -hbar d/dx0 log(psi), and evaluates operators P through the ratio
+(P psi)/psi, a finite sum of terms (exponential prefactor) x (hbar-series of
+bivariate rationals).  Annihilation holds when every merged prefactor class
+carries the zero series.
+
+Everything that tells z from w sits in the one table `_VARS`; every generator
+action, stream and (0,2) piece has one code path for both variables.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -136,15 +143,7 @@ def sym_unit(trunc: int) -> Symbol:
 
 
 def sym_insert(sym: Symbol, pref: Prefactor, series: HSeries) -> None:
-    if series.is_zero():
-        # keep the truncation information for honest zero results
-        k = pref.key()
-        if k not in sym:
-            sym[k] = (pref, series)
-        else:
-            old_p, old_s = sym[k]
-            sym[k] = (old_p, old_s + series)
-        return
+    # zero series are kept too: they carry the truncation of honest zero results
     k = pref.key()
     if k in sym:
         p0, s0 = sym[k]
@@ -196,6 +195,30 @@ def sym_is_zero(sym: Symbol) -> tuple[bool, object]:
 
 
 # ---------------------------------------------------------------------------
+# the two variables
+
+
+@dataclass(frozen=True)
+class _Var:
+    """What tells the main variable z from the base variable w."""
+
+    suffix: str                             # of the names x, y (Gen) and z (CoordMul)
+    sign: int                               # y = +hbar d/dx, y0 = -hbar d/dx0
+    lift: Callable[[RatFun], Rf2]           # a function of this variable as an Rf2
+    coord: Rf2
+    deriv: Callable[[Rf2], Rf2]
+    poly_lift: Callable[[P.Poly], P2.Poly2]
+
+
+_VARS = {
+    "z": _Var("", 1, Rf2.from_ratfun_z, Rf2.z(), Rf2.deriv_z, P2.from_z),
+    "w": _Var("0", -1, Rf2.from_ratfun_w, Rf2.w(), Rf2.deriv_w, P2.from_w),
+}
+# generator kind or CoordMul variable ("x", "y0", "z0", ...) -> variable
+_VAR_OF = {kind + v.suffix: var for var, v in _VARS.items() for kind in "xyz"}
+
+
+# ---------------------------------------------------------------------------
 # wave data
 
 
@@ -203,50 +226,36 @@ def sym_is_zero(sym: Symbol) -> tuple[bool, object]:
 class WaveData:
     """Log-derivative streams of the perturbative wave function.
 
-    mode "generic": two live variables (z and the base w); "main": base
-    point frozen (regularized), operators act on z only; "base": main
-    variable frozen, operators act on the base variable only.
+    The dicts are keyed by variable, "z" (main) or "w" (base).  `x[v]` is x
+    as a function of v.  A live variable v has a stream: `y[v]`, its hbar^0
+    part (a LogRat), and `tail[v]`, its hbar^1.. part (Rf2 coefficients).
+    Both variables are live at a generic base point; a frozen (regularized)
+    base point leaves only z live, a frozen main point only w.
     """
 
-    curve: SpectralCurve | None
-    mode: str
     trunc: int
-    # main-variable stream pieces
-    y_main: LogRat | None = None        # hbar^0 of Y, function of z
-    y_tail: HSeries | None = None       # hbar^1.. of Y, Rf2 coefficients
-    x_main: LogRat | None = None
-    # base-variable stream pieces (functions of w)
-    y0_main: LogRat | None = None
-    y0_tail: HSeries | None = None
-    x_base: LogRat | None = None
-    base_value: object = None           # frozen-base location (mode "main")
+    x: dict = field(default_factory=dict)
+    y: dict = field(default_factory=dict)
+    tail: dict = field(default_factory=dict)
     _dx_cache: dict = field(default_factory=dict)
 
     # --- derivative streams -------------------------------------------------
 
     def x_derivs(self, var: str, k: int) -> RatFun:
-        """k-th z-derivative of x (or of x as a function of the base var)."""
+        """k-th derivative of x as a function of `var`."""
         key = ("xd", var, k)
         if key not in self._dx_cache:
-            x = self.x_main if var == "z" else self.x_base
-            if k == 1:
-                self._dx_cache[key] = x.derivative()
-            else:
-                self._dx_cache[key] = self.x_derivs(var, k - 1).derivative()
+            prev = self.x[var] if k == 1 else self.x_derivs(var, k - 1)
+            self._dx_cache[key] = prev.derivative()
         return self._dx_cache[key]
 
     def xprime(self, var: str) -> Rf2:
-        f = self.x_derivs(var, 1)
-        return Rf2.from_ratfun_z(f) if var == "z" else Rf2.from_ratfun_w(f)
+        return _VARS[var].lift(self.x_derivs(var, 1))
 
     def y_stream(self, var: str) -> tuple[LogRat, HSeries]:
-        if var == "z":
-            if self.y_main is None:
-                raise WaveError("no main-variable stream in this wave data")
-            return self.y_main, self.y_tail
-        if self.y0_main is None:
-            raise WaveError("no base-variable stream in this wave data")
-        return self.y0_main, self.y0_tail
+        if var not in self.y:
+            raise WaveError(f"no stream of the variable {var} in this wave data")
+        return self.y[var], self.tail[var]
 
     def dY(self, var: str, k: int) -> tuple[object, HSeries]:
         """(d/dx)^k of the Y stream: (scalar part, tail series).
@@ -257,183 +266,126 @@ class WaveData:
         if key in self._dx_cache:
             return self._dx_cache[key]
         if k == 0:
-            main, tail = self.y_stream(var)
-            out = (main, tail)
+            out = self.y_stream(var)
         else:
+            v = _VARS[var]
             prev_main, prev_tail = self.dY(var, k - 1)
             xp = self.xprime(var)
-            if k == 1:
-                d = prev_main.derivative()  # LogRat derivative: RatFun
-                main = (Rf2.from_ratfun_z(d) if var == "z" else Rf2.from_ratfun_w(d)) / xp
-            else:
-                main = _deriv(prev_main, var) / xp
-            tail = prev_tail.map(lambda v: _deriv(v, var) / xp)
-            out = (main, tail)
+            # the derivative of a LogRat is a RatFun
+            main = v.lift(prev_main.derivative()) if k == 1 else v.deriv(prev_main)
+            out = (main / xp, prev_tail.map(lambda f: v.deriv(f) / xp))
         self._dx_cache[key] = out
         return out
-
-
-def _deriv(f: Rf2, var: str) -> Rf2:
-    return f.deriv_z() if var == "z" else f.deriv_w()
 
 
 # ---------------------------------------------------------------------------
 # building wave data from an omega store
 
 
-def _primitive_value(entry, at):
+def _primitive_value(entry, at) -> Rf2:
     """Antiderivative of 1/(u-p)^k evaluated at `at` ("z", "w", a rational,
     or INF); orders k >= 2 only, so the primitive is rational."""
     p, k = entry
     c = Fraction(-1, k - 1)
-    if at == "z":
-        return Rf2.const(c) / (Rf2.z() - Rf2.const(p)) ** (k - 1)
-    if at == "w":
-        return Rf2.const(c) / (Rf2.w() - Rf2.const(p)) ** (k - 1)
     if at == INF:
         return Rf2.const(0)
+    if at in _VARS:
+        return Rf2.const(c) / (_VARS[at].coord - Rf2.const(p)) ** (k - 1)
     return Rf2.const(c / (Fraction(at) - p) ** (k - 1))
 
 
-def _slot_factor(entry, var: str) -> Rf2:
-    p, k = entry
-    v = Rf2.z() if var == "z" else Rf2.w()
-    return Rf2.const(1) / (v - Rf2.const(p)) ** k
-
-
-def _h02_generic(curve: SpectralCurve) -> Rf2:
-    """Regularized (0,2) contribution to Y at a generic base point."""
-    if curve.x.has_logs():
-        raise WaveError("generic base point needs a rational x; use a singular base")
-    x = RatFun.make(curve.x.rat.num, curve.x.rat.den)
-    xp, xpp = x.derivative(), x.derivative().derivative()
-    xz = Rf2.from_ratfun_z(x)
-    xw = Rf2.from_ratfun_w(x)
-    xpz = Rf2.from_ratfun_z(xp)
-    diag = Rf2.from_ratfun_z(-xpp / (2 * xp))
-    bound = Rf2.const(-1) / (Rf2.z() - Rf2.w()) + xpz / (xz - xw)
-    return (diag + bound) / xpz
-
-
-def _x_diverges_at(x: LogRat, p0) -> bool:
-    for _c, arg in x.logs:
-        if p0 == INF:
-            if P.degree(arg) >= 1:
-                return True
-        elif P.evaluate(arg, Fraction(p0)) == 0:
-            return True
-    if p0 == INF:
-        return P.degree(x.rat.num) > P.degree(x.rat.den)
-    return P.evaluate(x.rat.den, Fraction(p0)) == 0
-
-
-def _x_value_at(x: LogRat, p0) -> Fraction:
-    for _c, arg in x.logs:
-        if p0 == INF:
-            raise WaveError("logarithm of x does not converge at infinity")
-        if P.evaluate(arg, Fraction(p0)) != 1:
-            raise WaveError(f"x has a transcendental value at the base point {p0}")
-    if x.const_logs:
-        raise WaveError("x has a transcendental constant term")
-    if p0 == INF:
-        if P.degree(x.rat.num) > P.degree(x.rat.den):
-            raise WaveError("x diverges at infinity")
-        if P.degree(x.rat.num) == P.degree(x.rat.den):
-            return x.rat.num[-1] / x.rat.den[-1]
-        return Fraction(0)
-    return x.rat.eval(Fraction(p0))
-
-
-def _h02_regularized(curve: SpectralCurve, p0, var: str) -> Rf2:
-    """Regularized (0,2) stream piece at a frozen point p0 of the OTHER
-    variable; result depends only on `var`."""
-    x = curve.x
-    xp = x.derivative()
-    xpp = xp.derivative()
-    lift = Rf2.from_ratfun_z if var == "z" else Rf2.from_ratfun_w
-    v = Rf2.z() if var == "z" else Rf2.w()
-    diag = lift(-xpp / (2 * xp))
-    if p0 == INF:
-        b1 = Rf2.const(0)
-    else:
-        b1 = Rf2.const(-1) / (v - Rf2.const(p0))
-    if _x_diverges_at(x, p0):
-        b2 = Rf2.const(0)
-    else:
-        x0v = _x_value_at(x, p0)
+def _x_at(x: LogRat, at) -> Rf2 | None:
+    """x at `at`: as a function of the coordinate "z" or "w", or its value at
+    a rational point or INF; None where x diverges."""
+    if at in _VARS:
         if x.has_logs():
-            raise WaveError("finite base value of a logarithmic x is transcendental")
-        b2 = lift(xp) / (lift(RatFun.make(x.rat.num, x.rat.den)) - Rf2.const(x0v))
-    return (diag + b1 + b2) / lift(xp)
+            raise WaveError("generic base point needs a rational x; use a singular base")
+        return _VARS[at].lift(x.rat)
+    num, den = x.rat.num, x.rat.den
+    if at == INF:
+        diverges = any(P.degree(arg) >= 1 for _c, arg in x.logs) or P.degree(num) > P.degree(den)
+    else:
+        at = Fraction(at)
+        diverges = any(P.evaluate(arg, at) == 0 for _c, arg in x.logs) or P.evaluate(den, at) == 0
+    if diverges:
+        return None
+    if x.has_logs():
+        raise WaveError("finite base value of a logarithmic x is transcendental")
+    if at == INF:
+        return Rf2.const(num[-1] / den[-1] if P.degree(num) == P.degree(den) else 0)
+    return Rf2.const(x.rat.eval(at))
+
+
+def _h02(curve: SpectralCurve, var: str, other) -> Rf2:
+    """Regularized (0,2) piece of the `var` stream at hbar^1, before the
+    generator sign.  `other` is the other coordinate at a generic base point,
+    or the point where the other variable is frozen."""
+    v = _VARS[var]
+    xp = v.lift(curve.dx)
+    total = v.lift(-curve.dx.derivative() / (2 * curve.dx))
+    if other != INF:
+        at = _VARS[other].coord if other in _VARS else Rf2.const(other)
+        total = total - Rf2.const(1) / (v.coord - at)
+    x_other = _x_at(curve.x, other)
+    if x_other is not None:
+        total = total + xp / (v.lift(curve.x.rat) - x_other)
+    return total / xp
 
 
 def build_wave_data(store: OmegaStore, base, trunc: int) -> WaveData:
-    """Assemble Y and Y0 streams from computed differentials.
+    """Assemble the streams of the live variables from computed differentials.
 
     `base` is "generic", or ("main", p0) for a frozen (regularized) base
     point p0, or ("base", pm) for a frozen main variable (the symbol then
     lives in the base variable only).
     """
-    curve = store.curve
     need = trunc - 1
     have = store.chi_max
     if need > have:
         raise WaveError(f"store covers chi <= {have}, order {trunc} needs chi <= {need}")
+    # the ends (upper, lower) of every integrated slot: a variable or a frozen point
     if base == "generic":
-        mode, frozen, live = "generic", None, ("z", "w")
+        ends = ("z", "w")
     elif base[0] == "main":
-        mode, frozen, live = "main", base[1], ("z",)
+        ends = ("z", base[1])
     elif base[0] == "base":
-        mode, frozen, live = "base", base[1], ("w",)
+        ends = (base[1], "w")
     else:
         raise WaveError(f"unknown base mode {base}")
-
-    wd = WaveData(curve, mode, trunc, x_main=curve.x, x_base=curve.x, base_value=frozen)
-
-    if "z" in live:
-        wd.y_main = curve.y
-        wd.y_tail = _assemble_tail(store, curve, "z", mode, frozen, trunc)
-    if "w" in live:
-        wd.y0_main = curve.y
-        wd.y0_tail = _assemble_tail(store, curve, "w", mode, frozen, trunc)
+    curve = store.curve
+    wd = WaveData(trunc, x={"z": curve.x, "w": curve.x})
+    for var, other in (ends, ends[::-1]):
+        if var in _VARS:
+            wd.y[var] = curve.y
+            wd.tail[var] = _assemble_tail(store, var, other, ends, trunc)
     return wd
 
 
-def _assemble_tail(store: OmegaStore, curve: SpectralCurve, var: str, mode: str, frozen, trunc: int) -> HSeries:
+def _assemble_tail(store: OmegaStore, var: str, other, ends: tuple, trunc: int) -> HSeries:
+    """hbar^1.. of the `var` stream; `other` as in `_h02`."""
+    v = _VARS[var]
     coeffs: dict = {}
 
-    def addc(j: int, v: Rf2) -> None:
+    def addc(j: int, f: Rf2) -> None:
         if j <= trunc:
-            coeffs[j] = coeffs.get(j, Rf2.const(0)) + v
+            coeffs[j] = coeffs.get(j, Rf2.const(0)) + f
 
-    # (0,2) piece at hbar^1
-    if mode == "generic":
-        h02 = _h02_generic(curve)
-        addc(1, h02 if var == "z" else -h02.swap())
-    else:
-        other_frozen = frozen
-        piece = _h02_regularized(curve, other_frozen, var)
-        addc(1, piece if var == "z" else -piece)
-    # stable pieces
-    lift = Rf2.from_ratfun_z if var == "z" else Rf2.from_ratfun_w
-    xp = lift(curve.dx)
+    h02 = _h02(store.curve, var, other)
+    addc(1, h02 if v.sign > 0 else -h02)
+    # stable pieces: the first slot at `var`, the others integrated between the ends
+    xp = v.lift(store.curve.dx)
     for (g, n), pd in sorted(store.omegas.items()):
         j = 2 * g + n - 1
         if j > trunc or pd.is_zero():
             continue
         fac = Fraction(1, math.factorial(n - 1))
         total = Rf2.const(0)
-        for key, v in pd.terms.items():
-            term = _slot_factor(key[0], var)
+        for key, c in pd.terms.items():
+            p, k = key[0]
+            term = Rf2.const(1) / (v.coord - Rf2.const(p)) ** k
             for e in key[1:]:
-                if mode == "generic":
-                    upper, lower = _primitive_value(e, "z"), _primitive_value(e, "w")
-                elif mode == "main":
-                    upper, lower = _primitive_value(e, "z"), _primitive_value(e, frozen)
-                else:  # frozen main point, live base variable
-                    upper, lower = _primitive_value(e, frozen), _primitive_value(e, "w")
-                term = term * (upper - lower)
-            total = total + term * v
+                term = term * (_primitive_value(e, ends[0]) - _primitive_value(e, ends[1]))
+            total = total + term * c
         if not total.is_zero():
             addc(j, total / xp * fac)
     return HSeries.make(coeffs, trunc)
@@ -441,34 +393,21 @@ def _assemble_tail(store: OmegaStore, curve: SpectralCurve, var: str, mode: str,
 
 def wave_from_streams(x: LogRat, y_main: LogRat, y_tail: HSeries, trunc: int, var: str = "z") -> WaveData:
     """Wave data from explicit streams (single live variable)."""
-    wd = WaveData(None, "main" if var == "z" else "base", trunc)
-    if var == "z":
-        wd.x_main, wd.y_main, wd.y_tail = x, y_main, y_tail
-    else:
-        wd.x_base, wd.y0_main, wd.y0_tail = x, y_main, y_tail
-    return wd
+    return WaveData(trunc, x={var: x}, y={var: y_main}, tail={var: y_tail})
 
 
 # ---------------------------------------------------------------------------
 # operator application
 
 
-def _lift(var: str):
-    return Rf2.from_ratfun_z if var == "z" else Rf2.from_ratfun_w
-
-
-def _poly_lift(arg: P.Poly, var: str) -> tuple:
-    p2 = P2.from_z(arg) if var == "z" else P2.from_w(arg)
-    return _canon_poly2(p2)
-
-
 def _lograt_exponent_data(f: LogRat, var: str, scale: Fraction):
     """Prefactor exponent data for exp(scale * f)."""
-    rho = _lift(var)(f.rat) * scale
+    v = _VARS[var]
+    rho = v.lift(f.rat) * scale
     logs: dict = {}
     consts: dict = {}
     for c, arg in f.logs:
-        key = _poly_lift(arg, var)
+        key = _canon_poly2(v.poly_lift(arg))
         logs[key] = logs.get(key, Fraction(0)) + c * scale
     for c, k in f.const_logs:
         for base, e in _factor_rational(k).items():
@@ -476,12 +415,12 @@ def _lograt_exponent_data(f: LogRat, var: str, scale: Fraction):
     return rho, {k: v for k, v in logs.items() if v}, {b: v for b, v in consts.items() if v}
 
 
-def _pref_deriv(pref: Prefactor, var: str) -> Rf2:
-    """Plain d/dvar of the prefactor exponent (a rational function)."""
-    out = _deriv(pref.rho, var)
+def _pref_deriv(pref: Prefactor, deriv) -> Rf2:
+    """Plain derivative of the prefactor exponent (a rational function)."""
+    out = deriv(pref.rho)
     for argkey, c in pref.logs:
         arg = Rf2.make(_uncanon(argkey), P2.p2_const(1))
-        d = _deriv(arg, var)
+        d = deriv(arg)
         if not d.is_zero():
             out = out + d / arg * c
     return out
@@ -490,34 +429,33 @@ def _pref_deriv(pref: Prefactor, var: str) -> Rf2:
 def apply_dbar(sym: Symbol, wave: WaveData, var: str) -> Symbol:
     """The generator action: +hbar d/dx + (mult by Y) for the main variable,
     -hbar d/dx0 + (mult by Y0) for the base variable."""
-    sgn = 1 if var == "z" else -1
+    v = _VARS[var]
     y_main, y_tail = wave.y_stream(var)
     if y_main.logs or y_main.const_logs:
         raise WaveError(
             "bare derivative generator needs a rational y; use exponential form"
         )
     xp = wave.xprime(var)
-    y0 = _lift(var)(RatFun.make(y_main.rat.num, y_main.rat.den))
-    yfull = HSeries({0: y0}, wave.trunc) + (y_tail if y_tail is not None else HSeries({}, wave.trunc))
+    yfull = HSeries({0: v.lift(RatFun.make(y_main.rat.num, y_main.rat.den))}, wave.trunc) + y_tail
     out: Symbol = {}
     for _k, (p, s) in sym.items():
-        dp = _pref_deriv(p, var) / xp
-        ds = s.map(lambda v: _deriv(v, var) / xp) + s.map(lambda v: v * dp)
-        total = ds.shift(1).truncate(wave.trunc).scale(Fraction(sgn)) + s * yfull
+        dp = _pref_deriv(p, v.deriv) / xp
+        ds = s.map(lambda f: v.deriv(f) / xp) + s.map(lambda f: f * dp)
+        total = ds.shift(1).truncate(wave.trunc).scale(Fraction(v.sign)) + s * yfull
         sym_insert(out, p, total)
     return out
 
 
 def _flow_delta(wave: WaveData, var: str, c: Fraction) -> HSeries:
     """Solve x(v + delta) = x(v) + c hbar (main) or - c hbar (base)."""
-    target_c = Fraction(c) if var == "z" else -Fraction(c)
+    v = _VARS[var]
+    target_c = v.sign * Fraction(c)
     N = wave.trunc
-    lift = _lift(var)
-    xp = lift(wave.x_derivs(var, 1))
+    xp = wave.xprime(var)
     inv_xp = Rf2.const(1) / xp
     target = HSeries({1: Rf2.const(target_c)}, N)
     delta = HSeries({1: Rf2.const(target_c) * inv_xp}, N)
-    derivs = [lift(wave.x_derivs(var, j)) for j in range(1, N + 1)]
+    derivs = [v.lift(wave.x_derivs(var, j)) for j in range(1, N + 1)]
     for _ in range(N):
         acc = HSeries({}, N)
         dp = HSeries({0: Rf2.const(1)}, N)
@@ -525,22 +463,22 @@ def _flow_delta(wave: WaveData, var: str, c: Fraction) -> HSeries:
             dp = (dp * delta).truncate(N)
             if dp.is_zero():
                 break
-            acc = acc + dp.scale(Fraction(1, math.factorial(j))).map(lambda v, d=derivs[j - 1]: v * d)
+            acc = acc + dp.scale(Fraction(1, math.factorial(j))).map(lambda f, d=derivs[j - 1]: f * d)
         resid = target - acc
         if resid.is_zero():
             break
-        delta = delta + resid.map(lambda v: v * inv_xp)
+        delta = delta + resid.map(lambda f: f * inv_xp)
     return delta
 
 
-def _taylor_compose_series(s: HSeries, delta: HSeries, var: str, trunc: int) -> HSeries:
+def _taylor_compose_series(s: HSeries, delta: HSeries, deriv, trunc: int) -> HSeries:
     """s with every coefficient shifted to v + delta."""
     out = s
     dp = HSeries({0: Rf2.const(1)}, trunc)
     ds = s
     for j in range(1, trunc + 1):
         dp = (dp * delta).truncate(trunc)
-        ds = ds.map(lambda v: _deriv(v, var))
+        ds = ds.map(deriv)
         if dp.is_zero() or ds.is_zero():
             break
         out = out + (dp * ds).scale(Fraction(1, math.factorial(j)))
@@ -552,48 +490,36 @@ def apply_shift(sym: Symbol, c: Fraction, wave: WaveData, var: str = "z") -> Sym
     c = Fraction(c)
     if not c:
         return dict(sym)
+    v = _VARS[var]
     N = wave.trunc
     delta = _flow_delta(wave, var, c)
     y_main, y_tail = wave.y_stream(var)
     # exponent of psi(shifted)/psi minus its hbar^0 part c*y
     wexp = HSeries({}, N)
-    if y_tail is not None and not y_tail.is_zero():
+    if not y_tail.is_zero():
         wexp = wexp + y_tail.scale(c)
-    sgn_m = (lambda m: c**m) if var == "z" else (lambda m: -((-c) ** m))
     for m in range(2, N + 2):
         main_k, tail_k = wave.dY(var, m - 1)
-        fac = Fraction(sgn_m(m), math.factorial(m))
+        fac = Fraction(v.sign * (v.sign * c) ** m, math.factorial(m))
         piece = HSeries({0: main_k}, N) + tail_k
         wexp = wexp + piece.shift(m - 1).truncate(N).scale(fac)
-    # sanity: for the base variable the m = 1 tail coefficient enters with +c
-    out: Symbol = {}
-    y_logdata = _lograt_exponent_data(y_main, var, c)
 
     def shifted(f: Rf2) -> HSeries:
         """f(v + delta) - f(v)."""
         f = HSeries.const(f, N)
-        return _taylor_compose_series(f, delta, var, N) - f
+        return _taylor_compose_series(f, delta, v.deriv, N) - f
 
+    out: Symbol = {}
     for _k, (p, s) in sym.items():
         # compose the series part
-        s1 = _taylor_compose_series(s, delta, var, N)
+        s1 = _taylor_compose_series(s, delta, v.deriv, N)
         # prefactor composition factors
         expo = shifted(p.rho)
         for argkey, ce in p.logs:
             arg = Rf2.make(_uncanon(argkey), P2.p2_const(1))
-            expo = expo + shifted(arg).map(lambda v: v / arg).log1p().scale(ce)
-        expo = expo + wexp
-        s2 = s1 * expo.exp(Rf2.const(1))
-        rho_add, logs_add, consts_add = y_logdata
-        nl = dict(p.logs)
-        for a, cc in logs_add.items():
-            nl[a] = nl.get(a, Fraction(0)) + cc
-        nc = dict(p.consts)
-        for b, cc in consts_add.items():
-            nc[b] = nc.get(b, Fraction(0)) + cc
-        pref, series = make_term(p.rho + rho_add, {a: v for a, v in nl.items() if v}, {b: v for b, v in nc.items() if v}, s2)
-        sym_insert(out, pref, series)
-    return out
+            expo = expo + shifted(arg).map(lambda f: f / arg).log1p().scale(ce)
+        sym_insert(out, p, s1 * (expo + wexp).exp(Rf2.const(1)))
+    return sym_mul_prefactor(out, *_lograt_exponent_data(y_main, var, c))
 
 
 def apply_inverse(inner: OpExpr, target: Symbol, wave: WaveData) -> Symbol:
@@ -671,28 +597,19 @@ def evaluate_operator_on(op: OpExpr, sym: Symbol, wave: WaveData) -> Symbol:
         h = HSeries.make({k: v for k, v in coeffs.items()}, wave.trunc)
         return sym_scale_hseries(sym, h)
     if isinstance(op, Gen):
-        if op.kind == "x":
-            x = wave.x_main
-            if x is None:
-                raise WaveError("no main variable in this wave data")
-            if x.has_logs():
-                raise WaveError("multiplication by a logarithmic x is not a symbol; use exp form")
-            return sym_scale_rf2(sym, Rf2.from_ratfun_z(RatFun.make(x.rat.num, x.rat.den)))
-        if op.kind == "x0":
-            x = wave.x_base
-            if x is None:
-                raise WaveError("no base variable in this wave data")
-            if x.has_logs():
-                raise WaveError("multiplication by a logarithmic x0 is not a symbol; use exp form")
-            return sym_scale_rf2(sym, Rf2.from_ratfun_w(RatFun.make(x.rat.num, x.rat.den)))
-        if op.kind == "y":
-            return apply_dbar(sym, wave, "z")
-        if op.kind == "y0":
-            return apply_dbar(sym, wave, "w")
-        raise OperatorError(op.kind)
+        kind, var = op.kind[:1], _VAR_OF.get(op.kind)
+        if kind == "y" and var:
+            return apply_dbar(sym, wave, var)
+        if kind != "x" or not var:
+            raise OperatorError(op.kind)
+        x = wave.x.get(var)
+        if x is None:
+            raise WaveError(f"no {op.kind} in this wave data")
+        if x.has_logs():
+            raise WaveError(f"multiplication by a logarithmic {op.kind} is not a symbol; use exp form")
+        return sym_scale_rf2(sym, _VARS[var].lift(RatFun.make(x.rat.num, x.rat.den)))
     if isinstance(op, CoordMul):
-        f = op.fn
-        return sym_scale_rf2(sym, Rf2.from_ratfun_z(f) if op.var == "z" else Rf2.from_ratfun_w(f))
+        return sym_scale_rf2(sym, _VARS[_VAR_OF[op.var]].lift(op.fn))
     if isinstance(op, Add):
         out: Symbol = {}
         for c in op.children:
@@ -735,8 +652,6 @@ def evaluate_operator_on(op: OpExpr, sym: Symbol, wave: WaveData) -> Symbol:
         bad = set(gens) - {"x", "y", "x0", "y0"}
         if bad:
             raise OperatorError(f"unknown generators {bad}")
-        a, a0 = gens.get("x", Fraction(0)), gens.get("x0", Fraction(0))
-        b, b0 = gens.get("y", Fraction(0)), gens.get("y0", Fraction(0))
         cur = sym
         # scalar part
         hco = scal.hbar_coefficients()
@@ -746,27 +661,23 @@ def evaluate_operator_on(op: OpExpr, sym: Symbol, wave: WaveData) -> Symbol:
         if hco:
             hser = HSeries.make({k: Fraction(v) for k, v in hco.items()}, wave.trunc)
             cur = sym_scale_hseries(cur, hser.exp(Fraction(1)))
+        # per variable: multiplication by x (coefficient a), shift by y (coefficient b)
+        ab = {var: (gens.get("x" + v.suffix, 0), gens.get("y" + v.suffix, 0)) for var, v in _VARS.items()}
         # central correction from splitting mult and shift parts
-        cc = (a * b - a0 * b0) * Fraction(1, 2)
+        cc = sum((_VARS[var].sign * a * b for var, (a, b) in ab.items()), Fraction(0)) / 2
         if cc:
             cur = sym_scale_hseries(cur, HSeries.make({1: cc}, wave.trunc).exp(Fraction(1)))
-        # shifts
-        if b:
-            cur = apply_shift(cur, b, wave, "z")
-        if b0:
-            cur = apply_shift(cur, b0, wave, "w")
+        for var, (_a, b) in ab.items():
+            if b:
+                cur = apply_shift(cur, b, wave, var)
         # multiplication prefactors
         rho, logs, consts = Rf2.const(h0), {}, {}
-        if a:
-            r2, l2, c2 = _lograt_exponent_data(wave.x_main, "z", a)
-            rho = rho + r2
-            _merge_into(logs, l2)
-            _merge_into(consts, c2)
-        if a0:
-            r2, l2, c2 = _lograt_exponent_data(wave.x_base, "w", a0)
-            rho = rho + r2
-            _merge_into(logs, l2)
-            _merge_into(consts, c2)
+        for var, (a, _b) in ab.items():
+            if a:
+                r2, l2, c2 = _lograt_exponent_data(wave.x[var], var, a)
+                rho = rho + r2
+                _merge_into(logs, l2)
+                _merge_into(consts, c2)
         if not rho.is_zero() or logs or consts:
             cur = sym_mul_prefactor(cur, rho, logs, consts)
         return cur

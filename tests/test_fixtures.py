@@ -1,5 +1,8 @@
 """Fixture registry tests."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from trq.algebra import poly as P
@@ -17,6 +20,10 @@ PAPER_CHECKS = (
     "script reproduces the printed operator with the 9 hbar^2/16 term",
     "final emission matches the printed last display",
 )
+
+# per fixture, in fast mode at order 3: every emitted operator text, every
+# check as [label, passed, detail, kind], and the omega store summary
+GOLDEN = json.loads((Path(__file__).with_name("golden_fixtures.json")).read_text())
 
 
 @pytest.mark.parametrize("name", BOUND)
@@ -36,6 +43,10 @@ def test_fixture_certifies_in_fast_mode(name):
         assert paper == {label: False for label in PAPER_CHECKS}
     else:
         assert not paper
+    golden = GOLDEN[name]
+    assert res.emitted == golden["emitted"]
+    assert [[c.label, c.passed, c.detail, c.kind] for c in res.checks] == golden["checks"]
+    assert res.omega_summary == golden["omega_summary"]
 
 
 def test_pq_route2_with_q_a_multiple_of_y():

@@ -172,6 +172,14 @@ class TestSingularLimit:
         expect = simplify(sub(sc(1), Mul((Pow(Y, r - 1), X, Y))))
         assert op_text(lim) == op_text(expect)
 
+    def test_normal_order_matches_x_minus_h_over_y_on_the_side_of_the_y_power(self):
+        yd, xd = Gen("y", "dual"), Gen("x", "dual")
+        # a plain-side x - hbar/y after a dual y-power is left as it is
+        mixed = mul(Pow(yd, 2), sub(X, Mul((hb(), Inv(Y)))))
+        assert op_text(normal_order_mul_rule(mixed)) == op_text(simplify(mixed))
+        dual = mul(Pow(yd, 2), sub(xd, Mul((hb(), Inv(yd)))))
+        assert op_text(normal_order_mul_rule(dual)) == op_text(Mul((yd, xd, yd)))
+
     def test_surviving_infinity_errors(self):
         with pytest.raises(OperatorError, match="singular limit"):
             singular_limit(Add((X, X0)), "inf", None)

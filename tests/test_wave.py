@@ -1,8 +1,9 @@
+import functools
 from fractions import Fraction as F
 
 import pytest
 
-from trq.algebra import HSeries, LogRat, RatFun, Rf2
+from trq.algebra import INF, HSeries, LogRat, RatFun, Rf2
 from trq.algebra import poly as P
 from trq.curve import SpectralCurve
 from trq.operators import (
@@ -46,29 +47,50 @@ def airy_curve():
     return SpectralCurve("airy", lr([0, 0, 1]), lr([0, 1]))
 
 
+def bessel_curve():
+    return SpectralCurve("bessel", lr([0, 0, 1]), lr([1], [0, 1]))
+
+
+@functools.cache
+def store_to_chi3(curve):
+    return run_tr(curve(), 3)
+
+
 @pytest.fixture(scope="module")
 def airy_wave():
-    st = run_tr(airy_curve(), 3)
-    return build_wave_data(st, "generic", 4)
+    return build_wave_data(store_to_chi3(airy_curve), "generic", 4)
 
 
 class TestStreams:
     def test_y_leading(self, airy_wave):
         # hbar^0 of Y is y(z) = z, kept as the main LogRat
-        assert airy_wave.y_main.rat == RatFun.var()
+        assert airy_wave.y["z"].rat == RatFun.var()
 
     def test_h02_airy(self, airy_wave):
         # H_{0,2}(z, w) = (z - w) / (4 z^2 (z + w))
         z, w = Rf2.z(), Rf2.w()
         expect = (z - w) / (Rf2.const(4) * z * z * (z + w))
-        assert airy_wave.y_tail.coeff(1) == expect
+        assert airy_wave.tail["z"].coeff(1) == expect
 
     def test_base_swap_parity(self, airy_wave):
         # Y0 coefficient at hbar^j equals (-1)^j * (Y coefficient swapped)
         for j in range(1, 4):
-            a = airy_wave.y_tail.coeffs.get(j, Rf2.const(0))
-            b = airy_wave.y0_tail.coeffs.get(j, Rf2.const(0))
+            a = airy_wave.tail["z"].coeffs.get(j, Rf2.const(0))
+            b = airy_wave.tail["w"].coeffs.get(j, Rf2.const(0))
             assert b == (a.swap() if j % 2 == 0 else -a.swap()), j
+
+    @pytest.mark.parametrize("p0", [INF, 1, F(-2, 3)], ids=["inf", "1", "-2_3"])
+    @pytest.mark.parametrize("curve", [airy_curve, bessel_curve], ids=["airy", "bessel"])
+    def test_base_swap_parity_at_frozen_points(self, curve, p0):
+        # the same mirror between Y with the base point frozen at p0 and Y0
+        # with the main variable frozen at p0
+        st = store_to_chi3(curve)
+        main = build_wave_data(st, ("main", p0), 4).tail["z"]
+        base = build_wave_data(st, ("base", p0), 4).tail["w"]
+        assert main.coeffs
+        for j in range(1, 5):
+            a = main.coeffs.get(j, Rf2.const(0))
+            assert base.coeffs.get(j, Rf2.const(0)) == (a.swap() if j % 2 == 0 else -a.swap()), j
 
 
 class TestGeneratorActions:
@@ -76,7 +98,7 @@ class TestGeneratorActions:
         sym = evaluate_operator(Y, airy_wave)
         (pref, s), = sym.values()
         assert s.coeff(0) == Rf2.z()
-        assert s.coeff(1) == airy_wave.y_tail.coeff(1)
+        assert s.coeff(1) == airy_wave.tail["z"].coeff(1)
 
     def test_commutator_main(self, airy_wave):
         com = sub(mul(Y, X), mul(X, Y))
