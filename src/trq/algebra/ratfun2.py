@@ -110,6 +110,12 @@ class Rf2:
         o = rf2(o)
         if self.is_zero() or o.is_zero():
             return RF2_ZERO
+        for f, u in ((self, o), (o, self)):  # a product by +-1 needs no gcd
+            if u.den == _UNIT:
+                if u.num == _UNIT:
+                    return f
+                if u.num == _MINUS_UNIT:
+                    return -f
         _, n1, d2 = P2.p2_gcd(self.num, o.den)
         _, n2, d1 = P2.p2_gcd(o.num, self.den)
         return Rf2(P2.p2_mul(n1, n2), P2.p2_mul(d1, d2))  # factors pairwise coprime
@@ -183,3 +189,4 @@ def rf2(v) -> Rf2:
 
 
 RF2_ZERO = Rf2({}, {(0, 0): 1})
+_UNIT, _MINUS_UNIT = {(0, 0): 1}, {(0, 0): -1}

@@ -37,12 +37,22 @@ a = b.  For polynomial expressions in the generators the converse holds
 too, as equality of noncommutative polynomials: expand never normal-orders,
 so y x - x y - hbar does not expand to 0.
 
-Work done once.  `simplify` keeps a memo for the length of one call, from
-each node it has rebuilt to the result, so a subtree that a literal rewrite
-has put in many places is rebuilt once; nothing is cached across calls.
-Every node and every `Sym` computes its hash on first use and keeps it, so
-the memo, the like terms and the function groups, all keyed by node, hash
-each node once.
+Work done once.  Nodes are immutable, so what is derived from one is kept
+on it, in slots that are not fields (they take no part in equality, hash or
+repr):
+- `_hash`: every node and every `Sym` computes its hash on first use, so the
+  memo, the like terms and the function groups, all keyed by node, hash
+  each node once;
+- `_canon`: set on every node that `simplify` returns, which is a fixed
+  point, so a later call returns it at once, also as a subtree of a new
+  tree;
+- `_form`: set on every node that `simplify` was given, to its result, so
+  simplifying the same object again (as `expand` does) costs one read;
+- `_text`: set by `op_text` on first use, so sorting the terms of a sum
+  reads each core's text.
+Within one call `simplify` also keeps a memo from each node it has rebuilt
+to the result, so structurally equal but distinct subtrees, which a literal
+rewrite puts in many places, are rebuilt once.
 """
 
 from __future__ import annotations
@@ -201,7 +211,11 @@ ONE = Sym.const(1)
 
 @dataclass(frozen=True)
 class OpExpr:
-    _hash = None  # set on first use by _cached_hash
+    # derived values, kept on the node (see the module docstring)
+    _hash = None   # set on first use by _cached_hash
+    _canon = False  # True on every node that simplify returns
+    _form = None   # the node's canonical form, once simplify has been given it
+    _text = None   # set by op_text on first use
 
 
 @dataclass(frozen=True)
@@ -209,6 +223,7 @@ class Scalar(OpExpr):
     value: Sym
 
     __hash__ = _cached_hash
+    _canon = True  # every scalar and generator is its own canonical form
 
 
 @dataclass(frozen=True)
@@ -217,6 +232,7 @@ class Gen(OpExpr):
     side: str = ""     # "", "dual", "dagger"
 
     __hash__ = _cached_hash
+    _canon = True
 
 
 @dataclass(frozen=True)
@@ -308,6 +324,14 @@ def ratsubst(num, den, child) -> RatSubst:
 
 
 def op_text(e: OpExpr) -> str:
+    t = e._text
+    if t is None:
+        t = _text_of(e)
+        object.__setattr__(e, "_text", t)
+    return t
+
+
+def _text_of(e: OpExpr) -> str:
     if isinstance(e, Scalar):
         return f"(scalar {e.value})"
     if isinstance(e, Gen):
@@ -338,37 +362,44 @@ def simplify(e: OpExpr) -> OpExpr:
 
     Every node is rebuilt from canonical children by the constructors below
     (`_add`, `_mul`, `_pow`, `_fn`, `_exp`), each of which returns a
-    canonical node, so simplify(simplify(e)) == simplify(e) as nodes.
+    canonical node, so simplify(simplify(e)) == simplify(e) as nodes; the
+    result is marked, and simplify returns a marked node itself.
     """
     return _simp(e, {})
 
 
 def _simp(e: OpExpr, memo: dict) -> OpExpr:
-    """The canonical form of e; memo maps every node already rebuilt in
-    this pass to its result, so a subtree that occurs many times (as after
-    a literal substitution) is rebuilt once."""
-    if isinstance(e, (Scalar, Gen)):
+    """The canonical form of e.  A canonical node is returned as it is, a
+    node simplified before gives its kept form, and memo maps every node
+    rebuilt in this pass to its result, so structurally equal subtrees (as
+    after a literal substitution) are rebuilt once."""
+    if e._canon:
         return e
-    out = memo.get(e)
+    out = e._form
     if out is not None:
         return out
-    if isinstance(e, CoordMul):
-        out = _coord(e.var, e.fn) if e.fn.is_const() else e
-    elif isinstance(e, Add):
-        out = _add([_simp(c, memo) for c in e.children])
-    elif isinstance(e, Mul):
-        out = _mul([_simp(c, memo) for c in e.children])
-    elif isinstance(e, Inv):
-        out = _pow(_simp(e.child, memo), -1)
-    elif isinstance(e, Pow):
-        out = _pow(_simp(e.child, memo), e.exp)
-    elif isinstance(e, Exp):
-        out = _exp(_simp(e.arg, memo))
-    elif isinstance(e, RatSubst):
-        out = _fn(RatFun.make(e.num, e.den), _simp(e.child, memo))
-    else:
-        raise TypeError(type(e))
-    memo[e] = out
+    out = memo.get(e)
+    if out is None:
+        if isinstance(e, CoordMul):
+            out = _coord(e.var, e.fn) if e.fn.is_const() else e
+        elif isinstance(e, Add):
+            out = _add([_simp(c, memo) for c in e.children])
+        elif isinstance(e, Mul):
+            out = _mul([_simp(c, memo) for c in e.children])
+        elif isinstance(e, Inv):
+            out = _pow(_simp(e.child, memo), -1)
+        elif isinstance(e, Pow):
+            out = _pow(_simp(e.child, memo), e.exp)
+        elif isinstance(e, Exp):
+            out = _exp(_simp(e.arg, memo))
+        elif isinstance(e, RatSubst):
+            out = _fn(RatFun.make(e.num, e.den), _simp(e.child, memo))
+        else:
+            raise TypeError(type(e))
+        memo[e] = out
+        object.__setattr__(out, "_canon", True)
+    if out is not e:
+        object.__setattr__(e, "_form", out)
     return out
 
 
@@ -448,7 +479,8 @@ def _as_function_of(e: OpExpr) -> tuple[RatFun, OpExpr]:
     if isinstance(e, RatSubst):
         return RatFun(e.num, e.den), e.child
     k, base = _power_of(e)
-    return _T**k, base
+    t_k = (Fraction(0),) * abs(k) + (Fraction(1),)
+    return (RatFun(t_k, P.ONE) if k >= 0 else RatFun(P.ONE, t_k)), base
 
 
 def _pow_node(base: OpExpr, k: int) -> OpExpr:
@@ -627,8 +659,9 @@ def _merge_function_groups(coeffs: dict, push) -> None:
     part as one RatSubst (or as inverse powers when its denominator is a
     power of t).  A power-1 term of a sum base is spliced back into the sum
     through `push`; it only holds bases nested inside this one, so the
-    rounds end.  A group already in this form splits into itself; a group
-    of one proper RatSubst is the common case and is left as it is.
+    rounds end.  A group already in this form splits into itself and is
+    left as it is: one proper RatSubst, whose denominator is not a power of
+    t, beside positive powers of the base.
     """
     while True:
         groups: dict = {}
@@ -639,13 +672,12 @@ def _merge_function_groups(coeffs: dict, push) -> None:
                     groups.setdefault(base, []).append(core)
         spilled = False
         for base, members in groups.items():
-            if not any(isinstance(m, RatSubst) for m in members):
+            rats = [m for m in members if isinstance(m, RatSubst)]
+            if not rats:
                 continue
-            if len(members) == 1 and _is_atom(members[0]):
-                continue
-            total = RatFun.const(0)
-            for m in members:
-                total = total + _as_function_of(m)[0] * coeffs.pop(m).const_value()
+            if len(rats) == 1 and _is_atom(rats[0]) and not any(isinstance(m, Inv) for m in members):
+                continue  # a proper part beside positive powers: already split
+            total = _group_total([(_as_function_of(m)[0], coeffs.pop(m).const_value()) for m in members])
             pieces = _split_ratfun(total, base)
             for piece in pieces:
                 push(piece)
@@ -654,6 +686,26 @@ def _merge_function_groups(coeffs: dict, push) -> None:
                 break
         if not spilled:
             return
+
+
+def _group_total(parts: list) -> RatFun:
+    """The sum of c * R over (R, c) in parts, reduced once: numerators over
+    one denominator are added, and the distinct denominators are put over
+    their product."""
+    nums: dict = {}
+    for r, c in parts:
+        nums[r.den] = P.add(nums.get(r.den, P.ZERO), P.scale(r.num, c))
+    dens = list(nums)
+    num = P.ZERO
+    for i, num_i in enumerate(nums.values()):
+        for j, den in enumerate(dens):
+            if j != i:
+                num_i = P.mul(num_i, den)
+        num = P.add(num, num_i)
+    den = P.ONE
+    for d in dens:
+        den = P.mul(den, d)
+    return RatFun.make(num, den)
 
 
 def _split_ratfun(r: RatFun, base: OpExpr) -> list:

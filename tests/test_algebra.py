@@ -545,6 +545,23 @@ class TestRf2Properties:
         _check_rf2(sp, f.swap(), e.subs({z: w, w: z}, simultaneous=True))
 
     @_PROPERTY
+    @given(_rf2, st.sampled_from((1, -1)), st.sampled_from((int, F, Rf2.const)))
+    def test_product_by_a_unit_takes_no_gcd(self, f, sign, kind):
+        # the result of the general product, which is make's canonical form
+        want = Rf2.make(P2.p2_mul(f.num, P2.p2_const(sign)), f.den)
+
+        def no_gcd(*_args):
+            raise AssertionError("p2_gcd called")
+
+        orig, P2.p2_gcd = P2.p2_gcd, no_gcd
+        try:
+            got = [f * kind(sign), kind(sign) * f]
+        finally:
+            P2.p2_gcd = orig
+        for g in got:
+            assert (g.num, g.den, str(g)) == (want.num, want.den, str(want))
+
+    @_PROPERTY
     @given(_rf2, _rf2)
     def test_field_identities(self, f, g):
         assert (f + g) - g == f

@@ -7,7 +7,10 @@ ways that share no code with `simplify`/`expand`:
 
 Trees that reuse one subtree object are checked against a copy that shares
 no node, because `simplify` rebuilds each distinct subtree once and nodes
-cache their hashes.
+cache their hashes.  A node keeps what `simplify` and `op_text` found for it
+(`_canon`, `_form`, `_text`), so `simplify` returns a canonical node itself;
+the fixed-point properties therefore re-simplify a rebuilt copy (`fresh`),
+whose nodes keep nothing.
 """
 
 from dataclasses import FrozenInstanceError, fields
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trq import operators
 from trq.algebra import RatFun
 from trq.operators import (
     X0,
@@ -164,7 +168,8 @@ def is_flat(e) -> bool:
 
 
 def fresh(v):
-    """A structurally equal copy of v that shares no node or scalar object with it."""
+    """A structurally equal copy of v that shares no node or scalar object
+    with it, and whose nodes keep no form, text or hash."""
     if isinstance(v, (OpExpr, Sym)):
         return type(v)(*(fresh(getattr(v, f.name)) for f in fields(v)))
     if isinstance(v, tuple):
@@ -223,7 +228,7 @@ class TestCanonicalForm:
     @given(_tree)
     def test_simplify_is_idempotent(self, e):
         s = simplify(e)
-        assert simplify(s) == s
+        assert simplify(fresh(s)) == s
 
     @_PROPERTY
     @given(_rich_tree)
@@ -232,19 +237,19 @@ class TestCanonicalForm:
             s = simplify(e)
         except (OperatorError, ZeroDivisionError):  # e.g. a pole of a RatSubst at a scalar
             return
-        assert simplify(s) == s
+        assert simplify(fresh(s)) == s
         x = expand(e)
         assert is_flat(x)
-        assert expand(x) == x
-        assert simplify(x) == x
+        assert expand(fresh(x)) == x
+        assert simplify(fresh(x)) == x
 
     @_PROPERTY
     @given(_tree)
     def test_expand_is_flat_and_canonical(self, e):
         x = expand(e)
         assert is_flat(x)
-        assert expand(x) == x
-        assert simplify(x) == x
+        assert expand(fresh(x)) == x
+        assert simplify(fresh(x)) == x
 
     @_PROPERTY
     @given(_tree, _tree)
@@ -307,6 +312,63 @@ class TestSharingAndHashing:
             setattr(obj, name, getattr(obj, name))
 
 
+def _simplified(e):
+    """simplify(e), or None where e has no canonical form (a pole at a scalar)."""
+    try:
+        return simplify(e)
+    except (OperatorError, ZeroDivisionError):
+        return None
+
+
+class TestWorkKeptOnNodes:
+    @_PROPERTY
+    @given(_rich_tree)
+    def test_canonical_input_is_returned_itself(self, e):
+        s = _simplified(e)
+        if s is None:
+            return
+        assert s._canon
+        assert simplify(s) is s
+        assert simplify(e) is s  # e keeps its form
+
+    @_PROPERTY
+    @given(_rich_tree, _rich_tree)
+    def test_simplified_subtree_gives_the_result_of_a_fresh_copy(self, t, u):
+        s = _simplified(u)
+        if s is None:
+            return
+        e = plug(Add((t, Mul((X, Pow(X, 2))))), s)
+        copy = fresh(e)
+        assert outcome(simplify, e) == outcome(simplify, copy)
+        assert outcome(expand, e) == outcome(expand, copy)
+
+    @_PROPERTY
+    @given(_rich_tree)
+    def test_kept_text_is_the_text_of_a_rebuilt_node(self, e):
+        s = _simplified(e)
+        if s is None:
+            return
+        text = op_text(s)
+        assert op_text(s) is text
+        for n in nodes(s):
+            assert n._text is not None
+            assert n._text == op_text(fresh(n))
+
+    @_PROPERTY
+    @given(_hashed_tree)
+    def test_kept_values_change_no_equality_hash_or_repr(self, e):
+        a, b = fresh(e), fresh(e)
+        if _simplified(a) is not None:
+            expand(a)
+            assert a._form is not None or a._canon
+        op_text(a)
+        assert all(n._text is not None for n in nodes(a))
+        assert all(n._text is None and n._form is None for n in nodes(b))
+        for m, n in zip(nodes(a), nodes(b)):
+            assert m == n and hash(m) == hash(n) and repr(m) == repr(n)
+        assert {b: "b"}[a] == "b"
+
+
 class TestExpand:
     def test_power_of_a_product_is_multiplied_out(self):
         assert expand(sub(Pow(Mul((X, Y)), 2), Mul((X, Y, X, Y)))) == sc(0)
@@ -323,7 +385,31 @@ class TestExpand:
         assert expand(sub(Mul((Y, X)), Add((Mul((X, Y)), hb())))) != sc(0)
 
 
+# a member of a function group: R as a power of t or a quotient whose
+# denominator is drawn from a few (so that members share one), and a
+# nonzero rational coefficient
+_t_power = st.integers(-3, 3).map(lambda k: RatFun.var() ** k)
+_quotient = st.builds(
+    RatFun.make,
+    _poly,
+    st.sampled_from(((F(1), F(1)), (F(2), F(0), F(1)), (F(0), F(1), F(1)), (F(-1), F(3), F(0), F(2)))),
+)
+_member = st.tuples(
+    st.one_of(_t_power, _quotient),
+    st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
+)
+
+
 class TestFunctionGroups:
+    @_PROPERTY
+    @given(st.lists(_member, min_size=1, max_size=6))
+    def test_group_total_is_the_sequential_sum(self, parts):
+        total = RatFun.const(0)
+        for r, c in parts:
+            total = total + r * c
+        got = operators._group_total(parts)
+        assert (got.num, got.den) == (total.num, total.den)
+
     def test_rational_functions_of_one_base_merge(self):
         # 1/t + 1/(t + 1) = (2t + 1)/(t^2 + t) at t = y - y0
         s = sub(Y, Y0)
@@ -362,6 +448,24 @@ class TestFunctionGroups:
         # (t^2 + 1)/(t + 1) = t - 1 + 2/(t + 1) at t = y
         e = simplify(Add((X, RatSubst((F(1), F(0), F(1)), (F(1), F(1)), Y))))
         assert e == Add((X, Y, Mul((sc(2), RatSubst((F(1),), (F(1), F(1)), Y))), sc(-1)))
+
+    def test_power_beside_a_proper_ratsubst_is_left_as_it_is(self, monkeypatch):
+        # y^2 + 2y + 3/(y + 1): already split, so the group is not summed
+        e = Add((Mul((sc(2), Y)), Pow(Y, 2), Mul((sc(3), RatSubst((F(1),), (F(1), F(1)), Y)))))
+        assert simplify(fresh(e)) == e
+        monkeypatch.setattr(operators, "_group_total", None)
+        assert simplify(fresh(e)) == e
+        assert expand(fresh(e)) == e
+
+    def test_inverse_beside_a_ratsubst_merges(self):
+        # 1/t + 1/(t + 1) = 2 (t + 1/2)/(t^2 + t) at t = y
+        e = simplify(Add((Inv(Y), RatSubst((F(1),), (F(1), F(1)), Y))))
+        assert e == Mul((sc(2), RatSubst((F(1, 2), F(1)), (F(0), F(1), F(1)), Y)))
+
+    def test_improper_ratsubst_beside_a_power_splits(self):
+        # y^2 + (t^2 + 1)/(t + 1) = y^2 + y - 1 + 2/(t + 1) at t = y
+        e = simplify(Add((Pow(Y, 2), RatSubst((F(1), F(0), F(1)), (F(1), F(1)), Y))))
+        assert e == Add((Y, Pow(Y, 2), Mul((sc(2), RatSubst((F(1),), (F(1), F(1)), Y))), sc(-1)))
 
     def test_two_ratsubst_members_of_one_base_merge(self):
         # 1/(y + 1) + 1/(y + 2) = (2y + 3)/(y^2 + 3y + 2)
