@@ -8,10 +8,12 @@ parameters symbolic only where the derivation never needs their values.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from math import comb
 
 from .algebra import INF, HSeries, LogRat, RatFun, Rf2
 from .algebra import poly as P
@@ -34,7 +36,6 @@ from .operators import (
     X0,
     Y,
     Y0,
-    derivation_combine,
     expand,
     gaiotto_shift_identity,
     hb,
@@ -46,16 +47,24 @@ from .operators import (
     sub,
     sympl_dual_rewrite,
     WeylPoly,
+    _map_gens,
+    _power_of,
     xy_dual_rewrite,
 )
 from .recursion import OmegaStore, run_tr, s_inverse_coeff
 from .wave import (
     WaveData,
+    apply_inverse,
+    apply_shift,
     build_wave_data,
     check_annihilation,
     classical_symbol,
     evaluate_operator,
+    evaluate_operator_on,
     exp_lograt,
+    sym_insert,
+    sym_is_zero,
+    sym_unit,
     wave_from_streams,
 )
 
@@ -98,8 +107,6 @@ def _summary(store: OmegaStore) -> dict:
 
 
 def _sym_diff_zero(a, b) -> bool:
-    from .wave import sym_insert, sym_is_zero
-
     d = dict(a)
     for _k, (p, s) in b.items():
         sym_insert(d, p, -s)
@@ -156,15 +163,11 @@ def property_suite(res: FixtureResult, wave: WaveData, order: int) -> None:
         rep = check_annihilation(com0, wave, order)
         res.record("commutator [y0,x0] = -hbar", rep.passed, rep.summary())
     if has_main:
-        from .wave import apply_shift, sym_unit
-
         u = sym_unit(order)
         a = apply_shift(apply_shift(u, Fraction(1, 3), wave, "z"), Fraction(1, 2), wave, "z")
         b = apply_shift(u, Fraction(5, 6), wave, "z")
         res.record("shift group law", _sym_diff_zero(a, b))
         if main_rational and base_rational:
-            from .wave import apply_inverse, evaluate_operator_on
-
             inner = sub(Y, Y0)
             target = evaluate_operator(X, wave)
             inv = apply_inverse(inner, target, wave)
@@ -474,8 +477,6 @@ def _bch_holds(r: int, q_order: int) -> bool:
     """exp(G) exp(q x) = exp(q(x - y^r)) to q^q_order, where
     G = ((y - q hbar)^{r+1} - y^{r+1}) / (hbar (r+1)).  Each side is a series
     in q whose coefficients are normal-ordered Weyl polynomials."""
-    from math import comb
-
     def exp(terms: dict) -> HSeries:
         for v in terms.values():
             v.check_no_negative_hbar()
@@ -686,6 +687,36 @@ def fixture_gentr_airy(order: int = 6, fast: bool = False) -> FixtureResult:
     return res
 
 
+def derivation_combine(steps, op: OpExpr, wave, order: int | None = None) -> OpExpr:
+    """Scripted operator derivation with certified annihilation at each step.
+
+    Steps are ("left_multiply", A) or ("add_left_multiple", A, Q); every Q
+    must itself annihilate the wave data, and the running operator is
+    re-checked after each step.  Aborts with the failing step index.
+    """
+    n = order if order is not None else wave.trunc
+    rep = check_annihilation(op, wave, n)
+    if not rep.passed:
+        raise OperatorError(f"initial operator does not annihilate: {rep.summary()}")
+    cur = op
+    for i, step in enumerate(steps):
+        if step[0] == "left_multiply":
+            _, a = step
+            cur = simplify(Mul((a, cur)))
+        elif step[0] == "add_left_multiple":
+            _, a, q = step
+            repq = check_annihilation(q, wave, n)
+            if not repq.passed:
+                raise OperatorError(f"step {i}: auxiliary operator fails to annihilate")
+            cur = simplify(Add((cur, Mul((a, q)))))
+        else:
+            raise OperatorError(f"unknown step kind {step[0]}")
+        rep = check_annihilation(cur, wave, n)
+        if not rep.passed:
+            raise OperatorError(f"annihilation lost at step {i}: {rep.summary()}")
+    return cur
+
+
 def fixture_rs_curve(r: int, order: int = 6, fast: bool = False) -> FixtureResult:
     """(r, s) curve at s = 2: base-variable wave data of the trivial dual
     side, Galois-averaging script, and the final dual emission.
@@ -773,8 +804,6 @@ def fixture_rs_curve(r: int, order: int = 6, fast: bool = False) -> FixtureResul
 
 
 def _relabel_dual(e: OpExpr) -> OpExpr:
-    from .operators import _map_gens
-
     return _map_gens(e, lambda g: Gen(g.kind, "dual"))
 
 
@@ -786,8 +815,6 @@ def _base_normal_form(e: OpExpr):
     the collected result must be even in w, else the operator is
     fractional and None is returned.
     """
-    from .operators import _power_of
-
     e = expand(e)
     terms = e.children if isinstance(e, Add) else (e,)
     out: dict = {}  # (m in w-units, y0 power) -> Sym
@@ -798,8 +825,6 @@ def _base_normal_form(e: OpExpr):
             out.pop(key, None)
         else:
             out[key] = cur
-
-    from math import comb
 
     for t in terms:
         pending = [(Sym.const(1), 0, 0, list(t.children) if isinstance(t, Mul) else [t])]
@@ -915,8 +940,6 @@ FIXTURES = {
 def run_fixture(name: str, **kw) -> FixtureResult:
     if name not in FIXTURES:
         raise KeyError(f"unknown fixture {name}; known: {', '.join(sorted(FIXTURES))}")
-    import inspect
-
     fn = FIXTURES[name]
     sig = None
     try:

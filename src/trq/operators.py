@@ -53,6 +53,19 @@ repr):
 Within one call `simplify` also keeps a memo from each node it has rebuilt
 to the result, so structurally equal but distinct subtrees, which a literal
 rewrite puts in many places, are rebuilt once.
+
+Rewrites.  `_kids(e)` gives the operator children of a node in order and
+`_rebuild(e, kids)` builds a node of the same kind, with its own exponent or
+rational function, over new children; leaves have no children and rebuild
+to themselves.  The literal substitutions (`_map_gens`), the singular limits
+(`_limit`) and the Weyl identities (`normal_order_mul_rule`,
+`gaiotto_shift_identity`) reach children only through this pair, so a match
+is found below every kind of node, inside RatSubst and Exp too.
+`linear_form(e)` reads a canonical form that is a scalar plus rational
+multiples of generators as (scalar, {kind: coefficient}), or gives None; the
+base-shift match and the evaluation of exponentials read it.  `_simp`,
+`_terms` and `_text_of` are hot paths and keep their own dispatch, with one
+constructor call per kind.
 """
 
 from __future__ import annotations
@@ -317,6 +330,35 @@ def hb(exp: int = 1) -> Scalar:
 
 def ratsubst(num, den, child) -> RatSubst:
     return RatSubst(P.poly(num), P.poly(den), child)
+
+
+def _kids(e: OpExpr) -> tuple:
+    """The operator children of e, in order; a leaf has none."""
+    if isinstance(e, (Add, Mul)):
+        return e.children
+    if isinstance(e, (Inv, Pow, RatSubst)):
+        return (e.child,)
+    if isinstance(e, Exp):
+        return (e.arg,)
+    return ()
+
+
+def _rebuild(e: OpExpr, kids) -> OpExpr:
+    """A node of e's kind and own fields over the children kids; a leaf is
+    returned as it is."""
+    if isinstance(e, Add):
+        return Add(tuple(kids))
+    if isinstance(e, Mul):
+        return Mul(tuple(kids))
+    if isinstance(e, Inv):
+        return Inv(kids[0])
+    if isinstance(e, Pow):
+        return Pow(kids[0], e.exp)
+    if isinstance(e, Exp):
+        return Exp(kids[0])
+    if isinstance(e, RatSubst):
+        return RatSubst(e.num, e.den, kids[0])
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -783,28 +825,34 @@ def _is_atom(f: OpExpr) -> bool:
     return True
 
 
+def linear_form(e: OpExpr):
+    """(s, {kind: c}) when the canonical form of e is the scalar s plus the
+    rational multiples c of generators (summed over sides), else None."""
+    e = simplify(e)
+    scal = Sym()
+    gens: dict = {}
+    for t in e.children if isinstance(e, Add) else (e,):
+        coeff, core = _split_coeff(t)
+        if isinstance(core, Scalar):
+            scal = scal + coeff * core.value
+        elif isinstance(core, Gen) and coeff.is_const():
+            gens[core.kind] = gens.get(core.kind, Fraction(0)) + coeff.const_value()
+        else:
+            return None
+    return scal, gens
+
+
 # ---------------------------------------------------------------------------
 # duality rewrites
 
 
 def _map_gens(e: OpExpr, table) -> OpExpr:
+    """e with every generator g replaced by table(g)."""
     if isinstance(e, Gen):
         return table(e)
-    if isinstance(e, Add):
-        return Add(tuple(_map_gens(c, table) for c in e.children))
-    if isinstance(e, Mul):
-        return Mul(tuple(_map_gens(c, table) for c in e.children))
-    if isinstance(e, Inv):
-        return Inv(_map_gens(e.child, table))
-    if isinstance(e, Pow):
-        return Pow(_map_gens(e.child, table), e.exp)
-    if isinstance(e, Exp):
-        return Exp(_map_gens(e.arg, table))
-    if isinstance(e, RatSubst):
-        return RatSubst(e.num, e.den, _map_gens(e.child, table))
     if isinstance(e, CoordMul):
         raise OperatorError("cannot rewrite a coordinate multiplier; eliminate it first")
-    return e
+    return _rebuild(e, [_map_gens(c, table) for c in _kids(e)])
 
 
 _DUAL_SIDE = {"": "dual", "dual": "", "dagger": "dagger-dual", "dagger-dual": "dagger"}
@@ -880,52 +928,27 @@ def singular_limit(e: OpExpr, x0_value, y0_value) -> OpExpr:
 
 
 def _limit(e: OpExpr, xv, yv):
+    """e with x0, y0 frozen at xv, yv; _INF when an infinite value survives.
+    An infinite child sends an inverse to 0 and R(child) to R(inf) when that
+    is finite; every other node passes the infinity up."""
     if isinstance(e, Gen):
-        val = {"x0": xv, "y0": yv}.get(e.kind, None)
+        val = {"x0": xv, "y0": yv}.get(e.kind)
         if val is None:
             return e
-        if val is _INF:
-            return _INF
-        return sc(val)
-    if isinstance(e, (Scalar, CoordMul)):
-        return e
-    if isinstance(e, Add):
-        kids = [_limit(c, xv, yv) for c in e.children]
-        if any(k is _INF for k in kids):
-            return _INF
-        return Add(tuple(kids))
-    if isinstance(e, Mul):
-        kids = [_limit(c, xv, yv) for c in e.children]
-        if any(k is _INF for k in kids):
-            return _INF
-        return Mul(tuple(kids))
-    if isinstance(e, Inv):
-        inner = _limit(e.child, xv, yv)
-        if inner is _INF:
+        return _INF if val is _INF else sc(val)
+    kids = [_limit(c, xv, yv) for c in _kids(e)]
+    if any(k is _INF for k in kids):
+        if isinstance(e, Inv):
             return sc(0)
-        return Inv(inner)
-    if isinstance(e, Pow):
-        inner = _limit(e.child, xv, yv)
-        if inner is _INF:
-            return _INF
-        return Pow(inner, e.exp)
-    if isinstance(e, Exp):
-        inner = _limit(e.arg, xv, yv)
-        if inner is _INF:
-            return _INF
-        return Exp(inner)
-    if isinstance(e, RatSubst):
-        inner = _limit(e.child, xv, yv)
-        if inner is _INF:
+        if isinstance(e, RatSubst):
             # R(inf): finite iff deg num <= deg den
             dn, dd = P.degree(e.num), P.degree(e.den)
             if dn < dd:
                 return sc(0)
             if dn == dd:
                 return sc(e.num[-1] / e.den[-1])
-            return _INF
-        return RatSubst(e.num, e.den, inner)
-    raise TypeError(type(e))
+        return _INF
+    return _rebuild(e, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -933,50 +956,27 @@ def _limit(e: OpExpr, xv, yv):
 
 
 def normal_order_mul_rule(e: OpExpr) -> OpExpr:
-    """Rewrite y^k (x - hbar/y) -> y^(k-1) x y inside products.
+    """Rewrite y^k (x - hbar/y) -> y^(k-1) x y inside products, with k >= 1
+    and x, y on the side of the y-power.
 
     Uses y x = x y + hbar, so this preserves the operator exactly.
     """
     e = simplify(e)
 
     def walk(node):
+        kids = [walk(c) for c in _kids(node)]
         if isinstance(node, Mul):
-            kids = [walk(c) for c in node.children]
             for i in range(len(kids) - 1):
-                a, b = kids[i], kids[i + 1]
-                ka, side = _y_power(a), _side_of(a)
-                # x - hbar/y on the side of the y-power
-                if ka and b == simplify(sub(Gen("x", side), Mul((hb(), Inv(Gen("y", side)))))):
-                    yk = ka - 1
-                    seq = ([Pow(Gen("y", side), yk)] if yk > 1 else ([Gen("y", side)] if yk == 1 else []))
-                    repl = seq + [Gen("x", side), Gen("y", side)]
+                k, y = _power_of(kids[i])
+                if k < 1 or not isinstance(y, Gen) or y.kind != "y":
+                    continue
+                x = Gen("x", y.side)
+                if kids[i + 1] == simplify(sub(x, Mul((hb(), Inv(y))))):
+                    repl = ([_pow_node(y, k - 1)] if k > 1 else []) + [x, y]
                     return walk(simplify(Mul(tuple(kids[:i] + repl + kids[i + 2:]))))
-            return Mul(tuple(kids))
-        if isinstance(node, Add):
-            return Add(tuple(walk(c) for c in node.children))
-        if isinstance(node, (Inv,)):
-            return Inv(walk(node.child))
-        if isinstance(node, Pow):
-            return Pow(walk(node.child), node.exp)
-        return node
+        return _rebuild(node, kids)
 
     return simplify(walk(e))
-
-
-def _side_of(e: OpExpr) -> str:
-    if isinstance(e, Gen):
-        return e.side
-    if isinstance(e, Pow) and isinstance(e.child, Gen):
-        return e.child.side
-    return ""
-
-
-def _y_power(e: OpExpr) -> int:
-    if isinstance(e, Gen) and e.kind == "y":
-        return 1
-    if isinstance(e, Pow) and isinstance(e.child, Gen) and e.child.kind == "y":
-        return e.exp
-    return 0
 
 
 def gaiotto_shift_identity(e: OpExpr) -> OpExpr:
@@ -985,69 +985,30 @@ def gaiotto_shift_identity(e: OpExpr) -> OpExpr:
 
     def walk(node):
         if isinstance(node, Exp):
-            parts = node.arg.children if isinstance(node.arg, Add) else (node.arg,)
             main = []
             shift_term = None
-            for pcs in parts:
+            for pcs in node.arg.children if isinstance(node.arg, Add) else (node.arg,):
                 coeff, core = _split_coeff(pcs)
                 if isinstance(core, Inv) and coeff == -HBAR and _is_y_minus_base(core.child):
                     shift_term = simplify(core.child)
                     continue
                 main.append(pcs)
-            if shift_term is not None and _is_x_like(main):
+            if shift_term is not None and main:
                 m = main[0] if len(main) == 1 else Add(tuple(main))
-                return simplify(
-                    Mul((Inv(shift_term), Add((shift_term, Mul((sc(-1), hb())))), Exp(m)))
-                )
-            return Exp(walk(node.arg))
-        if isinstance(node, Add):
-            return Add(tuple(walk(c) for c in node.children))
-        if isinstance(node, Mul):
-            return Mul(tuple(walk(c) for c in node.children))
-        if isinstance(node, Inv):
-            return Inv(walk(node.child))
-        if isinstance(node, Pow):
-            return Pow(walk(node.child), node.exp)
-        return node
+                lin = linear_form(m)
+                if lin is not None and lin[1] == {"x": 1}:
+                    return simplify(
+                        Mul((Inv(shift_term), Add((shift_term, Mul((sc(-1), hb())))), Exp(m)))
+                    )
+        return _rebuild(node, [walk(c) for c in _kids(node)])
 
     return simplify(walk(simplify(e)))
 
 
 def _is_y_minus_base(e: OpExpr) -> bool:
     """Matches y + (scalar or -y0): the commutator with an x term is -hbar."""
-    e = simplify(e)
-    parts = e.children if isinstance(e, Add) else (e,)
-    ny = 0
-    for t in parts:
-        coeff, core = _split_coeff(t)
-        if isinstance(core, Gen) and core.kind == "y":
-            if coeff != ONE:
-                return False
-            ny += 1
-        elif isinstance(core, Gen) and core.kind == "y0":
-            if coeff != Sym.const(-1):
-                return False
-        elif isinstance(core, Scalar):
-            continue
-        else:
-            return False
-    return ny == 1
-
-
-def _is_x_like(parts: list) -> bool:
-    """All terms are scalars or x-generators (so [sum, y - y0] = -hbar per x)."""
-    total_x = 0
-    for t in parts:
-        coeff, core = _split_coeff(t)
-        if isinstance(core, Scalar):
-            continue
-        if isinstance(core, Gen) and core.kind == "x":
-            if coeff != ONE:
-                return False
-            total_x += 1
-            continue
-        return False
-    return total_x == 1
+    lin = linear_form(e)
+    return lin is not None and lin[1] in ({"y": 1}, {"y": 1, "y0": -1})
 
 
 # ---------------------------------------------------------------------------
@@ -1137,35 +1098,3 @@ class WeylPoly:
         for (a, b), v in sorted(self.terms.items()):
             parts.append(f"({v})*x^{a}*y^{b}")
         return " + ".join(parts)
-
-
-def derivation_combine(steps, op: OpExpr, wave, order: int | None = None) -> OpExpr:
-    """Scripted operator derivation with certified annihilation at each step.
-
-    Steps are ("left_multiply", A) or ("add_left_multiple", A, Q); every Q
-    must itself annihilate the wave data, and the running operator is
-    re-checked after each step.  Aborts with the failing step index.
-    """
-    from .wave import check_annihilation
-
-    n = order if order is not None else wave.trunc
-    rep = check_annihilation(op, wave, n)
-    if not rep.passed:
-        raise OperatorError(f"initial operator does not annihilate: {rep.summary()}")
-    cur = op
-    for i, step in enumerate(steps):
-        if step[0] == "left_multiply":
-            _, a = step
-            cur = simplify(Mul((a, cur)))
-        elif step[0] == "add_left_multiple":
-            _, a, q = step
-            repq = check_annihilation(q, wave, n)
-            if not repq.passed:
-                raise OperatorError(f"step {i}: auxiliary operator fails to annihilate")
-            cur = simplify(Add((cur, Mul((a, q)))))
-        else:
-            raise OperatorError(f"unknown step kind {step[0]}")
-        rep = check_annihilation(cur, wave, n)
-        if not rep.passed:
-            raise OperatorError(f"annihilation lost at step {i}: {rep.summary()}")
-    return cur

@@ -45,6 +45,7 @@ from .operators import (
     RatSubst,
     Scalar,
     Sym,
+    linear_form,
     op_text,
     simplify,
 )
@@ -567,28 +568,6 @@ def _collect_class(sym: Symbol, pref: Prefactor) -> HSeries:
 # full evaluation
 
 
-def _parse_exp_arg(arg: OpExpr):
-    from .operators import _split_coeff
-
-    arg = simplify(arg)
-    terms = arg.children if isinstance(arg, Add) else (arg,)
-    scal = Sym.const(0)
-    gens: dict = {}
-    for t in terms:
-        coeff, core = _split_coeff(t)
-        if isinstance(core, Scalar):
-            scal = scal + coeff * core.value
-        elif isinstance(core, Gen):
-            try:
-                val = coeff.const_value()
-            except OperatorError:
-                raise OperatorError(f"exponential with non-rational generator coefficient: {coeff}")
-            gens[core.kind] = gens.get(core.kind, Fraction(0)) + val
-        else:
-            raise OperatorError(f"unsupported exponential argument term: {op_text(core)}")
-    return scal, gens
-
-
 def evaluate_operator_on(op: OpExpr, sym: Symbol, wave: WaveData) -> Symbol:
     if isinstance(op, Scalar):
         coeffs = op.value.hbar_coefficients()
@@ -648,7 +627,12 @@ def evaluate_operator_on(op: OpExpr, sym: Symbol, wave: WaveData) -> Symbol:
                 sym_addinto(out, sym_scale_hseries(powers[i], HSeries.make({0: Fraction(v)}, wave.trunc)))
         return out
     if isinstance(op, Exp):
-        scal, gens = _parse_exp_arg(op.arg)
+        lin = linear_form(op.arg)
+        if lin is None:
+            raise OperatorError(
+                f"exponential argument is not a scalar plus rational multiples of generators: {op_text(op.arg)}"
+            )
+        scal, gens = lin
         bad = set(gens) - {"x", "y", "x0", "y0"}
         if bad:
             raise OperatorError(f"unknown generators {bad}")
@@ -787,13 +771,7 @@ def classical_symbol(op: OpExpr, x: LogRat, y: LogRat, x0=None, y0=None):
             v = ev(e.child)
             if v.has_logs():
                 raise WaveError("classical rational substitution of a logarithmic value")
-            num = RatFun.const(0)
-            den = RatFun.const(0)
-            for i, c in enumerate(e.num):
-                num = num + v.rat**i * c
-            for i, c in enumerate(e.den):
-                den = den + v.rat**i * c
-            return LogRat.from_ratfun(num / den)
+            return LogRat.from_ratfun(RatFun(e.num, e.den).compose(v.rat))
         raise TypeError(type(e))
 
     return ev(op)

@@ -369,6 +369,50 @@ class TestWorkKeptOnNodes:
         assert {b: "b"}[a] == "b"
 
 
+# every node kind, exponentials of any subtree and a generator of the dual side
+_any_tree = st.recursive(
+    st.one_of(st.sampled_from((X, Y, X0, Y0, Gen("y", "dual"), _COORD)), _scalar_st()),
+    lambda children: st.one_of(_extend_rich(children), st.builds(Exp, children)),
+    max_leaves=7,
+)
+
+
+def children_of(e) -> tuple:
+    """The operator values among the fields of e, in field order."""
+    out = []
+    for f in fields(e):
+        v = getattr(e, f.name)
+        out += [c for c in (v if isinstance(v, tuple) else (v,)) if isinstance(c, OpExpr)]
+    return tuple(out)
+
+
+class TestChildren:
+    @_PROPERTY
+    @given(_any_tree)
+    def test_kids_are_the_operator_fields_and_rebuild_restores_the_node(self, e):
+        for n in nodes(e):
+            kids = operators._kids(n)
+            assert kids == children_of(n)
+            assert operators._rebuild(n, kids) == n
+            new = tuple(sc(i) for i in range(len(kids)))
+            out = operators._rebuild(n, new)
+            assert type(out) is type(n) and operators._kids(out) == new
+
+    @_PROPERTY
+    @given(_any_tree)
+    def test_identity_map_of_generators_is_the_tree(self, e):
+        if any(isinstance(n, CoordMul) for n in nodes(e)):
+            with pytest.raises(OperatorError, match="coordinate multiplier"):
+                operators._map_gens(e, lambda g: g)
+        else:
+            assert operators._map_gens(e, lambda g: g) == e
+
+    @_PROPERTY
+    @given(_rich_tree, _rich_tree)
+    def test_map_of_generators_is_literal_substitution(self, e, s):
+        assert operators._map_gens(e, lambda g: s if g.kind == "x" else g) == plug(e, s)
+
+
 class TestExpand:
     def test_power_of_a_product_is_multiplied_out(self):
         assert expand(sub(Pow(Mul((X, Y)), 2), Mul((X, Y, X, Y)))) == sc(0)

@@ -23,6 +23,7 @@ from trq.operators import (
     expand,
     gaiotto_shift_identity,
     hb,
+    linear_form,
     mul,
     normal_order_mul_rule,
     op_text,
@@ -180,6 +181,20 @@ class TestSingularLimit:
         dual = mul(Pow(yd, 2), sub(xd, Mul((hb(), Inv(yd)))))
         assert op_text(normal_order_mul_rule(dual)) == op_text(Mul((yd, xd, yd)))
 
+    def test_normal_order_matches_inside_ratsubst_and_exp(self):
+        r_num, r_den = (F(0), F(1)), (F(1), F(1))  # t / (1 + t)
+        bare = mul(Pow(Y, 2), sub(X, Mul((hb(), Inv(Y)))))
+        yxy = Mul((Y, X, Y))
+        assert op_text(normal_order_mul_rule(bare)) == op_text(yxy)
+        inside = RatSubst(r_num, r_den, bare)
+        assert op_text(normal_order_mul_rule(inside)) == op_text(simplify(RatSubst(r_num, r_den, yxy)))
+        assert op_text(normal_order_mul_rule(Exp(bare))) == op_text(simplify(Exp(yxy)))
+
+    def test_ratsubst_at_infinity_with_equal_degrees(self):
+        # (2t + 1)/(t + 3) tends to 2
+        op = Add((X, ratsubst([1, 2], [3, 1], Y0)))
+        assert texteq(singular_limit(op, None, "inf"), Add((X, sc(2))))
+
     def test_surviving_infinity_errors(self):
         with pytest.raises(OperatorError, match="singular limit"):
             singular_limit(Add((X, X0)), "inf", None)
@@ -270,3 +285,23 @@ class TestGaiottoShift:
     def test_no_pattern_unchanged(self):
         e = Exp(X)
         assert texteq(gaiotto_shift_identity(e), e)
+
+    def test_pattern_rewrite_inside_ratsubst(self):
+        r_num, r_den = (F(0), F(1)), (F(1), F(1))  # t / (1 + t)
+        e = RatSubst(r_num, r_den, Exp(Add((X, Mul((sc(-1), hb(), Inv(sub(Y, Y0))))))))
+        ymy0 = sub(Y, Y0)
+        shifted = Mul((Inv(ymy0), Add((ymy0, Mul((sc(-1), hb())))), Exp(X)))
+        assert op_text(gaiotto_shift_identity(e)) == op_text(simplify(RatSubst(r_num, r_den, shifted)))
+
+
+class TestLinearForm:
+    def test_like_generators_are_summed(self):
+        assert linear_form(Add((X, Mul((sc(2), X))))) == (Sym(), {"x": F(3)})
+
+    def test_scalar_and_generators(self):
+        e = Add((sc(3), hb(), X, Mul((sc(F(-1, 2)), Y0))))
+        assert linear_form(e) == (Sym.const(3) + Sym.hbar(), {"x": F(1), "y0": F(-1, 2)})
+
+    @pytest.mark.parametrize("e", [Mul((hb(), X)), Mul((X, Y)), Pow(X, 2), Inv(Y), Exp(X)])
+    def test_not_linear(self, e):
+        assert linear_form(e) is None

@@ -1,4 +1,5 @@
 import functools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,9 @@ from trq.operators import (
     Gen,
     Inv,
     Mul,
+    OperatorError,
     Pow,
+    RatSubst,
     Scalar,
     Sym,
     X,
@@ -233,8 +236,23 @@ class TestExpNodes:
         ok, w = sym_is_zero(diff)
         assert ok, w
 
+    @pytest.mark.parametrize("arg, text", [
+        (Mul((X, Y)), "(mul (gen x) (gen y))"),
+        (Add((Y, Mul((hb(), X)))), "(add (mul (scalar hbar) (gen x)) (gen y))"),
+    ])
+    def test_exp_of_a_nonlinear_argument_names_it(self, airy_wave, arg, text):
+        with pytest.raises(OperatorError, match=re.escape(text)):
+            evaluate_operator(Exp(arg), airy_wave)
+
 
 class TestClassical:
+    def test_ratsubst_composes(self):
+        # R(x) on x = z^2 is R(z^2), for R(t) = (t^2 + 1)/(t + 2)
+        r = RatFun.make(P.poly([1, 0, 1]), P.poly([2, 1]))
+        v = classical_symbol(RatSubst(r.num, r.den, X), lr([0, 0, 1]), lr([0, 1]))
+        assert not v.has_logs()
+        assert v.rat == RatFun.make(P.poly([1, 0, 0, 0, 1]), P.poly([2, 0, 1]))
+
     def test_hurwitz_sign(self):
         # the transported Hurwitz exponent must reproduce y on the curve
         q, r = 2, 3
