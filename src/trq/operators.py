@@ -48,6 +48,8 @@ repr):
   tree;
 - `_form`: set on every node that `simplify` was given, to its result, so
   simplifying the same object again (as `expand` does) costs one read;
+- `_expanded`: set on every node that `expand` was given, to its result, so
+  expanding the same object again costs one read;
 - `_text`: set by `op_text` on first use, so sorting the terms of a sum
   reads each core's text.
 Within one call `simplify` also keeps a memo from each node it has rebuilt
@@ -94,7 +96,12 @@ def _cached_hash(self) -> int:
 # ---------------------------------------------------------------------------
 # scalars: Laurent polynomials in hbar and named parameters over Q
 
-_UNIT_TERMS = (((), Fraction(1)),)
+def _is_unit(terms: tuple) -> bool:
+    """The terms of the scalar 1, read without comparing Fractions."""
+    if len(terms) != 1 or terms[0][0]:
+        return False
+    c = terms[0][1]
+    return c.denominator == 1 and c.numerator == 1
 
 
 @dataclass(frozen=True)
@@ -155,9 +162,9 @@ class Sym:
 
     def __mul__(self, o: "Sym") -> "Sym":
         a, b = self.terms, o.terms
-        if a == _UNIT_TERMS or not b:
+        if not b or _is_unit(a):
             return o
-        if b == _UNIT_TERMS or not a:
+        if not a or _is_unit(b):
             return self
         if len(a) == len(b) == 1 and not a[0][0] and not b[0][0]:  # two plain rationals
             return Sym((((), a[0][1] * b[0][1]),))
@@ -228,6 +235,7 @@ class OpExpr:
     _hash = None   # set on first use by _cached_hash
     _canon = False  # True on every node that simplify returns
     _form = None   # the node's canonical form, once simplify has been given it
+    _expanded = None  # the node's expanded form, once expand has been given it
     _text = None   # set by op_text on first use
 
 
@@ -541,6 +549,8 @@ def _pow(c: OpExpr, k: int) -> OpExpr:
         return c
     if isinstance(c, Scalar):
         v = c.value
+        if k < 0 and v.is_zero():
+            raise OperatorError(f"division by zero: the power {k} of the scalar 0")
         if k > 0 or len(v.terms) == 1:
             return Scalar(v.pow(k))
         return _pow_node(Scalar(v.pow(-k)), -1)
@@ -772,7 +782,11 @@ def expand(e: OpExpr) -> OpExpr:
     of these, exponentials, inverses and proper RatSubst nodes (whose
     denominator is not a power of t), each with expanded children.
     """
-    return _add(_terms(simplify(e)))
+    out = e._expanded
+    if out is None:
+        out = _add(_terms(simplify(e)))
+        object.__setattr__(e, "_expanded", out)
+    return out
 
 
 def _terms(e: OpExpr) -> list:

@@ -17,9 +17,23 @@ the first as one table entry for its value at (t, sigma(t)).
 Inside a run (`_Run`) a pole point is a small int, its slot id: the
 ramification points first, then the vital points.  Every table, every
 accumulator and every omega the steps read back is keyed by (id, k), so no
-step hashes a Fraction.  Each omega is published once, as a
-`PoleDifferential` keyed by (point, k), and the id-keyed copies end with
-the run.
+step hashes a Fraction.
+
+The contraction is integer arithmetic.  A table entry holds its residues as
+integer numerators over one denominator, fixed when the entry is built, and
+every omega the steps read back is held by the run as integer numerators
+over one denominator per (g, n), with no Fraction copy beside it.  A step
+adds integer products into buckets keyed by their denominator (the product
+of the omegas' and the entry's).  In the second summand the terms of both
+factors are grouped by their last slot, so a table entry is looked up once
+per pair of last slots.  After the last branch point, `tr_step` brings the
+buckets over their least common denominator and divides out the common
+factor; that integer form is what later steps and the invariant checks
+read.  (An omega_{g,1} with a logarithmic correction is converted back to
+it from the corrected published omega.)  The one reduction to Fraction is in
+`_Run.publish`: one Fraction per coefficient of the `PoleDifferential`,
+keyed by (point, k), that the store keeps.  The id-keyed integer forms end
+with the run.
 
 omega_{g,n} has poles of order at most 6g-4+2n at a simple ramification
 point (Eynard-Orantin).  The series windows of a run follow from this
@@ -37,7 +51,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, lcm, prod
+from operator import itemgetter
 
 from .algebra import LocalSeries, RatFun, series_at
 from .algebra import poly as P
@@ -205,8 +220,9 @@ class _Branch:
 
     A slot (a, k) is dz/(z-a)^k, with a the slot id of the point points[a];
     the virtual slot (id of p, -m) of omega_{0,2} is (z-p)^m dz.
-    entry(e1, e2) lists (m, Res_t E_m D s_e1(t) s_e2(sigma t) sigma'(t))
-    with E_m = (t^m - sigma^m)/2 and the kernel
+    entry(e1, e2) is (den, ((m, r_m), ...)): the residues
+    Res_t E_m D s_e1(t) s_e2(sigma t) sigma'(t) = r_m / den as integers over
+    one denominator, with E_m = (t^m - sigma^m)/2 and the kernel
     D = 1/((y(t) - y(sigma t)) x'(t)); the output slot is (id of p, m+1).
     """
 
@@ -225,16 +241,17 @@ class _Branch:
             pw = (pw * sigma).truncate(window + 1)
             em = (LocalSeries.make(p, {m: 1}, window + 1) - pw).scale(Fraction(1, 2))
             self.kernel.append(em * D)
+        self.low = min(ker.order() for ker in self.kernel)  # the kernel starts at t^low
         # omega_{0,2}(z, p+t) = sum_m (m+1) dz/(z-p)^{m+2} t^m dt; a partner slot of
         # pole order k at p pairs with t^m only for m <= k <= window
-        self.bergman = {((pid, m + 2), (pid, -m)): Fraction(m + 1) for m in range(window + 1)}
+        self.bergman = {((pid, m + 2), (pid, -m)): m + 1 for m in range(window + 1)}
         # the output slot (p, m+1) of each m, shared by every output key
         self.heads = [((pid, m + 1),) for m in range(window + 2)]
         # omega_{0,2}(p+t, p+sigma(t)) = sigma'(t) dt^2 / (t - sigma(t))^2
         self.diagonal = self._residues(0, (LocalSeries.make(p, {1: 1}, order) - sigma).pow(-2) * self.sig_d)
         self.powers: dict = {}   # (a, k > 0) -> [1, b, b^2, ...] for the base b of slots at sigma(t)
         self.at_sigma: dict = {}  # slot -> its series at sigma(t), times sigma'
-        self.entries: dict = {}  # (e1, e2) -> ((m, residue), ...)
+        self.entries: dict = {}  # (e1, e2) -> (den, ((m, numerator), ...))
 
     def entry(self, e1: tuple, e2: tuple) -> tuple:
         got = self.entries.get((e1, e2))
@@ -244,9 +261,15 @@ class _Branch:
             if a == self.id:
                 got = self._residues(-k, s2)
             else:
-                c, n = self.p - self.points[a], self.order
-                s1 = LocalSeries.make(self.p, {j: (-1) ** j * comb(k + j - 1, j) / c ** (k + j) for j in range(n + 1)}, n)
-                got = self._residues(0, s1 * s2)
+                # a residue reads s1 s2 up to t^(-1-low) only
+                top = -1 - self.low
+                s2 = s2.truncate(top)
+                if s2.is_zero():
+                    got = 1, ()
+                else:
+                    c, n = self.p - self.points[a], top - s2.order()
+                    s1 = LocalSeries.make(self.p, {j: (-1) ** j * comb(k + j - 1, j) / c ** (k + j) for j in range(n + 1)}, n)
+                    got = self._residues(0, s1 * s2)
             # t <-> sigma(t) maps the residue of (e1, e2) to that of (e2, e1)
             self.entries[(e1, e2)] = self.entries[(e2, e1)] = got
         return got
@@ -268,9 +291,10 @@ class _Branch:
         return got
 
     def _residues(self, s: int, f: LocalSeries) -> tuple:
-        """((m, Res_t E_m D t^s f), ...) over the m with a nonzero residue."""
+        """The residues Res_t E_m D t^s f over the m where one is nonzero, as
+        (den, ((m, numerator), ...))."""
         if f.is_zero():
-            return ()
+            return 1, ()
         hi = -1 - s - f.order()  # the residue reads E_m D up to t^hi
         out = []
         for m, ker in enumerate(self.kernel, 1):
@@ -279,39 +303,46 @@ class _Branch:
             r = sum(c * f.coeff(-1 - s - j) for j, c in ker.coeffs.items() if j <= hi)
             if r:
                 out.append((m, r))
-        return tuple(out)
+        den = lcm(*(r.denominator for _m, r in out))
+        return den, tuple([(m, r.numerator * (den // r.denominator)) for m, r in out])
 
 
 class _Run:
     """What one run of the recursion keeps: the point of each slot id, the
     residue tables of each ramification point, and every omega computed so
-    far keyed by slot ids."""
+    far keyed by slot ids, as integer numerators over one denominator."""
 
     def __init__(self, curve: SpectralCurve, rams: list, vital_pts: list, window: int):
         # slot id -> point: the ramification points, then the vital points
         self.points = points = [r.location for r in rams] + vital_pts
         self.ids = {p: i for i, p in enumerate(points)}
         self.branches = [_Branch(curve, r, window, points) for r in rams]
-        self.omegas: dict = {}  # (g, n) -> PoleDifferential keyed by slot ids
+        # (g, n) -> (den, omega keyed by slot ids with integer numerators over den)
+        self.omegas: dict = {}
         self.slots: dict = {}  # (id, k) -> (point, k), shared by the published keys
 
-    def to_ids(self, pd: PoleDifferential) -> PoleDifferential:
-        """pd keyed by slot ids; a point without an id gets the next one."""
+    def to_ids(self, pd: PoleDifferential) -> tuple:
+        """(den, pd keyed by slot ids with integer numerators over den); a
+        point without an id gets the next one."""
         ids = self.ids
         for p in pd.pole_points() - ids.keys():
             ids[p] = len(self.points)
             self.points.append(p)
-        return PoleDifferential(pd.g, pd.n, {tuple([(ids[p], k) for p, k in key]): v for key, v in pd.terms.items()})
+        den = lcm(*(v.denominator for v in pd.terms.values()))
+        return den, PoleDifferential(pd.g, pd.n, {
+            tuple([(ids[p], k) for p, k in key]): v.numerator * (den // v.denominator)
+            for key, v in pd.terms.items()
+        })
 
-    def publish(self, pd: PoleDifferential) -> PoleDifferential:
-        """pd keyed by (point, k) again."""
+    def publish(self, den: int, pd: PoleDifferential) -> PoleDifferential:
+        """pd keyed by (point, k) again, one Fraction per coefficient."""
         points, slots = self.points, self.slots
         terms = {}
         for key, v in pd.terms.items():
             for e in key:
                 if e not in slots:
                     slots[e] = (points[e[0]], e[1])
-            terms[tuple([slots[e] for e in key])] = v
+            terms[tuple([slots[e] for e in key])] = Fraction(v, den)
         return PoleDifferential(pd.g, pd.n, terms)
 
 
@@ -330,25 +361,44 @@ def tr_step(curve: SpectralCurve, store: OmegaStore, g: int, n: int) -> PoleDiff
     acc: dict = {}
     for br in run.branches:
         _tr_step_at(run, g, n, br, acc)
-    pd = run.omegas[(g, n)] = PoleDifferential(g, n, {key: v for key, v in acc.items() if v})
-    return run.publish(pd)
+    # one denominator for the step, then the common factor taken out
+    den = lcm(*acc)
+    terms: dict = {}
+    for d, part in acc.items():
+        scale = den // d
+        for key, v in part.items():
+            terms[key] = terms.get(key, 0) + v * scale
+    terms = {key: v for key, v in terms.items() if v}
+    common = gcd(den, *terms.values())
+    if common > 1:
+        den //= common
+        terms = {key: v // common for key, v in terms.items()}
+    pd = PoleDifferential(g, n, terms)
+    run.omegas[(g, n)] = den, pd
+    return run.publish(den, pd)
 
 
 def _tr_step_at(run: _Run, g: int, n: int, br: _Branch, acc: dict) -> None:
+    """Add the residues at br to acc, a dict den -> {output key: numerator};
+    integer arithmetic only."""
     heads = br.heads
-
-    def emit(key: tuple, c, residues: tuple) -> None:
-        for m, r in residues:
-            out = heads[m] + key
-            acc[out] = acc.get(out, 0) + c * r
 
     # first summand: omega_{g-1,n+1}(t, sigma(t), I)
     if g >= 1:
         if (g - 1, n + 1) == (0, 2):
-            emit((), 1, br.diagonal)
+            den, residues = br.diagonal
+            out = acc.setdefault(den, {})
+            for m, r in residues:
+                out[heads[m]] = out.get(heads[m], 0) + r
         else:
-            for key, v in run.omegas[(g - 1, n + 1)].terms.items():
-                emit(key[2:], v, br.entry(key[0], key[1]))
+            d, pd = run.omegas[(g - 1, n + 1)]
+            for key, v in pd.terms.items():
+                den, residues = br.entry(key[0], key[1])
+                if residues:
+                    out, rest = acc.setdefault(d * den, {}), key[2:]
+                    for m, r in residues:
+                        k = heads[m] + rest
+                        out[k] = out.get(k, 0) + v * r
 
     # second summand: omega_{g1}(t, I1) omega_{g2}(sigma(t), I2); t <-> sigma(t)
     # swaps the two factors, so each unordered splitting is taken once
@@ -366,24 +416,49 @@ def _tr_step_at(run: _Run, g: int, n: int, br: _Branch, acc: dict) -> None:
                 continue
             where = [i for i in range(spect) if mask >> i & 1] + [i for i in range(spect) if not mask >> i & 1]
             perm = sorted(range(spect), key=where.__getitem__)
+            # the spectator slots of key1 then key2, in the order of I
+            arrange = None if perm == sorted(perm) else itemgetter(*perm)
             weight = 1 if split[0] == split[1] else 2
-            for key1, v1 in f1.items():
-                e1, rest1 = key1[-1], key1[:-1]
-                for key2, v2 in f2.items():
-                    residues = br.entry(e1, key2[-1])
-                    if residues:
-                        rest = rest1 + key2[:-1]
-                        emit(tuple([rest[i] for i in perm]), weight * v1 * v2, residues)
+            d12 = f1[0] * f2[0]
+            # an entry depends only on the two last slots: one lookup per pair of them
+            groups2 = list(_by_last_slot(f2[1]).items())
+            for e1, group1 in _by_last_slot(f1[1]).items():
+                for e2, group2 in groups2:
+                    den, residues = br.entry(e1, e2)
+                    if not residues:
+                        continue
+                    out = acc.setdefault(d12 * den, {})
+                    for rest1, v1 in group1:
+                        c1 = weight * v1
+                        for rest2, v2 in group2:
+                            c = c1 * v2
+                            key = rest1 + rest2 if arrange is None else arrange(rest1 + rest2)
+                            for m, r in residues:
+                                k = heads[m] + key
+                                out[k] = out.get(k, 0) + c * r
 
 
-def _factor(run: _Run, br: _Branch, gi: int, ni: int) -> dict | None:
-    """Terms of omega_{gi,ni} with the last slot at t or sigma(t); None when
-    unstable and absent."""
+def _by_last_slot(terms: dict) -> dict:
+    """last slot -> [(the other slots, coefficient), ...]"""
+    out: dict = {}
+    for key, v in terms.items():
+        got = out.get(key[-1])
+        if got is None:
+            out[key[-1]] = [(key[:-1], v)]
+        else:
+            got.append((key[:-1], v))
+    return out
+
+
+def _factor(run: _Run, br: _Branch, gi: int, ni: int) -> tuple | None:
+    """(den, terms) of omega_{gi,ni} with the last slot at t or sigma(t),
+    integer numerators over den; None when unstable and absent."""
     if (gi, ni) == (0, 2):
-        return br.bergman
+        return 1, br.bergman
     if 2 * gi + ni - 2 < 1:
         return None
-    return run.omegas[(gi, ni)].terms
+    den, pd = run.omegas[(gi, ni)]
+    return den, pd.terms
 
 
 # ---------------------------------------------------------------------------
@@ -461,28 +536,29 @@ def run_tr(curve: SpectralCurve, chi_max: int) -> OmegaStore:
                 continue
             pd = tr_step(curve, store, g, n)
             if n == 1 and g >= 1 and vital:
-                corr = logtr_term(curve, g, vital)
-                pd = pd + corr
-                run.omegas[(g, n)] = run.omegas[(g, n)] + run.to_ids(corr)
-            _check_invariants(run.omegas[(g, n)], ram_ids, vital_ids, run.points)
+                pd = pd + logtr_term(curve, g, vital)
+                run.omegas[(g, n)] = run.to_ids(pd)
+            _check_invariants(run.omegas[(g, n)][1], ram_ids, vital_ids, run.points)
             store.omegas[(g, n)] = pd
     store.run = None
     return store
 
 
 def _check_invariants(pd: PoleDifferential, ram_ids: set, vital_ids: set, points: list) -> None:
-    """pd is keyed by slot ids; the messages name the points."""
-    if pd.min_order() < 2:
+    """pd is keyed by slot ids, its coefficients the numerators over any one
+    positive denominator; the messages name the points."""
+    slots = {e for key in pd.terms for e in key}  # the distinct (id, k)
+    if min((k for _a, k in slots), default=_BIG) < 2:
         raise RecursionError_(f"omega_({pd.g},{pd.n}) has a residue term")
     allowed = ram_ids | (vital_ids if pd.n == 1 else set())
-    bad = pd.pole_points() - allowed
+    bad = {a for a, _k in slots} - allowed
     if bad:
         raise RecursionError_(
             f"omega_({pd.g},{pd.n}) has poles outside {sorted(points[a] for a in allowed)}: "
             f"{sorted(points[a] for a in bad)}"
         )
     bound = _pole_bound(pd.g, pd.n)
-    if any(k > bound for key in pd.terms for a, k in key if a in ram_ids):
+    if any(k > bound for a, k in slots if a in ram_ids):
         raise RecursionError_(f"omega_({pd.g},{pd.n}) has a pole of order above {bound}")
     if not pd.is_symmetric():
         raise RecursionError_(f"omega_({pd.g},{pd.n}) is not symmetric")

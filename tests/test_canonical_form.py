@@ -344,6 +344,16 @@ class TestWorkKeptOnNodes:
 
     @_PROPERTY
     @given(_rich_tree)
+    def test_expanding_again_returns_the_kept_form(self, e):
+        try:
+            out = expand(e)
+        except (OperatorError, ZeroDivisionError):
+            return
+        assert expand(e) is out
+        assert out == expand(fresh(e))
+
+    @_PROPERTY
+    @given(_rich_tree)
     def test_kept_text_is_the_text_of_a_rebuilt_node(self, e):
         s = _simplified(e)
         if s is None:

@@ -65,6 +65,14 @@ class TestSimplify:
         e = Mul((sc(2), X, sc(3)))
         assert texteq(e, Mul((sc(6), X)))
 
+    def test_inverse_of_zero_scalar_is_refused(self):
+        with pytest.raises(OperatorError, match="division by zero"):
+            simplify(Inv(sc(0)))
+
+    def test_negative_power_of_a_vanishing_sum_is_refused(self):
+        with pytest.raises(OperatorError, match="division by zero"):
+            simplify(Pow(sub(X, X), -2))
+
     def test_negated_inverse(self):
         # 1/(y0 - y) = -1/(y - y0)
         a = Inv(sub(Y0, Y))
@@ -194,6 +202,10 @@ class TestSingularLimit:
         # (2t + 1)/(t + 3) tends to 2
         op = Add((X, ratsubst([1, 2], [3, 1], Y0)))
         assert texteq(singular_limit(op, None, "inf"), Add((X, sc(2))))
+
+    def test_limit_that_inverts_zero_is_refused(self):
+        with pytest.raises(OperatorError, match="division by zero"):
+            singular_limit(Inv(X0), 0, None)
 
     def test_surviving_infinity_errors(self):
         with pytest.raises(OperatorError, match="singular limit"):

@@ -83,6 +83,13 @@ class TestAiry:
         st = run_tr(airy(), 2)
         assert tr_step(airy(), st, 2, 1) == run_tr(airy(), 3).get(2, 1)
 
+    def test_tr_step_outside_run_tr_non_unit_denominators(self):
+        # two branch points, kernel and tables with non-unit denominators
+        curve = mk([0, -3, 0, 1], [0, 0, 1])
+        st, ref = run_tr(curve, 2), run_tr(curve, 3)
+        for g, n in ((0, 5), (1, 3), (2, 1)):
+            assert tr_step(curve, st, g, n) == ref.get(g, n), (g, n)
+
     def test_even_orders_only(self):
         st = run_tr(airy(), 3)
         for pd in st.omegas.values():
@@ -136,17 +143,30 @@ class TestWittenKontsevich:
         assert wk(3, (7,)) == F(1, 82944)
 
     def test_airy_omegas(self):
-        st = run_tr(airy(), 4)
-        assert len(st.omegas) == 10
+        st = run_tr(airy(), 6)
+        assert len(st.omegas) == 18
         for (g, n), pd in st.omegas.items():
             norm = (-1) ** n * F(2) ** (2 - 2 * g - n)
             expect = {}
-            for ds in itertools.product(range(3 * g - 2 + n), repeat=n):
-                v = wk(g, tuple(sorted(ds)))
+            # each sorted multiset of descendants once, then its orderings
+            for ds in itertools.combinations_with_replacement(range(3 * g - 2 + n), n):
+                v = wk(g, ds)
                 if v:
-                    key = tuple((F(0), 2 * d + 2) for d in ds)
-                    expect[key] = norm * v * math.prod(_dfact(2 * d + 1) for d in ds)
+                    c = norm * v * math.prod(_dfact(2 * d + 1) for d in ds)
+                    for order in _orderings(ds):
+                        expect[tuple((F(0), 2 * d + 2) for d in order)] = c
             assert pd.terms == expect, (g, n)
+
+
+def _orderings(ds: tuple):
+    """The distinct orderings of a sorted tuple."""
+    if not ds:
+        yield ()
+        return
+    for i, d in enumerate(ds):
+        if i == 0 or d != ds[i - 1]:
+            for rest in _orderings(ds[:i] + ds[i + 1:]):
+                yield (d,) + rest
 
 
 def _golden_cases():
@@ -176,6 +196,28 @@ class TestGoldenDigests:
     def test_cubic_chi4(self):
         digest = "f93037664aa632e7ea76d2c4fc6ea8affc9cec6901e89c89bbb17f995b409b8d"
         assert _digest(run_tr(mk([0, -3, 0, 1], [0, 1], "cubic"), 4)) == digest
+
+    # stores whose coefficients and points have non-unit denominators,
+    # recorded at commit 22cda52
+
+    def test_branch_point_at_minus_half_chi5(self):
+        digest = "415485e28c2672bb802e9dc5b3cced3c38c9356d3e54980d27a2e0624537af9d"
+        assert _digest(run_tr(mk([0, 1, 1], [0, 1], "quad"), 5)) == digest
+
+    def test_cubic_y_squared_chi3(self):
+        digest = "a5e57ec240eb1b44fd39b26f41c5e1851d33708a01abe1cfe2fcd0256c931929"
+        assert _digest(run_tr(mk([0, -3, 0, 1], [0, 0, 1], "cubic-z2"), 3)) == digest
+
+    def test_bessel_chi4(self):
+        digest = "749187530509025314a90285f697184916a8eddf1dea29cc6f6f43434624f9ec"
+        assert _digest(run_tr(bessel(), 4)) == digest
+
+    def test_rationally_sheared_airy_chi5(self):
+        # y -> y + 1/2 - 2x/3 + 3x^2/5 leaves every omega unchanged; the store
+        # is relabelled to plain Airy as the benchmark's tr-sweep does
+        sheared = run_tr(mk([0, 0, 1], [F(1, 2), 1, F(-2, 3), 0, F(3, 5)], "airy-sheared"), 5)
+        relabelled = OmegaStore(airy(), dict(sheared.omegas), sheared.chi_max)
+        assert _digest(relabelled) == "a25fde932c3c0c2fd8b7660b114a9879b543420219db8339feb7b766a5dbec39"
 
     def test_vital_point_chi4(self):
         # every omega_{g,1} has poles at the vital point; later steps read
