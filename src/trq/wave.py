@@ -283,18 +283,6 @@ class WaveData:
 # building wave data from an omega store
 
 
-def _primitive_value(entry, at) -> Rf2:
-    """Antiderivative of 1/(u-p)^k evaluated at `at` ("z", "w", a rational,
-    or INF); orders k >= 2 only, so the primitive is rational."""
-    p, k = entry
-    c = Fraction(-1, k - 1)
-    if at == INF:
-        return Rf2.const(0)
-    if at in _VARS:
-        return Rf2.const(c) / (_VARS[at].coord - Rf2.const(p)) ** (k - 1)
-    return Rf2.const(c / (Fraction(at) - p) ** (k - 1))
-
-
 def _x_at(x: LogRat, at) -> Rf2 | None:
     """x at `at`: as a function of the coordinate "z" or "w", or its value at
     a rational point or INF; None where x diverges."""
@@ -338,7 +326,8 @@ def build_wave_data(store: OmegaStore, base, trunc: int) -> WaveData:
 
     `base` is "generic", or ("main", p0) for a frozen (regularized) base
     point p0, or ("base", pm) for a frozen main variable (the symbol then
-    lives in the base variable only).
+    lives in the base variable only).  A frozen point must not be a pole
+    point of the omegas read, where the integrated slots diverge.
     """
     need = trunc - 1
     have = store.chi_max
@@ -353,43 +342,216 @@ def build_wave_data(store: OmegaStore, base, trunc: int) -> WaveData:
         ends = (base[1], "w")
     else:
         raise WaveError(f"unknown base mode {base}")
+    # the stable omegas of the tail, hbar^j with j = 2g - 2 + n + 1 <= trunc
+    omegas = [
+        (2 * g + n - 1, n, pd)
+        for (g, n), pd in sorted(store.omegas.items())
+        if 2 * g + n - 1 <= trunc and not pd.is_zero()
+    ]
+    points = sorted({p for _j, _n, pd in omegas for p in pd.pole_points()})
+    for end in ends:
+        if end not in _VARS and end != INF and Fraction(end) in points:
+            raise WaveError(
+                f"{base[0]} mode frozen at {end}, a pole point of the omegas, where the integrated slots diverge"
+            )
     curve = store.curve
     wd = WaveData(trunc, x={"z": curve.x, "w": curve.x})
     for var, other in (ends, ends[::-1]):
         if var in _VARS:
             wd.y[var] = curve.y
-            wd.tail[var] = _assemble_tail(store, var, other, ends, trunc)
+            wd.tail[var] = _assemble_tail(curve, omegas, points, var, other, ends, trunc)
     return wd
 
 
-def _assemble_tail(store: OmegaStore, var: str, other, ends: tuple, trunc: int) -> HSeries:
-    """hbar^1.. of the `var` stream; `other` as in `_h02`."""
+def _assemble_tail(curve: SpectralCurve, omegas: list, points: list, var: str, other, ends: tuple, trunc: int) -> HSeries:
+    """hbar^1.. of the `var` stream; `other` as in `_h02`, `omegas` the
+    (j, n, omega_{g,n}) of `build_wave_data` and `points` their sorted pole
+    points.
+
+    hbar^1 is the (0,2) piece.  hbar^j for j >= 2 sums the omega_{g,n} with
+    2g - 1 + n = j, each with its first slot at `var` and the others
+    integrated between the ends, over (n - 1)! dx(var).
+
+    The denominator is known.  Each pole point p = a/b is rational and
+    gives the primitive integer linear forms L = b*u - a, u in {z, w}.  Every
+    term is then a rational constant over a monomial in these forms
+    (`_slot_difference`), and so is 1/dx at the pole points (`_split_at`).
+    The terms of one hbar order are added by their vector of form
+    exponents, and `_over_forms` reduces the sum with no gcd.  A factor of
+    dx away from the pole points is applied at the end: a factor of its
+    denominator by one product, and one of its numerator (a zero of dx that
+    is not a pole point) by one `Rf2` division.
+    """
     v = _VARS[var]
     coeffs: dict = {}
-
-    def addc(j: int, f: Rf2) -> None:
-        if j <= trunc:
-            coeffs[j] = coeffs.get(j, Rf2.const(0)) + f
-
-    h02 = _h02(store.curve, var, other)
-    addc(1, h02 if v.sign > 0 else -h02)
-    # stable pieces: the first slot at `var`, the others integrated between the ends
-    xp = v.lift(store.curve.dx)
-    for (g, n), pd in sorted(store.omegas.items()):
-        j = 2 * g + n - 1
-        if j > trunc or pd.is_zero():
-            continue
-        fac = Fraction(1, math.factorial(n - 1))
-        total = Rf2.const(0)
+    if trunc >= 1:
+        h02 = _h02(curve, var, other)
+        coeffs[1] = h02 if v.sign > 0 else -h02
+    npts = len(points)
+    index = {p: i for i, p in enumerate(points)}
+    col = {u: h * npts for h, u in enumerate(_VARS)}  # the forms of u: col[u] + index[p]
+    # 1/dx = scale * rest_den/rest_num * prod_p (u - p)^(-e_p), (u - p)^(-e) = b^e/L^e
+    num_mult, rest_num = _split_at(curve.dx.num, points)
+    den_mult, rest_den = _split_at(curve.dx.den, points)
+    scale = Fraction(1)
+    if P.degree(rest_num) == 0:
+        scale, rest_num = scale / rest_num[0], P.ONE
+    if P.degree(rest_den) == 0:
+        scale, rest_den = scale * rest_den[0], P.ONE
+    start = [0] * (2 * npts)
+    for i, p in enumerate(points):
+        e = num_mult[i] - den_mult[i]
+        start[col[var] + i] = e
+        scale *= Fraction(p.denominator) ** e
+    sums: dict = {}   # j -> {form exponents: constant}
+    diffs: dict = {}  # slot -> _slot_difference
+    for j, n, pd in omegas:
+        acc = sums.setdefault(j, {})
+        fac = scale / math.factorial(n - 1)
         for key, c in pd.terms.items():
             p, k = key[0]
-            term = Rf2.const(1) / (v.coord - Rf2.const(p)) ** k
+            first = list(start)
+            first[col[var] + index[p]] += k
+            mons = {tuple(first): c * fac * p.denominator**k}
             for e in key[1:]:
-                term = term * (_primitive_value(e, ends[0]) - _primitive_value(e, ends[1]))
-            total = total + term * c
-        if not total.is_zero():
-            addc(j, total / xp * fac)
+                diff = diffs.get(e)
+                if diff is None:
+                    diff = diffs[e] = _slot_difference(e, ends, col, index)
+                nxt: dict = {}
+                for ex, c0 in mons.items():
+                    for c1, i, m in diff:
+                        if m:
+                            ex1 = list(ex)
+                            ex1[i] += m
+                            ex1 = tuple(ex1)
+                        else:
+                            ex1 = ex
+                        nxt[ex1] = nxt.get(ex1, 0) + c0 * c1
+                mons = nxt
+            for ex, c0 in mons.items():
+                acc[ex] = acc.get(ex, 0) + c0
+    for j in sorted(sums):
+        f = _over_forms(sums[j], points, v.poly_lift(rest_den))
+        if P.degree(rest_num) > 0 and f:
+            f = f / v.lift(RatFun.make(rest_num, P.ONE))
+        if f:
+            coeffs[j] = f
     return HSeries.make(coeffs, trunc)
+
+
+def _split_at(a: P.Poly, points: list) -> tuple[list, P.Poly]:
+    """The multiplicity of each point as a root of a, and the rest of a."""
+    mult = []
+    for p in points:
+        m = 0
+        while True:
+            q, r = P.divmod_(a, (-p, Fraction(1)))
+            if r:
+                break
+            a, m = q, m + 1
+        mult.append(m)
+    return mult, a
+
+
+def _slot_difference(entry: tuple, ends: tuple, col: dict, index: dict) -> list:
+    """The primitive c/(u - p)^(k-1), c = -1/(k-1), of the slot (p, k),
+    k >= 2, at ends[0] minus at ends[1], as [(constant, form, exponent)]: at a live
+    end u the constant c*b^(k-1) over the form of (p, u), at a frozen
+    rational q the constant c/(q - p)^(k-1) with exponent 0, at INF
+    nothing."""
+    p, k = entry
+    c = Fraction(-1, k - 1)
+    out = []
+    const = Fraction(0)
+    for sign, at in zip((1, -1), ends):
+        if at in _VARS:
+            out.append((sign * c * p.denominator ** (k - 1), col[at] + index[p], k - 1))
+        elif at != INF:
+            const += sign * c / (Fraction(at) - p) ** (k - 1)
+    if const:
+        out.append((const, None, 0))
+    return out
+
+
+def _over_forms(terms: dict, points: list, numer: P2.Poly2) -> Rf2:
+    """numer * sum of c / prod_i L_i^e_i over {e: c}, in canonical form,
+    with no gcd; numer must be coprime to every form.
+
+    e lists the exponents of the z-forms of `points`, then those of the
+    w-forms.  The sum goes over prod_i L_i^top_i, top_i the largest e_i
+    (at least 0).  The forms are primitive, irreducible and pairwise
+    coprime, and they are the only factors of that denominator.  So
+    dividing each form out of the numerator while it divides exactly, at
+    most top_i times, leaves a numerator coprime to the denominator, and
+    `p2_clear` removes the common integer content.
+    """
+    terms = {e: c for e, c in terms.items() if c}
+    if not terms:
+        return Rf2.const(0)
+    npts = len(points)
+    top = [max(0, *col) for col in zip(*terms)]
+    clear = math.lcm(*(c.denominator for c in terms.values()))
+    # the forms b*z - a, then b*w - a, and their powers
+    forms = [
+        {key: v for key, v in (((1, 0) if i < npts else (0, 1), p.denominator), ((0, 0), -p.numerator)) if v}
+        for i, p in enumerate(points * 2)
+    ]
+    powers: dict = {}
+
+    def product(ks) -> P2.Poly2:
+        out = {(0, 0): 1}
+        for i, k in enumerate(ks):
+            if k:
+                if (i, k) not in powers:
+                    powers[i, k] = P2.p2_pow(forms[i], k)
+                out = P2.p2_mul(out, powers[i, k])
+        return out
+
+    num: dict = {}
+    for e, c in terms.items():
+        c = int(c * clear)
+        for key, v in product([t - x for t, x in zip(top, e)]).items():
+            num[key] = num.get(key, 0) + c * v
+    num = {key: c for key, c in num.items() if c}
+    if not num:
+        return Rf2.const(0)
+    for i in range(2 * npts):
+        while top[i]:
+            q = _divide_by_form(num, points[i % npts], i // npts)
+            if q is None:
+                break
+            num, top[i] = q, top[i] - 1
+    den = {key: clear * c for key, c in product(top).items()}
+    if numer != {(0, 0): 1}:
+        num = P2.p2_mul(num, numer)
+    # the lex-leading coefficient of den, clear times a product of b's, is positive as Rf2 needs
+    return Rf2(*P2.p2_clear(num, den))
+
+
+def _divide_by_form(num: dict, p: Fraction, axis: int) -> dict | None:
+    """num / (b*u - a) over Z for p = a/b, u = z (axis 0) or w (axis 1),
+    or None unless the form divides num.
+
+    Synthetic division of each coefficient in the other variable, from the
+    top: c_i = b*q_(i-1) - a*q_i.  The form is primitive, so by Gauss's
+    lemma an exact quotient has integer coefficients.
+    """
+    a, b = p.numerator, p.denominator
+    rows: dict = {}  # exponent of the other variable -> {exponent of u: coefficient}
+    for key, c in num.items():
+        rows.setdefault(key[1 - axis], {})[key[axis]] = c
+    out = {}
+    for o, row in rows.items():
+        q = 0
+        for i in range(max(row), 0, -1):
+            q, r = divmod(row.get(i, 0) + a * q, b)
+            if r:
+                return None
+            if q:
+                out[(i - 1, o) if axis == 0 else (o, i - 1)] = q
+        if row.get(0, 0) + a * q:
+            return None
+    return out
 
 
 def wave_from_streams(x: LogRat, y_main: LogRat, y_tail: HSeries, trunc: int, var: str = "z") -> WaveData:
@@ -524,7 +686,16 @@ def apply_shift(sym: Symbol, c: Fraction, wave: WaveData, var: str = "z") -> Sym
 
 
 def apply_inverse(inner: OpExpr, target: Symbol, wave: WaveData) -> Symbol:
-    """Solve inner * C = target order by order in hbar."""
+    """Solve inner * C = target order by order in hbar.
+
+    inner must act on the unit as a plain series with a nonzero hbar^0
+    coefficient sigma0.  Within a prefactor class inner acts linearly on
+    the series and does not lower the hbar order, so the solve keeps the
+    residual R = target - inner * C: step k adds c_k = R_k / sigma0 at
+    hbar^k to C and subtracts inner applied to the one term c_k hbar^k
+    from R.  inner thus meets each coefficient of C once, never the
+    growing sum.  R must vanish through hbar^N at the end.
+    """
     N = wave.trunc
     unit = sym_unit(N)
     s0_sym = evaluate_operator_on(inner, unit, wave)
@@ -538,16 +709,15 @@ def apply_inverse(inner: OpExpr, target: Symbol, wave: WaveData) -> Symbol:
     out: Symbol = {}
     for _k, (p, s) in target.items():
         csol = HSeries({}, N)
+        resid = s
         for k in range(0, N + 1):
-            applied = evaluate_operator_on(inner, {p.key(): (p, csol)}, wave)
-            resid = s + (-_collect_class(applied, p))
             rk = resid.coeffs.get(k)
             if rk is None or rk.is_zero():
                 continue
-            csol = csol + HSeries({k: rk / sigma0}, N)
-        applied = evaluate_operator_on(inner, {p.key(): (p, csol)}, wave)
-        resid = s + (-_collect_class(applied, p))
-        ok, _w = sym_is_zero({p.key(): (p, resid)})
+            step = HSeries({k: rk / sigma0}, N)
+            csol = csol + step
+            resid = resid - _collect_class(evaluate_operator_on(inner, {p.key(): (p, step)}, wave), p)
+        ok, _w = sym_is_zero({p.key(): (p, resid.truncate(N))})
         if not ok:
             raise WaveError("inverse solve failed to converge")
         sym_insert(out, p, csol)

@@ -1,4 +1,5 @@
 import functools
+import math
 import re
 from fractions import Fraction as F
 
@@ -30,6 +31,7 @@ from trq.operators import (
 from trq.recursion import run_tr
 from trq.wave import (
     Prefactor,
+    WaveError,
     apply_inverse,
     apply_shift,
     build_wave_data,
@@ -52,6 +54,32 @@ def airy_curve():
 
 def bessel_curve():
     return SpectralCurve("bessel", lr([0, 0, 1]), lr([1], [0, 1]))
+
+
+def shifted_square_curve():
+    # x = z^2 + z: one branch point, -1/2, with a non-unit denominator
+    return SpectralCurve("z2+z", lr([0, 1, 1]), lr([0, 1]))
+
+
+def cubic_curve():
+    # x = z^3 - 3z: two branch points, -1 and 1
+    return SpectralCurve("cubic", lr([0, -3, 0, 1]), lr([0, 1]))
+
+
+def one_branch_cubic_curve():
+    # the cubic with 1 declared its only branch point: dx also vanishes at -1,
+    # which is not a pole point
+    return SpectralCurve("cubic-at-1", lr([0, -3, 0, 1]), lr([0, 1]), declared_ram=(F(1),))
+
+
+def laurent_curve():
+    # x = z + 1/z: dx = (z^2 - 1)/z^2 has a denominator
+    return SpectralCurve("laurent", lr([1, 0, 1], [0, 1]), lr([0, 1]))
+
+
+@functools.cache
+def store_to_chi2(curve):
+    return run_tr(curve(), 2)
 
 
 @functools.cache
@@ -94,6 +122,115 @@ class TestStreams:
         for j in range(1, 5):
             a = main.coeffs.get(j, Rf2.const(0))
             assert base.coeffs.get(j, Rf2.const(0)) == (a.swap() if j % 2 == 0 else -a.swap()), j
+
+
+def _tail_by_terms(store, var, ends, trunc):
+    """The hbar^j, j >= 2, coefficients of the `var` stream, summed one Rf2
+    term at a time: the reference for the sum over the known denominator."""
+    coord = {"z": Rf2.z(), "w": Rf2.w()}
+    dx = store.curve.dx
+    xp = Rf2.from_ratfun_z(dx) if var == "z" else Rf2.from_ratfun_w(dx)
+
+    def primitive(p, k, at):
+        c = F(-1, k - 1)
+        if at == INF:
+            return Rf2.const(0)
+        if at in coord:
+            return Rf2.const(c) / (coord[at] - Rf2.const(p)) ** (k - 1)
+        return Rf2.const(c / (F(at) - p) ** (k - 1))
+
+    out = {}
+    for (g, n), pd in sorted(store.omegas.items()):
+        j = 2 * g + n - 1
+        if j > trunc:
+            continue
+        total = Rf2.const(0)
+        for key, c in pd.terms.items():
+            p, k = key[0]
+            term = Rf2.const(c) / (coord[var] - Rf2.const(p)) ** k
+            for q, m in key[1:]:
+                term = term * (primitive(q, m, ends[0]) - primitive(q, m, ends[1]))
+            total = total + term
+        out[j] = out.get(j, Rf2.const(0)) + total / xp / math.factorial(n - 1)
+    return {j: f for j, f in out.items() if not f.is_zero()}
+
+
+# base mode and the ends (upper, lower) of the integrated slots
+_BASE_MODES = {
+    "generic": ("generic", ("z", "w")),
+    "main-inf": (("main", INF), ("z", INF)),
+    "main-5": (("main", F(5)), ("z", F(5))),
+    "main--2_3": (("main", F(-2, 3)), ("z", F(-2, 3))),
+    "base-7_2": (("base", F(7, 2)), (F(7, 2), "w")),
+    "base-inf": (("base", INF), (INF, "w")),
+}
+
+
+class TestTailOracle:
+    @pytest.mark.parametrize("mode", list(_BASE_MODES))
+    @pytest.mark.parametrize(
+        "curve",
+        [airy_curve, bessel_curve, shifted_square_curve, cubic_curve, one_branch_cubic_curve, laurent_curve],
+        ids=["airy", "bessel", "z2+z", "cubic", "cubic-at-1", "laurent"],
+    )
+    def test_tail_matches_the_termwise_sum(self, curve, mode):
+        base, ends = _BASE_MODES[mode]
+        st = store_to_chi2(curve)
+        wd = build_wave_data(st, base, 3)
+        live = [u for u in ("z", "w") if u in ends]
+        assert sorted(wd.tail) == sorted(live)
+        for var in live:
+            got = {j: f for j, f in wd.tail[var].coeffs.items() if j >= 2}
+            want = _tail_by_terms(st, var, ends, 3)
+            assert sorted(got) == sorted(want) == [2, 3], var
+            for j, f in want.items():
+                assert (got[j].num, got[j].den) == (f.num, f.den), (var, j)
+
+
+class TestOverForms:
+    # the pole points 0 and 1/2 give the forms z, 2z - 1, w and 2w - 1
+    POINTS = [F(0), F(1, 2)]
+
+    @staticmethod
+    def by_terms(terms, numer):
+        forms = (Rf2.z(), 2 * Rf2.z() - 1, Rf2.w(), 2 * Rf2.w() - 1)
+        total = Rf2.const(0)
+        for e, c in terms.items():
+            term = Rf2.const(c)
+            for form, k in zip(forms, e):
+                term = term * form ** (-k)
+            total = total + term
+        return total * numer
+
+    @pytest.mark.parametrize("terms, want", [
+        # 1/(z(2z-1)) - 2/(2z-1): the form 2z - 1 cancels
+        ({(1, 1, 0, 0): 1, (0, 1, 0, 0): -2}, lambda z, w: -1 / z),
+        ({(0, 0, 1, 1): F(3, 4), (0, 0, 0, 1): F(-3, 2)}, lambda z, w: Rf2.const(F(-3, 4)) / w),
+        ({(2, 1, 0, 0): 1, (1, 1, 0, 0): -2}, lambda z, w: -1 / z**2),
+        # (2z - 1)/z - 2, with a form in the numerator
+        ({(1, -1, 0, 0): 1, (0, 0, 0, 0): -2}, lambda z, w: -1 / z),
+        # 1/z over (2z - 1)^2: the form divides out twice
+        ({(-1, 2, 0, 0): 4, (0, 2, 0, 0): -4, (1, 2, 0, 0): 1}, lambda z, w: 1 / z),
+        ({(1, 0, 1, 0): 1, (0, 0, 2, 0): F(1, 3)}, None),
+        ({(1, 0, 0, 0): 0}, lambda z, w: Rf2.const(0)),
+    ])
+    @pytest.mark.parametrize("numer", [{(0, 0): 1}, {(1, 0): F(1, 2), (0, 1): 1, (0, 0): 3}], ids=["1", "z/2+w+3"])
+    def test_sum_is_canonical(self, terms, want, numer):
+        from trq.algebra import poly2 as P2
+        from trq.wave import _over_forms
+
+        got = _over_forms(terms, self.POINTS, numer)
+        ref = self.by_terms(terms, Rf2(*P2.p2_clear(numer, {(0, 0): 1})))
+        assert (got.num, got.den) == (ref.num, ref.den)
+        if want is not None and numer == {(0, 0): 1}:
+            assert got == want(Rf2.z(), Rf2.w())
+
+
+class TestFrozenPolePoint:
+    @pytest.mark.parametrize("mode", ["main", "base"])
+    def test_frozen_point_at_a_branch_point_is_refused(self, mode):
+        with pytest.raises(WaveError, match=r"frozen at 0, a pole point"):
+            build_wave_data(store_to_chi2(airy_curve), (mode, 0), 3)
 
 
 class TestGeneratorActions:
@@ -170,6 +307,41 @@ class TestInverse:
             sym_insert(diff, p, -s)
         ok, w = sym_is_zero(diff)
         assert ok, w
+
+
+    def test_plain_leading_symbol_is_required(self, airy_wave):
+        # exp(x) moves the unit into the prefactor class exp(z^2)
+        with pytest.raises(WaveError, match="plain leading symbol"):
+            evaluate_operator_on(Inv(Exp(X)), sym_unit(airy_wave.trunc), airy_wave)
+
+    def test_vanishing_leading_coefficient_is_refused(self, airy_wave):
+        with pytest.raises(WaveError, match="vanishing leading coefficient"):
+            evaluate_operator_on(Inv(hb()), sym_unit(airy_wave.trunc), airy_wave)
+
+    @pytest.mark.parametrize("inner, target", [
+        (sub(Y, Y0), X),
+        (Add((Pow(Y, 2), X)), Mul((X, Y))),
+    ], ids=["y-y0", "y^2+x"])
+    def test_matches_full_reevaluation(self, airy_wave, inner, target):
+        # the solve that evaluates inner on the whole solution at every order
+        N = airy_wave.trunc
+        (_p, lead), = evaluate_operator_on(inner, sym_unit(N), airy_wave).values()
+        sigma0 = lead.coeffs[0]
+        tgt = evaluate_operator(target, airy_wave)
+        want = {}
+        for key, (p, s) in tgt.items():
+            csol = HSeries({}, N)
+            for k in range(N + 1):
+                applied = evaluate_operator_on(inner, {key: (p, csol)}, airy_wave)
+                rk = (s - applied[key][1]).coeffs.get(k)
+                if rk:
+                    csol = csol + HSeries({k: rk / sigma0}, N)
+            want[key] = csol
+        got = apply_inverse(inner, tgt, airy_wave)
+        assert sorted(got) == sorted(want)
+        for key, (_p, s) in got.items():
+            assert s == want[key]
+            assert len(s.coeffs) >= 3  # several hbar orders
 
 
 class TestShift:
