@@ -116,28 +116,12 @@ def divexact(a: Poly, b: Poly) -> Poly:
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by a primitive remainder sequence over the integers.
-
-    Each operand is divided once by its `content_int`, which leaves a
-    primitive list of Python ints.  The remainder sequence then takes
-    pseudo-remainders and divides each by its integer content, so no step
-    normalises a rational (Brown, J. ACM 18, 1971).  The last nonzero
-    remainder is made monic over Q; the monic gcd is unique, so it equals
-    the one euclid's algorithm over Q gives.  gcd(0, 0) is 0.
-    """
+    """Monic gcd: `gcd_ints` of the operands cleared of denominators, made
+    monic over Q.  The monic gcd is unique, so it equals the one euclid's
+    algorithm over Q gives.  gcd(0, 0) is 0."""
     if not a or not b:
         return monic(a or b)
-    u, v = _primitive_ints(a), _primitive_ints(b)
-    if len(u) < len(v):
-        u, v = v, u
-    while len(v) > 1:
-        r = _pseudo_rem_int(u, v)
-        if not r:
-            break
-        g = igcd(*r)
-        u, v = v, [c // g for c in r]
-    else:
-        return ONE
+    v = gcd_ints(_cleared(a), _cleared(b))
     lc = v[-1]
     # Build tuples and argument lists from lists, not generators: a tuple
     # made from a generator is allocated at a guessed size and resized, so
@@ -146,10 +130,28 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return tuple([Fraction(c, lc) for c in v])
 
 
-def _primitive_ints(a: Poly) -> list[int]:
-    c = content_int(a)
-    n, d = c.numerator, c.denominator
-    return [v.numerator * d // (v.denominator * n) for v in a]
+def _cleared(a: Poly) -> list[int]:
+    d = lcm(*[v.denominator for v in a])
+    return [v.numerator * (d // v.denominator) for v in a]
+
+
+def gcd_ints(u: list[int], v: list[int]) -> list[int]:
+    """The primitive gcd over Z, up to sign, of nonzero int coefficient
+    lists (lowest degree first): the integer core of `gcd` and of
+    `poly2._prs_gcd`.  A remainder sequence that divides each operand and
+    each pseudo-remainder by its integer content, so no step normalises a
+    rational (Brown, J. ACM 18, 1971)."""
+    u, v = _primitive(u), _primitive(v)
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1 and (r := _pseudo_rem_int(u, v)):
+        u, v = v, _primitive(r)
+    return v if len(v) > 1 else [1]
+
+
+def _primitive(r: list[int]) -> list[int]:
+    g = igcd(*r)
+    return r if g == 1 else [c // g for c in r]
 
 
 def _pseudo_rem_int(u: list[int], v: list[int]) -> list[int]:

@@ -20,23 +20,22 @@ the primitive parts:
    base-x digits; it counts only if it divides both operands exactly over
    the integers, and those quotients are the cofactors.  Up to six growing
    points are tried;
-2. otherwise a primitive remainder sequence over Q[w][z] (`_prs_gcd`),
-   whose result is divided out of both operands the same way.
+2. otherwise a primitive remainder sequence over Z[w][z] (`_prs_gcd`) on
+   ints, whose result is divided out of both operands the same way; its
+   contents in w come from `poly.gcd_ints`, the integer core of `poly.gcd`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd as igcd
 from math import isqrt, lcm
 
 from . import poly as P
 
-Poly2 = dict  # dict[tuple[int, int], int | Fraction]
-
-
-def p2(d) -> Poly2:
-    return {k: Fraction(v) for k, v in d.items() if v}
+# dict[tuple[int, int], int | Fraction]; ints only inside `Rf2` and the gcd
+Poly2 = dict
 
 
 def p2_const(v) -> Poly2:
@@ -147,66 +146,6 @@ def subst_w_const(a: Poly2, w0) -> P.Poly:
         out.pop()
     den *= qe
     return tuple([Fraction(c, den) for c in out])  # a list: see poly.gcd
-
-
-def to_z_coeffs(a: Poly2) -> list[P.Poly]:
-    """Coefficients of z^i as polynomials in the spectator variable."""
-    n = deg_z(a)
-    out: list[list[Fraction]] = [[] for _ in range(n + 1)]
-    for (i, j), v in a.items():
-        row = out[i]
-        while len(row) <= j:
-            row.append(Fraction(0))
-        row[j] = v
-    return [P.poly(row) for row in out]
-
-
-def from_z_coeffs(coeffs: list[P.Poly]) -> Poly2:
-    out: Poly2 = {}
-    for i, c in enumerate(coeffs):
-        for j, v in enumerate(c):
-            if v:
-                out[(i, j)] = v
-    return out
-
-
-def _content_w(a: Poly2) -> P.Poly:
-    """Gcd over Q[w] of the z-coefficients."""
-    g = P.ZERO
-    for c in to_z_coeffs(a):
-        if not P.is_zero(c):
-            g = P.gcd(g, c)
-        if P.degree(g) == 0:
-            break
-    return g if g else P.ONE
-
-
-def _primitive_part(a: Poly2) -> Poly2:
-    g = _content_w(a)
-    if P.degree(g) == 0:
-        return a
-    return from_z_coeffs([P.divexact(c, g) if c else P.ZERO for c in to_z_coeffs(a)])
-
-
-def _pseudo_rem(a: list[P.Poly], b: list[P.Poly]) -> list[P.Poly]:
-    """Pseudo-remainder of a by b, both as z-coefficient lists in Q[w]."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and any(not P.is_zero(c) for c in a):
-        while a and P.is_zero(a[-1]):
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        la = a[-1]
-        k = len(a) - 1 - db
-        # a <- lb*a - la*z^k*b
-        a = [P.mul(lb, c) for c in a]
-        for i, c in enumerate(b):
-            a[k + i] = P.sub(a[k + i], P.mul(la, c))
-        while a and P.is_zero(a[-1]):
-            a.pop()
-    return a
 
 
 def p2_clear(*ps: Poly2) -> list[Poly2]:
@@ -396,29 +335,44 @@ def _divide(a: dict, b: dict):
 
 def _prs_gcd(a: Poly2, b: Poly2) -> Poly2:
     """Primitive gcd over Z of nonzero a and b, with a positive lex-leading
-    coefficient, by a primitive remainder sequence over Q[w][z]; the
-    fallback of `_p2_gcd_impl` when no GCDHEU point verifies."""
-    ca, cb = _content_w(a), _content_w(b)
-    pa, pb = _primitive_part(a), _primitive_part(b)
-    u, v = to_z_coeffs(pa), to_z_coeffs(pb)
-    if len(u) < len(v):
-        u, v = v, u
-    while True:
-        v = [c for c in v]
-        while v and P.is_zero(v[-1]):
-            v.pop()
-        if not v:
-            break
-        if len(v) == 1:
-            # content-only remainder: primitive gcd in z is trivial
-            u = [P.ONE]
-            break
-        r = _pseudo_rem(u, v)
-        u = v
-        v = to_z_coeffs(_primitive_part(from_z_coeffs(r))) if r else []
-    gz = _primitive_part(from_z_coeffs(u))
-    (g,) = p2_clear(p2_mul(gz, from_z_coeffs([P.gcd(ca, cb)])))
+    coefficient: the gcd of the primitive parts in Z[w][z], by a primitive
+    remainder sequence, times the gcd of the contents in Z[w].  It runs on
+    the swapped operands, with the roles of z and w exchanged, when the
+    smaller of the two degrees in w is below the smaller of the two in z."""
+    swap = min(deg_w(a), deg_w(b)) < min(deg_z(a), deg_z(b))
+    if swap:
+        a, b = p2_swap(a), p2_swap(b)
+    (ca, a), (cb, b) = _split_w(a), _split_w(b)
+    if deg_z(a) < deg_z(b):
+        a, b = b, a
+    # a primitive b free of z is a unit
+    while deg_z(b) > 0 and (r := _pseudo_rem_z(a, b)):
+        a, (_, b) = b, _split_w(r)
+    g = p2_mul(b, from_w(P.gcd_ints(ca, cb)))
+    g = p2_swap(g) if swap else g
     return g if g[lead_key(g)] > 0 else p2_neg(g)
+
+
+def _split_w(a: Poly2) -> tuple[list[int], Poly2]:
+    """(c, a/c) for nonzero integer a: its content c in Z[w] up to sign, as
+    a list of w-coefficients, and its primitive part."""
+    a = _exquo(a, igcd(*a.values()))
+    rows: dict = {}
+    for (i, j), v in sorted(a.items()):
+        row = rows.setdefault(i, [])
+        row += [0] * (j - len(row)) + [v]
+    c = reduce(P.gcd_ints, rows.values())
+    return ([1], a) if len(c) == 1 else (c, _divide(a, from_w(c)))
+
+
+def _pseudo_rem_z(u: Poly2, v: Poly2) -> Poly2:
+    """A nonzero Z[w] multiple of u mod v in z, for deg_z u >= deg_z v."""
+    dv = deg_z(v)
+    lv = {(0, j): c for (i, j), c in v.items() if i == dv}
+    while u and (du := deg_z(u)) >= dv:
+        lu = {(du - dv, j): c for (i, j), c in u.items() if i == du}
+        u = p2_sub(p2_mul(lv, u), p2_mul(lu, v))
+    return u
 
 
 def p2_str(a: Poly2, vz: str = "z", vw: str = "w") -> str:

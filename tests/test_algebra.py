@@ -231,11 +231,7 @@ class TestRf2:
         def rand2():
             n = {(rng.randint(0, 2), rng.randint(0, 2)): F(rng.randint(-3, 3)) for _ in range(3)}
             d = {(rng.randint(0, 1), rng.randint(0, 1)): F(rng.randint(1, 3)) for _ in range(2)}
-            if not any(d.values()):
-                d = {(0, 0): F(1)}
-            from trq.algebra.poly2 import p2
-
-            return Rf2.make(p2(n), p2(d))
+            return Rf2.make({k: v for k, v in n.items() if v}, d)
 
         for _ in range(25):
             f, g = rand2(), rand2()
@@ -356,7 +352,7 @@ class TestPolyGcd:
 
 def _poly2_st(max_deg, coeff=_small):
     keys = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg))
-    return st.dictionaries(keys, coeff, max_size=4).map(P2.p2)
+    return st.dictionaries(keys, coeff, max_size=4).map(lambda d: {k: F(v) for k, v in d.items() if v})
 
 
 # a common factor of positive degree in both z and w
@@ -401,23 +397,33 @@ def _content(*ps: P2.Poly2) -> int:
     return gcd(*[v for p in ps for v in p.values()])
 
 
+def _positive(p: P2.Poly2) -> P2.Poly2:
+    return p if not p or p[P2.lead_key(p)] > 0 else P2.p2_neg(p)
+
+
 def _check_p2_gcd(a, b, factor=None):
     """The checks below on a and b with their denominators cleared, on the
-    heuristic alone and on the fallback alone, each with an empty cache."""
+    heuristic alone and on the fallback alone, each with an empty cache.
+    The fallback alone also meets the swapped pair, and must give the
+    swapped gcd, so both choices of its main variable are checked."""
     a, b = _cleared(a), _cleared(b)
     for attr, value in (("_prs_gcd", _no_fallback), ("_HEU_TRIES", 0)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(P2, attr, value)
             mp.setattr(P2, "_GCD_CACHE", {})
-            _check_p2_gcd_path(a, b, factor)
+            g = _check_p2_gcd_path(a, b, factor)
+            if attr == "_HEU_TRIES":
+                swapped = P2.p2_swap(a), P2.p2_swap(b), factor and P2.p2_swap(factor)
+                assert _check_p2_gcd_path(*swapped) == _positive(P2.p2_swap(g))
 
 
 def _check_p2_gcd_path(a, b, factor):
+    """The gcd of a and b, after the checks."""
     sp = pytest.importorskip("sympy")
     g, qa, qb = P2.p2_gcd(a, b)
     if not a and not b:
         assert (g, qa, qb) == ({}, {}, {})
-        return
+        return g
     assert g[P2.lead_key(g)] > 0
     assert all(type(v) is int for p in (g, qa, qb) for v in p.values())
     assert P2.p2_mul(g, qa) == a and P2.p2_mul(g, qb) == b
@@ -430,9 +436,10 @@ def _check_p2_gcd_path(a, b, factor):
         assert (P2.deg_z(qa or qb), P2.deg_w(qa or qb)) == (0, 0)
     # over ZZ sympy's gcd also carries the content gcd, with either sign
     ref = _from_sympy2(sp.gcd(_sympy2(sp, a, "ZZ"), _sympy2(sp, b, "ZZ")))
-    assert g == (ref if ref[P2.lead_key(ref)] > 0 else P2.p2_neg(ref))
+    assert g == _positive(ref)
     if factor and a and b:
         assert _sympy2(sp, g).rem(_sympy2(sp, factor)).is_zero
+    return g
 
 
 class TestPoly2Gcd:
@@ -463,6 +470,20 @@ class TestPoly2Gcd:
     def test_zero_constant_and_monomial_operands(self, a, b):
         _check_p2_gcd(a, b)
         _check_p2_gcd(b, a)
+
+    def test_fallback_runs_in_w_when_its_degrees_are_lower(self, monkeypatch):
+        # a nonconstant common factor, and w-degrees below the z-degrees
+        g = {(2, 1): 3, (1, 0): 2, (0, 1): -1}
+        a = P2.p2_mul(g, {(4, 1): 1, (2, 0): 3, (0, 1): -1})
+        b = P2.p2_mul(g, {(5, 0): 1, (1, 1): -2, (0, 0): 1})
+        assert max(P2.deg_w(a), P2.deg_w(b)) < min(P2.deg_z(a), P2.deg_z(b))
+        swaps = []
+        swap = P2.p2_swap
+        monkeypatch.setattr(P2, "p2_swap", lambda p: swaps.append(p) or swap(p))
+        assert P2._prs_gcd(a, b) == g
+        assert swaps[:2] == [a, b]
+        monkeypatch.setattr(P2, "p2_swap", swap)
+        _check_p2_gcd(a, b, g)
 
     def test_cache_hit_in_either_order(self, monkeypatch):
         monkeypatch.setattr(P2, "_GCD_CACHE", {})

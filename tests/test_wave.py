@@ -8,6 +8,7 @@ import pytest
 from trq.algebra import INF, HSeries, LogRat, RatFun, Rf2
 from trq.algebra import poly as P
 from trq.curve import SpectralCurve
+from trq.fixtures import pq_generic_operator
 from trq.operators import (
     Add,
     Exp,
@@ -415,6 +416,29 @@ class TestExpNodes:
     def test_exp_of_a_nonlinear_argument_names_it(self, airy_wave, arg, text):
         with pytest.raises(OperatorError, match=re.escape(text)):
             evaluate_operator(Exp(arg), airy_wave)
+
+
+@pytest.fixture(scope="module")
+def cubic_wave():
+    return build_wave_data(store_to_chi2(cubic_curve), "generic", 3)
+
+
+class TestGenericBaseCubic:
+    """x = z^3 - 3z, y = z at a generic base point: the gcds of these
+    symbols are the first that GCDHEU gives up on, so they reach the
+    remainder-sequence fallback."""
+
+    @pytest.mark.parametrize("gen", [Y, Y0], ids=["y", "y0"])
+    def test_exp_times_its_inverse_is_one(self, cubic_wave, gen):
+        op = sub(Mul((Exp(Mul((sc(-1), gen))), Exp(gen))), sc(1))
+        rep = check_annihilation(op, cubic_wave, 3)
+        assert rep.passed, rep.summary()
+
+    def test_pq_generic_operator_annihilates(self, cubic_wave):
+        # the pq family on its nontrivial side: x = p(y) with p = y^3 - 3y
+        op = pq_generic_operator(P.poly([0, -3, 0, 1]), P.ONE)
+        rep = check_annihilation(op, cubic_wave, 3)
+        assert rep.passed, rep.summary()
 
 
 class TestClassical:
