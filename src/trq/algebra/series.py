@@ -26,6 +26,7 @@ from .ratfun import RatFun
 INF = "inf"  # expansion point marker for the w = 1/z chart
 
 _BIG = 10**9
+_ZERO = Fraction(0)  # what coeff reads where no coefficient is stored
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class Series:
     def coeff(self, k: int):
         if k > self.trunc:
             raise ValueError(f"coefficient {k} beyond truncation {self.trunc}")
-        return self.coeffs.get(k, Fraction(0))
+        return self.coeffs.get(k, _ZERO)
 
     def order(self) -> int:
         """Smallest exponent with nonzero coefficient (_BIG when zero)."""
@@ -195,11 +196,13 @@ class LocalSeries(Series):
         t = min(self.trunc * max(g.order(), 1), g.trunc)
         acc = g._like({}, t)
         gp = g._like({0: Fraction(1)}, _BIG)
-        for k in range(0, self.trunc + 1):
+        # no power of g beyond the last stored coefficient is read
+        top = max(self.coeffs, default=0)
+        for k in range(0, top + 1):
             v = self.coeffs.get(k)
             if v:
                 acc = acc + gp.scale(v).truncate(t)
-            if k < self.trunc:
+            if k < top:
                 gp = (gp * g).truncate(t)
         return acc.truncate(t)
 

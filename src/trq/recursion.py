@@ -19,21 +19,28 @@ ramification points first, then the vital points.  Every table, every
 accumulator and every omega the steps read back is keyed by (id, k), so no
 step hashes a Fraction.
 
-The contraction is integer arithmetic.  A table entry holds its residues as
-integer numerators over one denominator, fixed when the entry is built, and
-every omega the steps read back is held by the run as integer numerators
-over one denominator per (g, n), with no Fraction copy beside it.  A step
-adds integer products into buckets keyed by their denominator (the product
-of the omegas' and the entry's).  In the second summand the terms of both
-factors are grouped by their last slot, so a table entry is looked up once
-per pair of last slots.  After the last branch point, `tr_step` brings the
-buckets over their least common denominator and divides out the common
-factor; that integer form is what later steps and the invariant checks
-read.  (An omega_{g,1} with a logarithmic correction is converted back to
-it from the corrected published omega.)  The one reduction to Fraction is in
-`_Run.publish`: one Fraction per coefficient of the `PoleDifferential`,
-keyed by (point, k), that the store keeps.  The id-keyed integer forms end
-with the run.
+The tables and the contraction are integer arithmetic.  The series a table
+is built from (sigma, sigma', the kernels E_m D, the powers of the base of
+a slot at sigma(t), each slot at sigma(t) times sigma') are integer
+numerators over one denominator each, and a residue is an integer dot
+product.  Every entry of one branch point's table is over one denominator,
+the branch's, which grows to the lcm of what its entries need.  Every
+omega the steps read back is held by the run as integer numerators over
+one denominator per (g, n), with no Fraction copy beside it.  A step adds
+integer products into buckets keyed by their denominator, the product of
+the omegas' and the branch's, so a step has one bucket per pair of omega
+denominators and branch point (more only while a branch's denominator
+grows).  In the second summand the terms of both factors are grouped by
+their last slot, so a table entry is looked up once per pair of last
+slots.  After the last branch point, `tr_step` brings the buckets over
+their least common denominator and divides out the common factor; that
+integer form is what later steps and the invariant checks read.  (An
+omega_{g,1} with a logarithmic correction is converted back to it from
+the corrected published omega.)  Fractions remain where a table starts
+(sigma from `galois_series`, the kernel D, the base of a slot at
+sigma(t), each converted to integers once) and in `_Run.publish`: one
+Fraction per coefficient of the `PoleDifferential`, keyed by (point, k),
+that the store keeps.  The id-keyed integer forms end with the run.
 
 omega_{g,n} has poles of order at most 6g-4+2n at a simple ramification
 point (Eynard-Orantin).  The series windows of a run follow from this
@@ -51,11 +58,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb, factorial, gcd, lcm, prod
 from operator import itemgetter
 
 from .algebra import LocalSeries, RatFun, series_at
 from .algebra import poly as P
+from .algebra.series import Series
 from .curve import (
     CurveError, RamPoint, SpectralCurve, find_logvital, find_ramification, galois_series,
 )
@@ -155,17 +164,28 @@ class OmegaStore:
             raise RecursionError_(f"omega_({g},{n}) not computed") from None
 
     def to_json(self) -> str:
-        payload = {
-            "curve": self.curve.hash_key(),
-            "chi_max": self.chi_max,
-            "omegas": {
-                f"{g},{n}": sorted(
-                    [[[str(p), k] for p, k in key], str(v)] for key, v in pd.terms.items()
-                )
-                for (g, n), pd in sorted(self.omegas.items())
-            },
-        }
-        return json.dumps(payload, indent=1, sort_keys=True)
+        """The text of json.dumps(payload, indent=1, sort_keys=True), written
+        directly (an indent turns the C encoder off): payload is {"chi_max",
+        "curve", "omegas": {"g,n": sorted terms}} and a term
+        [[[str(point), k], ...], str(coefficient)]."""
+        slots: dict = {}  # (str(point), k) -> its lines
+        blocks = []
+        # sort_keys orders the labels as strings: "0,10" before "0,3"
+        for label, pd in sorted(((f"{g},{n}", pd) for (g, n), pd in self.omegas.items()), key=itemgetter(0)):
+            lines = []
+            for key, v in sorted(([(str(p), k) for p, k in key], str(v)) for key, v in pd.terms.items()):
+                for e in key:
+                    if e not in slots:
+                        slots[e] = f"     [\n      {_quote(e[0])},\n      {e[1]!r}\n     ]"
+                inner = "[\n" + ",\n".join([slots[e] for e in key]) + "\n    ]" if key else "[]"
+                lines.append(f"   [\n    {inner},\n    {_quote(v)}\n   ]")
+            body = "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
+            blocks.append(f"  {_quote(label)}: {body}")
+        omegas = "{\n" + ",\n".join(blocks) + "\n }" if blocks else "{}"
+        return (
+            f'{{\n "chi_max": {json.dumps(self.chi_max)},\n "curve": {json.dumps(self.curve.hash_key())},\n'
+            f' "omegas": {omegas}\n}}'
+        )
 
     @staticmethod
     def from_json(curve: SpectralCurve, text: str) -> "OmegaStore":
@@ -173,11 +193,15 @@ class OmegaStore:
         if payload["curve"] != curve.hash_key():
             raise RecursionError_("cache belongs to a different curve")
         store = OmegaStore(curve, chi_max=payload["chi_max"])
+        points: dict = {}  # text -> point: a store has few distinct points
         for label, terms in payload["omegas"].items():
             g, n = (int(v) for v in label.split(","))
             pd = PoleDifferential(g, n)
             for key, coeff in terms:
-                pd.add_term(tuple((Fraction(p), k) for p, k in key), Fraction(coeff))
+                for p, _k in key:
+                    if p not in points:
+                        points[p] = Fraction(p)
+                pd.add_term(tuple([(points[p], k) for p, k in key]), Fraction(coeff))
             store.omegas[(g, n)] = pd
         return store
 
@@ -221,9 +245,22 @@ class _Branch:
     A slot (a, k) is dz/(z-a)^k, with a the slot id of the point points[a];
     the virtual slot (id of p, -m) of omega_{0,2} is (z-p)^m dz.
     entry(e1, e2) is (den, ((m, r_m), ...)): the residues
-    Res_t E_m D s_e1(t) s_e2(sigma t) sigma'(t) = r_m / den as integers over
-    one denominator, with E_m = (t^m - sigma^m)/2 and the kernel
-    D = 1/((y(t) - y(sigma t)) x'(t)); the output slot is (id of p, m+1).
+    Res_t E_m D s_e1(t) s_e2(sigma t) sigma'(t) = r_m / den, with
+    E_m = (t^m - sigma^m)/2 and the kernel D = 1/((y(t) - y(sigma t)) x'(t));
+    the output slot is (id of p, m+1).
+
+    The tables are integer.  Every series they are built from (sigma and
+    sigma', the kernels E_m D, the powers of the base of a slot at sigma(t),
+    each slot at sigma(t) times sigma') is a pair (den, Series of int
+    numerators), with the common content taken out after each product.  The
+    kernels are over one denominator `kden` and stored by column: column j
+    holds (m, [t^j] E_m D) for the m where it is nonzero.  A residue then
+    walks the nonzero coefficients of the slot series and the one column
+    each meets; for Airy, sigma(t) = -t, so a slot at sigma is a monomial.
+    Every entry is over one denominator, `den`, for the branch: the lcm of
+    the least denominators of the entries built so far.  When an entry needs
+    more, `den` grows, and a stored entry is scaled to it when it is next
+    read; an entry already handed out keeps the den it came with.
     """
 
     def __init__(self, curve: SpectralCurve, ram: RamPoint, window: int, points: list):
@@ -232,49 +269,67 @@ class _Branch:
         pid = self.id = points.index(p)
         self.order = order = window + 3  # D is exact to t^(order-3), E_m D must reach t^(window-1)
         self.sigma = sigma = galois_series(curve, ram, order)
-        self.sig_d = sigma.derivative()
-        D = (_y_diff_series(curve, p, sigma, order) * series_at(curve.dx, p, order)).invert()
+        sig = _over_one_den(sigma)
+        self.sig_d = _over_one_den(sigma.derivative())
+        D = _over_one_den((_y_diff_series(curve, p, sigma, order) * series_at(curve.dx, p, order)).invert())
         # E_m D for every m a slot pair within the window can reach
-        self.kernel = []
-        pw = LocalSeries.make(p, {0: 1}, _BIG)
+        kernel = []
+        pw = _ONE
         for m in range(1, window + 2):
-            pw = (pw * sigma).truncate(window + 1)
-            em = (LocalSeries.make(p, {m: 1}, window + 1) - pw).scale(Fraction(1, 2))
-            self.kernel.append(em * D)
-        self.low = min(ker.order() for ker in self.kernel)  # the kernel starts at t^low
+            pw = _product(pw, sig, window + 1)
+            em = Series({m: pw[0]}, window + 1) - pw[1]  # (t^m - sigma^m) over pw[0]
+            kernel.append(_product((2 * pw[0], em), D))
+        self.kden = lcm(*(d for d, _ker in kernel))
+        self.columns: dict = {}
+        for m, (d, ker) in enumerate(kernel, 1):
+            for j, v in ker.coeffs.items():
+                self.columns.setdefault(j, []).append((m, v * (self.kden // d)))
+        self.ktrunc = min(ker.trunc for _d, ker in kernel)  # every E_m D is exact to t^ktrunc
+        self.low = min(ker.order() for _d, ker in kernel)  # the kernel starts at t^low
         # omega_{0,2}(z, p+t) = sum_m (m+1) dz/(z-p)^{m+2} t^m dt; a partner slot of
         # pole order k at p pairs with t^m only for m <= k <= window
         self.bergman = {((pid, m + 2), (pid, -m)): m + 1 for m in range(window + 1)}
         # the output slot (p, m+1) of each m, shared by every output key
         self.heads = [((pid, m + 1),) for m in range(window + 2)]
-        # omega_{0,2}(p+t, p+sigma(t)) = sigma'(t) dt^2 / (t - sigma(t))^2
-        self.diagonal = self._residues(0, (LocalSeries.make(p, {1: 1}, order) - sigma).pow(-2) * self.sig_d)
+        # omega_{0,2}(p+t, p+sigma(t)) = sigma'(t) dt^2 / (t - sigma(t))^2, over its own denominator
+        diagonal = (LocalSeries.make(p, {1: 1}, order) - sigma).pow(-2) * sigma.derivative()
+        self.diagonal = self._residues(0, _over_one_den(diagonal))
+        self.den = 1
         self.powers: dict = {}   # (a, k > 0) -> [1, b, b^2, ...] for the base b of slots at sigma(t)
         self.at_sigma: dict = {}  # slot -> its series at sigma(t), times sigma'
         self.entries: dict = {}  # (e1, e2) -> (den, ((m, numerator), ...))
 
     def entry(self, e1: tuple, e2: tuple) -> tuple:
         got = self.entries.get((e1, e2))
-        if got is None:
-            a, k = e1
-            s2 = self._slot_at_sigma(e2)
-            if a == self.id:
-                got = self._residues(-k, s2)
-            else:
-                # a residue reads s1 s2 up to t^(-1-low) only
-                top = -1 - self.low
-                s2 = s2.truncate(top)
-                if s2.is_zero():
-                    got = 1, ()
-                else:
-                    c, n = self.p - self.points[a], top - s2.order()
-                    s1 = LocalSeries.make(self.p, {j: (-1) ** j * comb(k + j - 1, j) / c ** (k + j) for j in range(n + 1)}, n)
-                    got = self._residues(0, s1 * s2)
+        if got is None or got[0] != self.den:
+            if got is None:
+                got = self._entry(e1, e2)
+                self.den = lcm(self.den, got[0])
+            # over the branch's denominator, which only grows
+            scale = self.den // got[0]
+            got = self.den, tuple([(m, r * scale) for m, r in got[1]])
             # t <-> sigma(t) maps the residue of (e1, e2) to that of (e2, e1)
             self.entries[(e1, e2)] = self.entries[(e2, e1)] = got
         return got
 
-    def _slot_at_sigma(self, e: tuple) -> LocalSeries:
+    def _entry(self, e1: tuple, e2: tuple) -> tuple:
+        """The residues of the slot pair over their least denominator."""
+        a, k = e1
+        s2 = self._slot_at_sigma(e2)
+        if a == self.id:
+            return self._residues(-k, s2)
+        # a residue reads s1 s2 up to t^(-1-low) only
+        top = -1 - self.low
+        d2, s2 = s2[0], s2[1].truncate(top)
+        if s2.is_zero():
+            return 1, ()
+        # 1/(t + c)^k = sum_j (-1)^j C(k+j-1, j) t^j / c^(k+j), over qd^(k+n) with 1/c = qn/qd
+        q, n = 1 / (self.p - self.points[a]), top - s2.order()
+        qn, qd = q.numerator, q.denominator
+        s1 = Series({j: (-1) ** j * comb(k + j - 1, j) * qn ** (k + j) * qd ** (n - j) for j in range(n + 1)}, n)
+        return self._residues(0, _product((qd ** (k + n), s1), (d2, s2)))
+
+    def _slot_at_sigma(self, e: tuple) -> tuple:
         got = self.at_sigma.get(e)
         if got is None:
             a, k = e
@@ -284,27 +339,54 @@ class _Branch:
                     base = (LocalSeries.make(self.p, {0: self.p - self.points[a]}, _BIG) + self.sigma).invert()
                 else:
                     base = self.sigma.invert() if k > 0 else self.sigma
-                pows = self.powers[(a, k > 0)] = [LocalSeries.make(self.p, {0: 1}, _BIG), base]
+                pows = self.powers[(a, k > 0)] = [_ONE, _over_one_den(base)]
             while len(pows) <= abs(k):
-                pows.append((pows[-1] * pows[1]).truncate(self.order))
-            got = self.at_sigma[e] = pows[abs(k)] * self.sig_d
+                pows.append(_product(pows[-1], pows[1], self.order))
+            got = self.at_sigma[e] = _product(pows[abs(k)], self.sig_d)
         return got
 
-    def _residues(self, s: int, f: LocalSeries) -> tuple:
+    def _residues(self, s: int, f: tuple) -> tuple:
         """The residues Res_t E_m D t^s f over the m where one is nonzero, as
-        (den, ((m, numerator), ...))."""
+        (den, ((m, numerator), ...)) with den the least denominator; f is
+        (den, Series of int numerators)."""
+        den, f = f
         if f.is_zero():
             return 1, ()
         hi = -1 - s - f.order()  # the residue reads E_m D up to t^hi
-        out = []
-        for m, ker in enumerate(self.kernel, 1):
-            if ker.trunc < hi:
-                raise RecursionError_(f"kernel at {self.p} known to t^{ker.trunc}, t^{hi} needed")
-            r = sum(c * f.coeff(-1 - s - j) for j, c in ker.coeffs.items() if j <= hi)
-            if r:
-                out.append((m, r))
-        den = lcm(*(r.denominator for _m, r in out))
-        return den, tuple([(m, r.numerator * (den // r.denominator)) for m, r in out])
+        if self.ktrunc < hi:
+            raise RecursionError_(f"kernel at {self.p} known to t^{self.ktrunc}, t^{hi} needed")
+        if f.trunc < -1 - s - self.low:
+            raise RecursionError_(f"slot series at {self.p} known to t^{f.trunc}, t^{-1 - s - self.low} needed")
+        # one product per nonzero coefficient of f and of the kernel column it meets
+        acc = [0] * len(self.heads)  # by m, as heads
+        columns = self.columns
+        for i, c in f.coeffs.items():
+            for m, v in columns.get(-1 - s - i, ()):
+                acc[m] += c * v
+        den *= self.kden
+        common = gcd(den, *acc)
+        return den // common, tuple([(m, r // common) for m, r in enumerate(acc) if r])
+
+
+_ONE = 1, Series({0: 1}, _BIG)
+
+
+def _over_one_den(s: LocalSeries) -> tuple:
+    """(den, Series of int numerators over den), den the least common
+    denominator of the coefficients."""
+    den = lcm(*(v.denominator for v in s.coeffs.values()))
+    return den, Series({k: v.numerator * (den // v.denominator) for k, v in s.coeffs.items()}, s.trunc)
+
+
+def _product(f: tuple, g: tuple, top: int = _BIG) -> tuple:
+    """f g truncated at t^top, integer numerators over one denominator with
+    the common content taken out."""
+    (df, f), (dg, g) = f, g
+    out = (f * g).truncate(top)
+    common = gcd(df * dg, *out.coeffs.values())
+    if common == 1:
+        return df * dg, out
+    return df * dg // common, Series({k: v // common for k, v in out.coeffs.items()}, out.trunc)
 
 
 class _Run:

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trq.algebra import LogRat, RatFun
+from trq.algebra import LocalSeries, LogRat, RatFun, series_at
 from trq.algebra import poly as P
-from trq.curve import SpectralCurve, find_ramification
+from trq.curve import SpectralCurve, find_logvital, find_ramification, galois_series
 from trq.recursion import (
     OmegaStore,
     PoleDifferential,
@@ -218,6 +218,17 @@ class TestGoldenDigests:
         sheared = run_tr(mk([0, 0, 1], [F(1, 2), 1, F(-2, 3), 0, F(3, 5)], "airy-sheared"), 5)
         relabelled = OmegaStore(airy(), dict(sheared.omegas), sheared.chi_max)
         assert _digest(relabelled) == "a25fde932c3c0c2fd8b7660b114a9879b543420219db8339feb7b766a5dbec39"
+
+    # the two larger stores, recorded at commit 07de3c3; Airy to chi<=8 holds
+    # omega_{0,10}, whose label "0,10" sorts before "0,3" as a string
+
+    def test_airy_chi8(self):
+        digest = "009fcacac4ea10033289ea5c3435c477587ea3b4ca800977bd3b91e2a60a4fe0"
+        assert _digest(run_tr(airy(), 8)) == digest
+
+    def test_cubic_chi5(self):
+        digest = "9f36c945b93cefe3f654493ef2f57c013b79a860aab2ec0e1f24f33e36c0119b"
+        assert _digest(run_tr(mk([0, -3, 0, 1], [0, 1], "cubic"), 5)) == digest
 
     def test_vital_point_chi4(self):
         # every omega_{g,1} has poles at the vital point; later steps read
@@ -475,3 +486,118 @@ class TestCacheRoundTrip:
         assert st2.to_json() == text
         for key, pd in st.omegas.items():
             assert st2.omegas[key] == pd
+
+
+def _json_by_encoder(store: OmegaStore) -> str:
+    """The store's text as the generic encoder writes its payload."""
+    payload = {
+        "curve": store.curve.hash_key(),
+        "chi_max": store.chi_max,
+        "omegas": {
+            f"{g},{n}": sorted([[[str(p), k] for p, k in key], str(v)] for key, v in pd.terms.items())
+            for (g, n), pd in sorted(store.omegas.items())
+        },
+    }
+    return json.dumps(payload, indent=1, sort_keys=True)
+
+
+class TestJsonWriter:
+    """to_json writes the text of json.dumps(payload, indent=1, sort_keys=True)
+    directly; from_json reads it back to the same text."""
+
+    @pytest.mark.parametrize("make", [
+        # omega_{0,10}: the label "0,10" sorts before "0,3" as a string
+        lambda: run_tr(airy(), 8),
+        # poles at the vital point 2 and coefficients with non-unit denominators
+        lambda: run_tr(vital_curve(), 4),
+        # the empty special set: every term list is empty
+        lambda: run_tr(airy(gen_tr=True, special_set=()), 4),
+        lambda: OmegaStore(airy(), chi_max=2),
+    ], ids=["airy-chi8", "logtr-vital", "gentr-empty", "no-omegas"])
+    def test_matches_the_encoder(self, make):
+        store = make()
+        text = store.to_json()
+        assert text == _json_by_encoder(store)
+        assert OmegaStore.from_json(store.curve, text).to_json() == text
+
+
+def _residues_by_series(curve, ram, factor, ms, order) -> list:
+    """Res_t E_m D factor(t, sigma) for each m in ms, from Fraction series:
+    E_m = (t^m - sigma^m)/2 and D = 1/((y(t) - y(sigma t)) x'(t))."""
+    p = ram.location
+    sigma = galois_series(curve, ram, order)
+    t = LocalSeries.make(p, {1: 1}, order)
+
+    def y_at(u):
+        out = series_at(curve.y.rat, p, order).compose(u)
+        for c, arg in curve.y.logs:
+            # log A(p + u) = log A(p) + log(1 + (A(p + u)/A(p) - 1)); log A(p) cancels in D
+            a = series_at(RatFun.make(arg), p, order)
+            out = out + (a.scale(1 / a.coeff(0)) - LocalSeries.make(p, {0: 1}, order)).compose(u).log1p().scale(c)
+        return out
+
+    rest = ((y_at(t) - y_at(sigma)) * series_at(curve.dx, p, order)).invert() * factor(t, sigma)
+    return [((t.pow(m) - sigma.pow(m)).scale(F(1, 2)) * rest).coeff(-1) for m in ms]
+
+
+def _slot_series(e, u, points, order):
+    """The slot (a, k) at p + u: 1/(p + u - a)^k, or u^(-k) for the virtual slot."""
+    a, k = e
+    if k <= 0:
+        return u.pow(-k)
+    return series_at(RatFun.const(1) / (RatFun.var() - points[a]) ** k, u.point, order).compose(u)
+
+
+class TestResidueTables:
+    """The integer tables of _Branch against residues of Fraction series.
+    The cubic has two branch points, so each is a foreign point of the
+    other's tables; the Log-TR curve has a log in y and a vital point."""
+
+    def _check(self, curve, pairs):
+        window = _window(3)
+        order = window + 12
+        rams = find_ramification(curve)
+        points = [r.location for r in rams] + [a for a, _alpha in find_logvital(curve)]
+        ms = range(1, window + 2)
+        for ram in rams:
+            br = _Branch(curve, ram, window, points)
+            pid, other = br.id, len(points) - 1 - br.id
+            for e1, e2 in pairs(pid, other):
+                den, residues = br.entry(e1, e2)
+                want = _residues_by_series(curve, ram, lambda t, s: (
+                    _slot_series(e1, t, points, order) * _slot_series(e2, s, points, order) * s.derivative()
+                ), ms, order)
+                assert any(want), (e1, e2)
+                assert [F(dict(residues).get(m, 0), den) for m in ms] == want, (ram.location, e1, e2)
+            # omega_{0,2}(t, sigma t) = sigma' dt^2 / (t - sigma)^2
+            den, residues = br.diagonal
+            want = _residues_by_series(curve, ram, lambda t, s: (t - s).pow(-2) * s.derivative(), ms, order)
+            assert [F(dict(residues).get(m, 0), den) for m in ms] == want, ram.location
+
+    def test_a_residue_past_a_known_window_raises(self):
+        # at window 4 every E_m D is exact to t^3, which the pair (p, 4), (p, 4)
+        # needs to t^7; the virtual slot (p, -5) at sigma is exact to t^7, which
+        # its partner (p, 8) needs to t^8
+        ram, = find_ramification(airy())
+        br = _Branch(airy(), ram, 4, [F(0)])
+        with pytest.raises(RecursionError_, match="kernel at 0 known to t"):
+            br.entry((0, 4), (0, 4))
+        with pytest.raises(RecursionError_, match="slot series at 0 known to t"):
+            br.entry((0, 8), (0, -5))
+
+    def test_cubic(self):
+        def pairs(pid, other):
+            return [
+                ((pid, 2), (pid, 3)), ((pid, 5), (pid, 2)),
+                ((pid, 4), (pid, 0)), ((pid, 3), (pid, -2)), ((pid, -1), (pid, 3)),
+                ((other, 2), (pid, 3)), ((pid, 2), (other, 3)), ((other, 2), (other, 4)),
+            ]
+        self._check(mk([0, -3, 0, 1], [0, 1]), pairs)
+
+    def test_logtr(self):
+        def pairs(pid, vital):
+            return [
+                ((pid, 2), (pid, 2)), ((pid, 3), (pid, -1)),
+                ((vital, 2), (pid, 3)), ((pid, 4), (vital, 2)), ((vital, 3), (vital, 2)),
+            ]
+        self._check(vital_curve(), pairs)
