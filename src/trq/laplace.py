@@ -160,15 +160,15 @@ def airy_wave_exponent_series(store: OmegaStore, order: int) -> HSeries:
         total = Rf2.const(0)
         for key, v in pd.terms.items():
             term = Rf2.const(v)
-            for (p, kk) in key:
-                c = Fraction(-1, kk - 1)
+            for (a, kk) in key:
+                c, p = Fraction(-1, kk - 1), pd.points[a]
                 up = Rf2.const(c) / (Rf2.z() - Rf2.const(p)) ** (kk - 1)
                 lo = Rf2.const(c) / (Rf2.w() - Rf2.const(p)) ** (kk - 1)
                 term = term * (up - lo)
             total = total + term
         if not total.is_zero():
             cur = coeffs.get(k, Rf2.const(0))
-            coeffs[k] = cur + total * Fraction(1, factorial(n))
+            coeffs[k] = cur + total * Fraction(1, factorial(n) * pd.den)
     s = HSeries.make(coeffs, order)
     return s.exp(Rf2.const(1))
 

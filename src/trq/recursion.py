@@ -14,33 +14,21 @@ entries: the A/B/C/D form of topological recursion
 the second summand as a virtual differential over the slots (p, m+2), and
 the first as one table entry for its value at (t, sigma(t)).
 
-Inside a run (`_Run`) a pole point is a small int, its slot id: the
-ramification points first, then the vital points.  Every table, every
-accumulator and every omega the steps read back is keyed by (id, k), so no
-step hashes a Fraction.
-
-The tables and the contraction are integer arithmetic.  The series a table
-is built from (sigma, sigma', the kernels E_m D, the powers of the base of
-a slot at sigma(t), each slot at sigma(t) times sigma') are integer
-numerators over one denominator each, and a residue is an integer dot
-product.  Every entry of one branch point's table is over one denominator,
-the branch's, which grows to the lcm of what its entries need.  Every
-omega the steps read back is held by the run as integer numerators over
-one denominator per (g, n), with no Fraction copy beside it.  A step adds
-integer products into buckets keyed by their denominator, the product of
-the omegas' and the branch's, so a step has one bucket per pair of omega
-denominators and branch point (more only while a branch's denominator
-grows).  In the second summand the terms of both factors are grouped by
-their last slot, so a table entry is looked up once per pair of last
-slots.  After the last branch point, `tr_step` brings the buckets over
-their least common denominator and divides out the common factor; that
-integer form is what later steps and the invariant checks read.  (An
-omega_{g,1} with a logarithmic correction is converted back to it from
-the corrected published omega.)  Fractions remain where a table starts
-(sigma from `galois_series`, the kernel D, the base of a slot at
-sigma(t), each converted to integers once) and in `_Run.publish`: one
-Fraction per coefficient of the `PoleDifferential`, keyed by (point, k),
-that the store keeps.  The id-keyed integer forms end with the run.
+An omega (`PoleDifferential`) is integer numerators over one denominator,
+keyed by slot ids: a pole point is a small int, its index in a point table
+that every omega of a run shares (the ramification points first, then the
+vital points).  A step reads that form, the store keeps it and `to_json`
+writes it, so no step builds or hashes a Fraction.  The residue tables
+are integer too, over one denominator per branch point (`_Branch`).  A
+step adds products into buckets keyed by their denominator, one per pair
+of omega denominators and branch point; in the second summand the terms of
+both factors are grouped by their last slot, so an entry is looked up once
+per pair of last slots.  `tr_step` then brings the buckets over one
+denominator and divides out the common factor.  Fractions remain where a
+table starts (sigma from `galois_series`, the kernel D, the base of a slot
+at sigma(t), each converted once), in the logarithmic correction, and in
+`PoleDifferential.by_point`, the view keyed by (point, k) that tests and
+`as_ratfun` read.
 
 omega_{g,n} has poles of order at most 6g-4+2n at a simple ramification
 point (Eynard-Orantin).  The series windows of a run follow from this
@@ -78,38 +66,51 @@ class RecursionError_(CurveError):
 
 @dataclass
 class PoleDifferential:
-    """One omega_{g,n} in the pole basis; keys are ordered slot tuples."""
+    """One omega_{g,n} in the pole basis: the sum over `terms` of
+    v/den prod_i dz_i/(z_i - points[a_i])^k_i, with a term's key the slots
+    ((a_1, k_1), ..., (a_n, k_n)) and v its integer numerator.  den > 0 and
+    gcd(den, every v) = 1, so the form is unique for a given table.
+    `points` maps a slot id to its point; the omegas of a run or a loaded
+    store share one table, which is only ever appended to."""
 
     g: int
     n: int
-    terms: dict = field(default_factory=dict)  # tuple[(pole, order), ...] -> Fraction
-
-    def add_term(self, key: tuple, coeff: Fraction) -> None:
-        if not coeff:
-            return
-        cur = self.terms.get(key, Fraction(0)) + coeff
-        if cur:
-            self.terms[key] = cur
-        else:
-            self.terms.pop(key, None)
+    terms: dict = field(default_factory=dict)  # ((slot id, order), ...) -> int
+    den: int = 1
+    points: list = field(default_factory=list)
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    def by_point(self) -> dict:
+        """The terms keyed by ((point, k), ...), with Fraction coefficients."""
+        return {tuple([(self.points[a], k) for a, k in key]): Fraction(v, self.den) for key, v in self.terms.items()}
+
     def scale(self, c) -> "PoleDifferential":
         c = Fraction(c)
-        return PoleDifferential(
-            self.g, self.n, {k: v * c for k, v in self.terms.items()} if c else {}
-        )
+        terms = {k: v * c.numerator for k, v in self.terms.items()}
+        return _reduced(self.g, self.n, terms, self.den * c.denominator, self.points)
 
     def __add__(self, o: "PoleDifferential") -> "PoleDifferential":
-        out = PoleDifferential(self.g, self.n, dict(self.terms))
+        if o.terms and o.points is not self.points:
+            raise ValueError("omegas over different point tables")
+        den = lcm(self.den, o.den)
+        terms = {k: v * (den // self.den) for k, v in self.terms.items()}
         for k, v in o.terms.items():
-            out.add_term(k, v)
-        return out
+            terms[k] = terms.get(k, 0) + v * (den // o.den)
+        return _reduced(self.g, self.n, terms, den, self.points)
 
     def __eq__(self, o) -> bool:
-        return isinstance(o, PoleDifferential) and (self.g, self.n) == (o.g, o.n) and self.terms == o.terms
+        if not isinstance(o, PoleDifferential):
+            return False
+        if (self.g, self.n, self.den, len(self.terms)) != (o.g, o.n, o.den, len(o.terms)):
+            return False
+        if self.points is o.points:
+            return self.terms == o.terms
+        # over different tables: o's slot id of each point of self
+        ids = {p: i for i, p in enumerate(o.points)}
+        to_o = [ids.get(p) for p in self.points]
+        return all(o.terms.get(tuple([(to_o[a], k) for a, k in key])) == v for key, v in self.terms.items())
 
     def is_symmetric(self) -> bool:
         """Invariance under every transposition of slots: the terms with one
@@ -133,20 +134,36 @@ class PoleDifferential:
         )
 
     def pole_points(self) -> set:
-        return {p for key in self.terms for p, _k in key}
+        return {self.points[a] for a in {a for key in self.terms for a, _k in key}}
 
     def min_order(self) -> int:
-        return min((k for key in self.terms for _p, k in key), default=_BIG)
+        return min((k for key in self.terms for _a, k in key), default=_BIG)
 
     def as_ratfun(self) -> RatFun:
         """n = 1 only: the function f with omega = f dz."""
         if self.n != 1:
             raise ValueError("as_ratfun needs n = 1")
         out = RatFun.const(0)
-        for key, v in self.terms.items():
-            (p, k), = key
+        for ((p, k),), v in self.by_point().items():
             out = out + RatFun.const(v) / (RatFun.var() - p) ** k
         return out
+
+
+def _reduced(g: int, n: int, terms: dict, den: int, points: list) -> PoleDifferential:
+    """The omega of terms, integer numerators over den > 0, with the zero
+    terms dropped and the common factor taken out."""
+    terms = {k: v for k, v in terms.items() if v}
+    common = gcd(den, *terms.values())
+    if common > 1:
+        den //= common
+        terms = {k: v // common for k, v in terms.items()}
+    return PoleDifferential(g, n, terms, den, points)
+
+
+def _from_fractions(g: int, n: int, terms: dict, points: list) -> PoleDifferential:
+    """The omega of terms, keyed by slot ids with Fraction coefficients."""
+    den = lcm(*(v.denominator for v in terms.values()))
+    return _reduced(g, n, {k: v.numerator * (den // v.denominator) for k, v in terms.items()}, den, points)
 
 
 @dataclass
@@ -154,7 +171,7 @@ class OmegaStore:
     curve: SpectralCurve
     omegas: dict = field(default_factory=dict)  # (g, n) -> PoleDifferential
     chi_max: int = 0
-    # slot ids, residue tables and id-keyed omegas while run_tr runs
+    # the point table and residue tables while run_tr runs
     run: _Run | None = field(default=None, repr=False, compare=False)
 
     def get(self, g: int, n: int) -> PoleDifferential:
@@ -172,8 +189,9 @@ class OmegaStore:
         blocks = []
         # sort_keys orders the labels as strings: "0,10" before "0,3"
         for label, pd in sorted(((f"{g},{n}", pd) for (g, n), pd in self.omegas.items()), key=itemgetter(0)):
+            text, den = [str(p) for p in pd.points], pd.den
             lines = []
-            for key, v in sorted(([(str(p), k) for p, k in key], str(v)) for key, v in pd.terms.items()):
+            for key, v in sorted(([(text[a], k) for a, k in key], _ratio_text(v, den)) for key, v in pd.terms.items()):
                 for e in key:
                     if e not in slots:
                         slots[e] = f"     [\n      {_quote(e[0])},\n      {e[1]!r}\n     ]"
@@ -189,21 +207,32 @@ class OmegaStore:
 
     @staticmethod
     def from_json(curve: SpectralCurve, text: str) -> "OmegaStore":
+        """The store of `to_json`'s text, over one table of the points it meets."""
         payload = json.loads(text)
         if payload["curve"] != curve.hash_key():
             raise RecursionError_("cache belongs to a different curve")
         store = OmegaStore(curve, chi_max=payload["chi_max"])
-        points: dict = {}  # text -> point: a store has few distinct points
+        points: list = []
+        ids: dict = {}  # text -> slot id: a store has few distinct points
         for label, terms in payload["omegas"].items():
             g, n = (int(v) for v in label.split(","))
-            pd = PoleDifferential(g, n)
+            coeffs = {}
             for key, coeff in terms:
                 for p, _k in key:
-                    if p not in points:
-                        points[p] = Fraction(p)
-                pd.add_term(tuple([(points[p], k) for p, k in key]), Fraction(coeff))
-            store.omegas[(g, n)] = pd
+                    if p not in ids:
+                        point = Fraction(p)
+                        if point not in points:
+                            points.append(point)
+                        ids[p] = points.index(point)
+                coeffs[tuple([(ids[p], k) for p, k in key])] = Fraction(coeff)
+            store.omegas[(g, n)] = _from_fractions(g, n, coeffs, points)
         return store
+
+
+def _ratio_text(v: int, den: int) -> str:
+    """str(Fraction(v, den)), without the Fraction."""
+    common = gcd(v, den)
+    return f"{v // common}/{den // common}" if common != den else str(v // common)
 
 
 # ---------------------------------------------------------------------------
@@ -390,42 +419,13 @@ def _product(f: tuple, g: tuple, top: int = _BIG) -> tuple:
 
 
 class _Run:
-    """What one run of the recursion keeps: the point of each slot id, the
-    residue tables of each ramification point, and every omega computed so
-    far keyed by slot ids, as integer numerators over one denominator."""
+    """The point table of a run's omegas, with every ramification and vital
+    point in it, and the residue tables of each ramification point."""
 
-    def __init__(self, curve: SpectralCurve, rams: list, vital_pts: list, window: int):
-        # slot id -> point: the ramification points, then the vital points
-        self.points = points = [r.location for r in rams] + vital_pts
-        self.ids = {p: i for i, p in enumerate(points)}
+    def __init__(self, curve: SpectralCurve, rams: list, vital_pts: list, window: int, points: list):
+        points += [p for p in [r.location for r in rams] + vital_pts if p not in points]
+        self.points = points
         self.branches = [_Branch(curve, r, window, points) for r in rams]
-        # (g, n) -> (den, omega keyed by slot ids with integer numerators over den)
-        self.omegas: dict = {}
-        self.slots: dict = {}  # (id, k) -> (point, k), shared by the published keys
-
-    def to_ids(self, pd: PoleDifferential) -> tuple:
-        """(den, pd keyed by slot ids with integer numerators over den); a
-        point without an id gets the next one."""
-        ids = self.ids
-        for p in pd.pole_points() - ids.keys():
-            ids[p] = len(self.points)
-            self.points.append(p)
-        den = lcm(*(v.denominator for v in pd.terms.values()))
-        return den, PoleDifferential(pd.g, pd.n, {
-            tuple([(ids[p], k) for p, k in key]): v.numerator * (den // v.denominator)
-            for key, v in pd.terms.items()
-        })
-
-    def publish(self, den: int, pd: PoleDifferential) -> PoleDifferential:
-        """pd keyed by (point, k) again, one Fraction per coefficient."""
-        points, slots = self.points, self.slots
-        terms = {}
-        for key, v in pd.terms.items():
-            for e in key:
-                if e not in slots:
-                    slots[e] = (points[e[0]], e[1])
-            terms[tuple([slots[e] for e in key])] = Fraction(v, den)
-        return PoleDifferential(pd.g, pd.n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +433,19 @@ class _Run:
 
 
 def tr_step(curve: SpectralCurve, store: OmegaStore, g: int, n: int) -> PoleDifferential:
-    """omega_{g,n} from the residue formula (no logarithmic correction)."""
+    """omega_{g,n} from the residue formula (no logarithmic correction),
+    over the point table of the store's omegas."""
     if 2 * g + n - 2 < 1:
         raise ValueError("tr_step only computes stable differentials")
     run = store.run
     if run is None:
-        run = _Run(curve, find_ramification(curve), [], _window(2 * g - 2 + n))
-        run.omegas = {gn: run.to_ids(pd) for gn, pd in store.omegas.items()}
+        tables = {id(pd.points): pd.points for pd in store.omegas.values() if pd.terms}
+        if len(tables) > 1:
+            raise RecursionError_("the store's omegas are over different point tables")
+        run = _Run(curve, find_ramification(curve), [], _window(2 * g - 2 + n), next(iter(tables.values()), []))
     acc: dict = {}
     for br in run.branches:
-        _tr_step_at(run, g, n, br, acc)
+        _tr_step_at(store.omegas, g, n, br, acc)
     # one denominator for the step, then the common factor taken out
     den = lcm(*acc)
     terms: dict = {}
@@ -450,17 +453,10 @@ def tr_step(curve: SpectralCurve, store: OmegaStore, g: int, n: int) -> PoleDiff
         scale = den // d
         for key, v in part.items():
             terms[key] = terms.get(key, 0) + v * scale
-    terms = {key: v for key, v in terms.items() if v}
-    common = gcd(den, *terms.values())
-    if common > 1:
-        den //= common
-        terms = {key: v // common for key, v in terms.items()}
-    pd = PoleDifferential(g, n, terms)
-    run.omegas[(g, n)] = den, pd
-    return run.publish(den, pd)
+    return _reduced(g, n, terms, den, run.points)
 
 
-def _tr_step_at(run: _Run, g: int, n: int, br: _Branch, acc: dict) -> None:
+def _tr_step_at(omegas: dict, g: int, n: int, br: _Branch, acc: dict) -> None:
     """Add the residues at br to acc, a dict den -> {output key: numerator};
     integer arithmetic only."""
     heads = br.heads
@@ -473,11 +469,11 @@ def _tr_step_at(run: _Run, g: int, n: int, br: _Branch, acc: dict) -> None:
             for m, r in residues:
                 out[heads[m]] = out.get(heads[m], 0) + r
         else:
-            d, pd = run.omegas[(g - 1, n + 1)]
+            pd = omegas[(g - 1, n + 1)]
             for key, v in pd.terms.items():
                 den, residues = br.entry(key[0], key[1])
                 if residues:
-                    out, rest = acc.setdefault(d * den, {}), key[2:]
+                    out, rest = acc.setdefault(pd.den * den, {}), key[2:]
                     for m, r in residues:
                         k = heads[m] + rest
                         out[k] = out.get(k, 0) + v * r
@@ -492,8 +488,8 @@ def _tr_step_at(run: _Run, g: int, n: int, br: _Branch, acc: dict) -> None:
             if split[0] > split[1]:
                 continue
             n1 = bin(mask).count("1") + 1
-            f1 = _factor(run, br, g1, n1)
-            f2 = f1 and _factor(run, br, g - g1, spect + 2 - n1)
+            f1 = _factor(omegas, br, g1, n1)
+            f2 = f1 and _factor(omegas, br, g - g1, spect + 2 - n1)
             if not f2:
                 continue
             where = [i for i in range(spect) if mask >> i & 1] + [i for i in range(spect) if not mask >> i & 1]
@@ -532,15 +528,15 @@ def _by_last_slot(terms: dict) -> dict:
     return out
 
 
-def _factor(run: _Run, br: _Branch, gi: int, ni: int) -> tuple | None:
+def _factor(omegas: dict, br: _Branch, gi: int, ni: int) -> tuple | None:
     """(den, terms) of omega_{gi,ni} with the last slot at t or sigma(t),
     integer numerators over den; None when unstable and absent."""
     if (gi, ni) == (0, 2):
         return 1, br.bergman
     if 2 * gi + ni - 2 < 1:
         return None
-    den, pd = run.omegas[(gi, ni)]
-    return den, pd.terms
+    pd = omegas[(gi, ni)]
+    return pd.den, pd.terms
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +549,15 @@ def s_inverse_coeff(g: int) -> Fraction:
     return LocalSeries.make(0, s, 2 * g).invert().coeff(2 * g)
 
 
-def logtr_term(curve: SpectralCurve, g: int, vital=None) -> PoleDifferential:
-    """Principal-part correction to omega_{g,1} at the vital points of dy."""
+def logtr_term(curve: SpectralCurve, g: int, vital=None, points: list | None = None) -> PoleDifferential:
+    """Principal-part correction to omega_{g,1} at the vital points of dy,
+    over the point table `points`, which holds them (a new one by default)."""
     if g < 1:
         raise ValueError("the logarithmic correction starts at genus 1")
-    out = PoleDifferential(g, 1)
     if vital is None:
         vital = find_logvital(curve)
-    if not vital:
-        return out
+    points = [a for a, _alpha in vital] if points is None else points
+    terms = {}
     cg = s_inverse_coeff(g)
     xp = curve.dx
     for a, alpha in vital:
@@ -570,10 +566,11 @@ def logtr_term(curve: SpectralCurve, g: int, vital=None) -> PoleDifferential:
         for _ in range(2 * g - 1):
             f = f.derivative() / xp
         u = f * xp * cg * alpha ** (2 * g - 1)
-        pp = series_at(u, a, -1).principal_part()
-        for k, v in pp.items():
-            out.add_term(((a, -k),), v)
-    if out.terms and min(k for (_p, k), in out.terms) < 2:
+        slot = points.index(a)
+        for k, v in series_at(u, a, -1).principal_part().items():
+            terms[((slot, -k),)] = v
+    out = _from_fractions(g, 1, terms, points)
+    if out.min_order() < 2:
         raise RecursionError_("logarithmic correction produced a first-order pole")
     return out
 
@@ -587,11 +584,12 @@ def run_tr(curve: SpectralCurve, chi_max: int) -> OmegaStore:
     store = OmegaStore(curve, chi_max=chi_max)
     if curve.gen_tr and curve.special_set == ():
         # empty special set: every stable differential vanishes
+        points: list = []
         for chi in range(1, chi_max + 1):
             for g in range(chi // 2 + 2):
                 n = chi + 2 - 2 * g
                 if n >= 1:
-                    store.omegas[(g, n)] = PoleDifferential(g, n)
+                    store.omegas[(g, n)] = PoleDifferential(g, n, points=points)
         return store
     if curve.gen_tr:
         raise RecursionError_(
@@ -608,7 +606,7 @@ def run_tr(curve: SpectralCurve, chi_max: int) -> OmegaStore:
     vital_pts = [a for a, _ in vital]
     if set(vital_pts) & {r.location for r in rams}:
         raise RecursionError_("vital point coincides with a ramification point")
-    run = store.run = _Run(curve, rams, vital_pts, _window(chi_max))
+    run = store.run = _Run(curve, rams, vital_pts, _window(chi_max), [])
     ram_ids = set(range(len(rams)))
     vital_ids = set(range(len(rams), len(run.points)))
     for chi in range(1, chi_max + 1):
@@ -618,17 +616,14 @@ def run_tr(curve: SpectralCurve, chi_max: int) -> OmegaStore:
                 continue
             pd = tr_step(curve, store, g, n)
             if n == 1 and g >= 1 and vital:
-                pd = pd + logtr_term(curve, g, vital)
-                run.omegas[(g, n)] = run.to_ids(pd)
-            _check_invariants(run.omegas[(g, n)][1], ram_ids, vital_ids, run.points)
+                pd = pd + logtr_term(curve, g, vital, run.points)
+            _check_invariants(pd, ram_ids, vital_ids)
             store.omegas[(g, n)] = pd
     store.run = None
     return store
 
 
-def _check_invariants(pd: PoleDifferential, ram_ids: set, vital_ids: set, points: list) -> None:
-    """pd is keyed by slot ids, its coefficients the numerators over any one
-    positive denominator; the messages name the points."""
+def _check_invariants(pd: PoleDifferential, ram_ids: set, vital_ids: set) -> None:
     slots = {e for key in pd.terms for e in key}  # the distinct (id, k)
     if min((k for _a, k in slots), default=_BIG) < 2:
         raise RecursionError_(f"omega_({pd.g},{pd.n}) has a residue term")
@@ -636,8 +631,8 @@ def _check_invariants(pd: PoleDifferential, ram_ids: set, vital_ids: set, points
     bad = {a for a, _k in slots} - allowed
     if bad:
         raise RecursionError_(
-            f"omega_({pd.g},{pd.n}) has poles outside {sorted(points[a] for a in allowed)}: "
-            f"{sorted(points[a] for a in bad)}"
+            f"omega_({pd.g},{pd.n}) has poles outside {sorted(pd.points[a] for a in allowed)}: "
+            f"{sorted(pd.points[a] for a in bad)}"
         )
     bound = _pole_bound(pd.g, pd.n)
     if any(k > bound for a, k in slots if a in ram_ids):

@@ -373,14 +373,16 @@ def _assemble_tail(curve: SpectralCurve, omegas: list, points: list, var: str, o
     integrated between the ends, over (n - 1)! dx(var).
 
     The denominator is known.  Each pole point p = a/b is rational and
-    gives the primitive integer linear forms L = b*u - a, u in {z, w}.  Every
-    term is then a rational constant over a monomial in these forms
-    (`_slot_difference`), and so is 1/dx at the pole points (`_split_at`).
-    The terms of one hbar order are added by their vector of form
-    exponents, and `_over_forms` reduces the sum with no gcd.  A factor of
-    dx away from the pole points is applied at the end: a factor of its
-    denominator by one product, and one of its numerator (a zero of dx that
-    is not a pole point) by one `Rf2` division.
+    gives the primitive integer linear forms L = b*u - a, u in {z, w}.  A
+    term of an omega, its integer numerator over the omega's den (folded
+    into the omega's constant `fac`) with its slot points read from the
+    omega's point table, is then a rational constant over a monomial in
+    these forms (`_slot_difference`), and so is 1/dx at the pole points
+    (`_split_at`).  The terms of one hbar order are added by their vector
+    of form exponents, and `_over_forms` reduces the sum with no gcd.  A
+    factor of dx away from the pole points is applied at the end: a factor
+    of its denominator by one product, and one of its numerator (a zero of dx
+    that is not a pole point) by one `Rf2` division.
     """
     v = _VARS[var]
     coeffs: dict = {}
@@ -404,19 +406,20 @@ def _assemble_tail(curve: SpectralCurve, omegas: list, points: list, var: str, o
         start[col[var] + i] = e
         scale *= Fraction(p.denominator) ** e
     sums: dict = {}   # j -> {form exponents: constant}
-    diffs: dict = {}  # slot -> _slot_difference
+    by_table: dict = {}  # id of a point table -> {slot: _slot_difference}
     for j, n, pd in omegas:
         acc = sums.setdefault(j, {})
-        fac = scale / math.factorial(n - 1)
+        table, diffs = pd.points, by_table.setdefault(id(pd.points), {})
+        fac = scale / (math.factorial(n - 1) * pd.den)
         for key, c in pd.terms.items():
-            p, k = key[0]
+            p, k = table[key[0][0]], key[0][1]
             first = list(start)
             first[col[var] + index[p]] += k
             mons = {tuple(first): c * fac * p.denominator**k}
             for e in key[1:]:
                 diff = diffs.get(e)
                 if diff is None:
-                    diff = diffs[e] = _slot_difference(e, ends, col, index)
+                    diff = diffs[e] = _slot_difference((table[e[0]], e[1]), ends, col, index)
                 nxt: dict = {}
                 for ex, c0 in mons.items():
                     for c1, i, m in diff:

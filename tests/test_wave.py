@@ -146,7 +146,7 @@ def _tail_by_terms(store, var, ends, trunc):
         if j > trunc:
             continue
         total = Rf2.const(0)
-        for key, c in pd.terms.items():
+        for key, c in pd.by_point().items():
             p, k = key[0]
             term = Rf2.const(c) / (coord[var] - Rf2.const(p)) ** k
             for q, m in key[1:]:
