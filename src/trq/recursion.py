@@ -184,19 +184,23 @@ class OmegaStore:
         """The text of json.dumps(payload, indent=1, sort_keys=True), written
         directly (an indent turns the C encoder off): payload is {"chi_max",
         "curve", "omegas": {"g,n": sorted terms}} and a term
-        [[[str(point), k], ...], str(coefficient)]."""
-        slots: dict = {}  # (str(point), k) -> its lines
+        [[[str(point), k], ...], str(coefficient)].
+
+        Each distinct slot (point id, k) of an omega gets one rank, in the
+        order of its (point text, k), and its text once; the terms sort by
+        their tuples of slot ranks, which orders them as the lists of
+        (point text, k) would, since the texts of a table are distinct."""
         blocks = []
         # sort_keys orders the labels as strings: "0,10" before "0,3"
         for label, pd in sorted(((f"{g},{n}", pd) for (g, n), pd in self.omegas.items()), key=itemgetter(0)):
-            text, den = [str(p) for p in pd.points], pd.den
+            text, den, terms = [str(p) for p in pd.points], pd.den, pd.terms
+            order = sorted(set().union(*terms), key=lambda e: (text[e[0]], e[1]))
+            rank = {e: r for r, e in enumerate(order)}
+            slots = {e: f"     [\n      {_quote(text[e[0]])},\n      {e[1]!r}\n     ]" for e in order}
             lines = []
-            for key, v in sorted(([(text[a], k) for a, k in key], _ratio_text(v, den)) for key, v in pd.terms.items()):
-                for e in key:
-                    if e not in slots:
-                        slots[e] = f"     [\n      {_quote(e[0])},\n      {e[1]!r}\n     ]"
+            for key in sorted(terms, key=lambda key: tuple(map(rank.__getitem__, key))):
                 inner = "[\n" + ",\n".join([slots[e] for e in key]) + "\n    ]" if key else "[]"
-                lines.append(f"   [\n    {inner},\n    {_quote(v)}\n   ]")
+                lines.append(f"   [\n    {inner},\n    {_quote(_ratio_text(terms[key], den))}\n   ]")
             body = "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
             blocks.append(f"  {_quote(label)}: {body}")
         omegas = "{\n" + ",\n".join(blocks) + "\n }" if blocks else "{}"

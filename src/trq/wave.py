@@ -12,6 +12,19 @@ carries the zero series.
 
 Everything that tells z from w sits in the one table `_VARS`; every generator
 action, stream and (0,2) piece has one code path for both variables.
+
+The series coefficients are `Factored`: an integer numerator over a
+constant times powers of the forms of the wave data's one `FormBase`,
+built once from the curve (`_form_base`) and shared like the point table
+of the omegas.  No sum, product, derivative or quotient of them takes a
+polynomial gcd; a reduction only trial-divides by forms.  A function from
+outside (x, x', y, a `CoordMul` function, a log argument, the leading
+symbol of an inverse, the tail of `wave_from_streams`) is lifted onto the
+base once.  Canonical `Rf2` is made at the boundary only: the prefactor
+exponent rho and its key stay `Rf2` (so the sums and products of rho in
+`sym_mul_prefactor` and `_lograt_exponent_data` still take gcds), a
+failure text of `check_annihilation` takes one `Rf2.make`, and so does a
+comparison of a coefficient with an `Rf2` or across two wave data.
 """
 
 from __future__ import annotations
@@ -20,14 +33,16 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     INF,
+    Factored,
+    FormBase,
     HSeries,
     LogRat,
     RatFun,
     Rf2,
-    rf2,
 )
 from .algebra import poly as P
 from .algebra import poly2 as P2
@@ -98,6 +113,10 @@ class Prefactor:
     consts: tuple = ()  # ((int base, Fraction), ...) sorted
 
     def key(self) -> str:
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
         return f"{self.rho}|{self.logs}|{self.consts}"
 
 
@@ -105,18 +124,20 @@ def _canon_poly2(p: P2.Poly2) -> tuple:
     return tuple(sorted(p.items()))
 
 
-def _uncanon(t: tuple) -> P2.Poly2:
-    return dict(t)
+def _lift_arg(base: FormBase, argkey: tuple) -> Factored:
+    """A log argument, a canonical poly2 key, over the form base."""
+    return base.lift(Rf2(*P2.p2_clear(dict(argkey), {(0, 0): 1})))
 
 
-def make_term(rho: Rf2, logs: dict, consts: dict, series: HSeries):
+def make_term(rho: Rf2, logs: dict, consts: dict, series: HSeries, base: FormBase):
     """Fold integer exponent parts into the series; return (Prefactor, series)."""
     for argkey in list(logs):
         c = logs[argkey]
         n = math.floor(c)
         frac = c - n
         if n:
-            series = series.map(lambda v, a=argkey, m=n: v * Rf2.make(_uncanon(a), P2.p2_const(1)) ** m)
+            f = _lift_arg(base, argkey) ** n
+            series = series.map(lambda v: v * f)
         if frac:
             logs[argkey] = frac
         else:
@@ -135,12 +156,14 @@ def make_term(rho: Rf2, logs: dict, consts: dict, series: HSeries):
     return pref, series
 
 
-Symbol = dict  # key -> (Prefactor, HSeries of Rf2)
+Symbol = dict  # key -> (Prefactor, HSeries of Factored)
+
+_ONE = Factored.const(1)
 
 
 def sym_unit(trunc: int) -> Symbol:
     pref = Prefactor(Rf2.const(0), (), ())
-    return {pref.key(): (pref, HSeries({0: Rf2.const(1)}, trunc))}
+    return {pref.key(): (pref, HSeries({0: _ONE}, trunc))}
 
 
 def sym_insert(sym: Symbol, pref: Prefactor, series: HSeries) -> None:
@@ -159,21 +182,21 @@ def sym_addinto(acc: Symbol, other: Symbol) -> None:
 
 
 def sym_scale_hseries(sym: Symbol, h: HSeries) -> Symbol:
-    hh = h.map(lambda v: rf2(v))
+    """sym times a series with rational coefficients."""
     out: Symbol = {}
     for _k, (p, s) in sym.items():
-        sym_insert(out, p, s * hh)
+        sym_insert(out, p, s * h)
     return out
 
 
-def sym_scale_rf2(sym: Symbol, f: Rf2) -> Symbol:
+def sym_scale_by(sym: Symbol, f: Factored) -> Symbol:
     out: Symbol = {}
     for _k, (p, s) in sym.items():
         sym_insert(out, p, s.map(lambda v: v * f))
     return out
 
 
-def sym_mul_prefactor(sym: Symbol, rho: Rf2, logs: dict, consts: dict) -> Symbol:
+def sym_mul_prefactor(sym: Symbol, rho: Rf2, logs: dict, consts: dict, base: FormBase) -> Symbol:
     out: Symbol = {}
     for _k, (p, s) in sym.items():
         nl = dict(p.logs)
@@ -182,7 +205,9 @@ def sym_mul_prefactor(sym: Symbol, rho: Rf2, logs: dict, consts: dict) -> Symbol
         nc = dict(p.consts)
         for b, c in consts.items():
             nc[b] = nc.get(b, Fraction(0)) + c
-        pref, series = make_term(p.rho + rho, {a: c for a, c in nl.items() if c}, {b: c for b, c in nc.items() if c}, s)
+        pref, series = make_term(
+            p.rho + rho, {a: c for a, c in nl.items() if c}, {b: c for b, c in nc.items() if c}, s, base
+        )
         sym_insert(out, pref, series)
     return out
 
@@ -207,13 +232,13 @@ class _Var:
     sign: int                               # y = +hbar d/dx, y0 = -hbar d/dx0
     lift: Callable[[RatFun], Rf2]           # a function of this variable as an Rf2
     coord: Rf2
-    deriv: Callable[[Rf2], Rf2]
+    deriv: Callable[[Factored], Factored]
     poly_lift: Callable[[P.Poly], P2.Poly2]
 
 
 _VARS = {
-    "z": _Var("", 1, Rf2.from_ratfun_z, Rf2.z(), Rf2.deriv_z, P2.from_z),
-    "w": _Var("0", -1, Rf2.from_ratfun_w, Rf2.w(), Rf2.deriv_w, P2.from_w),
+    "z": _Var("", 1, Rf2.from_ratfun_z, Rf2.z(), Factored.deriv_z, P2.from_z),
+    "w": _Var("0", -1, Rf2.from_ratfun_w, Rf2.w(), Factored.deriv_w, P2.from_w),
 }
 # generator kind or CoordMul variable ("x", "y0", "z0", ...) -> variable
 _VAR_OF = {kind + v.suffix: var for var, v in _VARS.items() for kind in "xyz"}
@@ -229,16 +254,22 @@ class WaveData:
 
     The dicts are keyed by variable, "z" (main) or "w" (base).  `x[v]` is x
     as a function of v.  A live variable v has a stream: `y[v]`, its hbar^0
-    part (a LogRat), and `tail[v]`, its hbar^1.. part (Rf2 coefficients).
-    Both variables are live at a generic base point; a frozen (regularized)
-    base point leaves only z live, a frozen main point only w.
+    part (a LogRat), and `tail[v]`, its hbar^1.. part (Factored
+    coefficients over `base`).  Both variables are live at a generic base
+    point; a frozen (regularized) base point leaves only z live, a frozen
+    main point only w.
     """
 
     trunc: int
     x: dict = field(default_factory=dict)
     y: dict = field(default_factory=dict)
     tail: dict = field(default_factory=dict)
+    base: FormBase = field(default_factory=FormBase)
     _dx_cache: dict = field(default_factory=dict)
+
+    def lift(self, var: str, f: RatFun) -> Factored:
+        """A function of `var` over the form base."""
+        return self.base.lift(_VARS[var].lift(f))
 
     # --- derivative streams -------------------------------------------------
 
@@ -250,8 +281,17 @@ class WaveData:
             self._dx_cache[key] = prev.derivative()
         return self._dx_cache[key]
 
-    def xprime(self, var: str) -> Rf2:
-        return _VARS[var].lift(self.x_derivs(var, 1))
+    def xprime(self, var: str) -> Factored:
+        key = ("xp", var)
+        if key not in self._dx_cache:
+            self._dx_cache[key] = self.lift(var, self.x_derivs(var, 1))
+        return self._dx_cache[key]
+
+    def inv_xprime(self, var: str) -> Factored:
+        key = ("1/xp", var)
+        if key not in self._dx_cache:
+            self._dx_cache[key] = self.xprime(var).inverse()
+        return self._dx_cache[key]
 
     def y_stream(self, var: str) -> tuple[LogRat, HSeries]:
         if var not in self.y:
@@ -261,7 +301,7 @@ class WaveData:
     def dY(self, var: str, k: int) -> tuple[object, HSeries]:
         """(d/dx)^k of the Y stream: (scalar part, tail series).
 
-        The scalar part is a LogRat for k = 0 and an Rf2 for k >= 1.
+        The scalar part is a LogRat for k = 0 and a Factored for k >= 1.
         """
         key = ("dY", var, k)
         if key in self._dx_cache:
@@ -271,10 +311,10 @@ class WaveData:
         else:
             v = _VARS[var]
             prev_main, prev_tail = self.dY(var, k - 1)
-            xp = self.xprime(var)
+            ixp = self.inv_xprime(var)
             # the derivative of a LogRat is a RatFun
-            main = v.lift(prev_main.derivative()) if k == 1 else v.deriv(prev_main)
-            out = (main / xp, prev_tail.map(lambda f: v.deriv(f) / xp))
+            main = self.lift(var, prev_main.derivative()) if k == 1 else v.deriv(prev_main)
+            out = (main * ixp, prev_tail.map(lambda f: v.deriv(f) * ixp))
         self._dx_cache[key] = out
         return out
 
@@ -305,20 +345,84 @@ def _x_at(x: LogRat, at) -> Rf2 | None:
     return Rf2.const(x.rat.eval(at))
 
 
-def _h02(curve: SpectralCurve, var: str, other) -> Rf2:
+def _h02(wd: WaveData, curve: SpectralCurve, var: str, other) -> Factored:
     """Regularized (0,2) piece of the `var` stream at hbar^1, before the
     generator sign.  `other` is the other coordinate at a generic base point,
     or the point where the other variable is frozen."""
     v = _VARS[var]
-    xp = v.lift(curve.dx)
-    total = v.lift(-curve.dx.derivative() / (2 * curve.dx))
+    total = wd.lift(var, -curve.dx.derivative() / (2 * curve.dx))
     if other != INF:
-        at = _VARS[other].coord if other in _VARS else Rf2.const(other)
-        total = total - Rf2.const(1) / (v.coord - at)
+        at = wd.base.lift(_VARS[other].coord) if other in _VARS else Factored.const(other)
+        total = total - (wd.base.lift(v.coord) - at).inverse()
     x_other = _x_at(curve.x, other)
     if x_other is not None:
-        total = total + xp / (v.lift(curve.x.rat) - x_other)
-    return total / xp
+        total = total + wd.xprime(var) * (wd.lift(var, curve.x.rat) - wd.base.lift(x_other)).inverse()
+    return total * wd.inv_xprime(var)
+
+
+def _form_base(points: list, x: LogRat, y: LogRat, ends: tuple) -> FormBase:
+    """The forms of the symbols on a curve with the integrated slots between
+    `ends`, and `points` the pole points of the omegas read.
+
+    First the pole-point forms b*z - a, then b*w - a (the columns of the
+    exponent vectors of `_assemble_tail`).  Then, in each live variable,
+    the factors of dx's numerator and denominator, of y's denominator and,
+    at a frozen end q where x is finite, of x(u) - x(q): a linear form for
+    each rational root and one form for the rest of each factor, made
+    pairwise coprime by `_coprime_factors`.  At a generic base last z - w
+    and (x(z) - x(w))/(z - w), which share no factor with any of those
+    (at z = w the second is x'(z) times a square).
+    """
+    base = FormBase.of_points(points)
+    live = [u for u in ends if u in _VARS]
+    dx = x.derivative()
+    sources = [dx.num, dx.den, y.rat.den]
+    for q in ends:
+        if q not in _VARS and not x.has_logs() and (xq := _x_at(x, q)) is not None:
+            sources.append((x.rat - RatFun.const(xq.const_value())).num)
+    for f in _coprime_factors(sources):
+        for u in live:
+            base.add_poly(_VARS[u].poly_lift(f))
+    if len(live) == 2 and not x.has_logs():
+        z_w = {(1, 0): 1, (0, 1): -1}
+        base.add(z_w)
+        num, den = x.rat.num, x.rat.den
+        diff = P2.p2_sub(P2.p2_mul(P2.from_z(num), P2.from_w(den)), P2.p2_mul(P2.from_w(num), P2.from_z(den)))
+        rest = P2._divide(*P2.p2_clear(diff), z_w)
+        if not (len(rest) == 1 and (0, 0) in rest):
+            base.add_poly(rest)
+    return base
+
+
+def _coprime_factors(polys: list) -> list:
+    """Squarefree, pairwise coprime factors of the nonconstant polys, each
+    of which is a constant times a product of their powers: the factor
+    refinement of Bach, Driscoll and Shallit by univariate gcds, then each
+    rational root split off as its own linear factor."""
+    out: list = []
+    todo = [p for p in polys if P.degree(p) >= 1]
+    while todo:
+        a = todo.pop()
+        s = P.gcd(a, P.derivative(a))
+        parts = [s, P.divexact(a, s)] if P.degree(s) >= 1 else None
+        for k, b in enumerate(out if parts is None else ()):
+            g = P.gcd(a, b)
+            if P.degree(g) >= 1:
+                del out[k]
+                parts = [g, P.divexact(a, g), P.divexact(b, g)]
+                break
+        if parts is None:
+            out.append(a)
+        else:
+            todo += [p for p in parts if P.degree(p) >= 1]
+    factors = []
+    for a in out:
+        for r, _m in P.rational_roots(a):
+            factors.append(P.poly([-r, 1]))
+            a = P.divexact(a, factors[-1])
+        if P.degree(a) >= 1:
+            factors.append(a)
+    return factors
 
 
 def build_wave_data(store: OmegaStore, base, trunc: int) -> WaveData:
@@ -355,39 +459,42 @@ def build_wave_data(store: OmegaStore, base, trunc: int) -> WaveData:
                 f"{base[0]} mode frozen at {end}, a pole point of the omegas, where the integrated slots diverge"
             )
     curve = store.curve
-    wd = WaveData(trunc, x={"z": curve.x, "w": curve.x})
+    wd = WaveData(trunc, x={"z": curve.x, "w": curve.x}, base=_form_base(points, curve.x, curve.y, ends))
     for var, other in (ends, ends[::-1]):
         if var in _VARS:
             wd.y[var] = curve.y
-            wd.tail[var] = _assemble_tail(curve, omegas, points, var, other, ends, trunc)
+            wd.tail[var] = _assemble_tail(wd, curve, omegas, points, var, other, ends)
     return wd
 
 
-def _assemble_tail(curve: SpectralCurve, omegas: list, points: list, var: str, other, ends: tuple, trunc: int) -> HSeries:
-    """hbar^1.. of the `var` stream; `other` as in `_h02`, `omegas` the
-    (j, n, omega_{g,n}) of `build_wave_data` and `points` their sorted pole
-    points.
+def _assemble_tail(wd: WaveData, curve: SpectralCurve, omegas: list, points: list, var: str, other, ends: tuple) -> HSeries:
+    """hbar^1.. of the `var` stream, to wd.trunc; `other` as in `_h02`,
+    `omegas` the (j, n, omega_{g,n}) of `build_wave_data` and `points`
+    their sorted pole points.
 
     hbar^1 is the (0,2) piece.  hbar^j for j >= 2 sums the omega_{g,n} with
     2g - 1 + n = j, each with its first slot at `var` and the others
     integrated between the ends, over (n - 1)! dx(var).
 
     The denominator is known.  Each pole point p = a/b is rational and
-    gives the primitive integer linear forms L = b*u - a, u in {z, w}.  A
-    term of an omega, its integer numerator over the omega's den (folded
-    into the omega's constant `fac`) with its slot points read from the
-    omega's point table, is then a rational constant over a monomial in
-    these forms (`_slot_difference`), and so is 1/dx at the pole points
-    (`_split_at`).  The terms of one hbar order are added by their vector
-    of form exponents, and `_over_forms` reduces the sum with no gcd.  A
-    factor of dx away from the pole points is applied at the end: a factor
-    of its denominator by one product, and one of its numerator (a zero of dx
-    that is not a pole point) by one `Rf2` division.
+    gives the primitive integer linear forms L = b*u - a, u in {z, w}, the
+    first forms of wd.base.  A term of an omega, its integer numerator over
+    the omega's den (folded into the omega's constant `fac`) with its slot
+    points read from the omega's point table, is then a rational constant
+    over a monomial in these forms (`_slot_difference`), and so is 1/dx at
+    the pole points (`_split_at`).  The terms of one hbar order are added
+    by their vector of form exponents, and `_over_forms` turns the sum into
+    one `Factored` by the one sum of that type, with no gcd.  The factors
+    of dx away from the pole points, forms of the base too, are applied at
+    the end: its denominator's as a polynomial factor and its numerator's
+    (the zeros of dx that are not pole points) by one product with their
+    inverse.
     """
     v = _VARS[var]
+    trunc = wd.trunc
     coeffs: dict = {}
     if trunc >= 1:
-        h02 = _h02(curve, var, other)
+        h02 = _h02(wd, curve, var, other)
         coeffs[1] = h02 if v.sign > 0 else -h02
     npts = len(points)
     index = {p: i for i, p in enumerate(points)}
@@ -433,10 +540,11 @@ def _assemble_tail(curve: SpectralCurve, omegas: list, points: list, var: str, o
                 mons = nxt
             for ex, c0 in mons.items():
                 acc[ex] = acc.get(ex, 0) + c0
+    inv_rest = wd.lift(var, RatFun.make(P.ONE, rest_num)) if P.degree(rest_num) > 0 else None
     for j in sorted(sums):
-        f = _over_forms(sums[j], points, v.poly_lift(rest_den))
-        if P.degree(rest_num) > 0 and f:
-            f = f / v.lift(RatFun.make(rest_num, P.ONE))
+        f = _over_forms(sums[j], wd.base, v.poly_lift(rest_den))
+        if inv_rest is not None:
+            f = f * inv_rest
         if f:
             coeffs[j] = f
     return HSeries.make(coeffs, trunc)
@@ -476,90 +584,34 @@ def _slot_difference(entry: tuple, ends: tuple, col: dict, index: dict) -> list:
     return out
 
 
-def _over_forms(terms: dict, points: list, numer: P2.Poly2) -> Rf2:
-    """numer * sum of c / prod_i L_i^e_i over {e: c}, in canonical form,
-    with no gcd; numer must be coprime to every form.
+def _over_forms(terms: dict, base, numer: P2.Poly2) -> Factored:
+    """numer * sum of c / prod_i f_i^e_i over {e: c}, by the one sum of
+    `Factored`, with no gcd.
 
-    e lists the exponents of the z-forms of `points`, then those of the
-    w-forms.  The sum goes over prod_i L_i^top_i, top_i the largest e_i
-    (at least 0).  The forms are primitive, irreducible and pairwise
-    coprime, and they are the only factors of that denominator.  So
-    dividing each form out of the numerator while it divides exactly, at
-    most top_i times, leaves a numerator coprime to the denominator, and
-    `p2_clear` removes the common integer content.
+    e lists the exponents of the first forms of `base`: a FormBase, or the
+    pole points whose z-forms and then w-forms begin one.  An exponent
+    below 0 puts its form in the term's numerator.
     """
-    terms = {e: c for e, c in terms.items() if c}
-    if not terms:
-        return Rf2.const(0)
-    npts = len(points)
-    top = [max(0, *col) for col in zip(*terms)]
-    clear = math.lcm(*(c.denominator for c in terms.values()))
-    # the forms b*z - a, then b*w - a, and their powers
-    forms = [
-        {key: v for key, v in (((1, 0) if i < npts else (0, 1), p.denominator), ((0, 0), -p.numerator)) if v}
-        for i, p in enumerate(points * 2)
-    ]
-    powers: dict = {}
-
-    def product(ks) -> P2.Poly2:
-        out = {(0, 0): 1}
-        for i, k in enumerate(ks):
-            if k:
-                if (i, k) not in powers:
-                    powers[i, k] = P2.p2_pow(forms[i], k)
-                out = P2.p2_mul(out, powers[i, k])
-        return out
-
-    num: dict = {}
+    if not isinstance(base, FormBase):
+        base = FormBase.of_points(base)
+    parts = []
     for e, c in terms.items():
-        c = int(c * clear)
-        for key, v in product([t - x for t, x in zip(top, e)]).items():
-            num[key] = num.get(key, 0) + c * v
-    num = {key: c for key, c in num.items() if c}
-    if not num:
-        return Rf2.const(0)
-    for i in range(2 * npts):
-        while top[i]:
-            q = _divide_by_form(num, points[i % npts], i // npts)
-            if q is None:
-                break
-            num, top[i] = q, top[i] - 1
-    den = {key: clear * c for key, c in product(top).items()}
+        c = Fraction(c)
+        if c:
+            up = {i: -k for i, k in enumerate(e) if k < 0}
+            num = {key: v * c.numerator for key, v in base.product(up).items()} if up else {(0, 0): c.numerator}
+            parts.append(Factored(base, num, c.denominator, {i: k for i, k in enumerate(e) if k > 0}))
+    total = base.sum(parts)
     if numer != {(0, 0): 1}:
-        num = P2.p2_mul(num, numer)
-    # the lex-leading coefficient of den, clear times a product of b's, is positive as Rf2 needs
-    return Rf2(*P2.p2_clear(num, den))
-
-
-def _divide_by_form(num: dict, p: Fraction, axis: int) -> dict | None:
-    """num / (b*u - a) over Z for p = a/b, u = z (axis 0) or w (axis 1),
-    or None unless the form divides num.
-
-    Synthetic division of each coefficient in the other variable, from the
-    top: c_i = b*q_(i-1) - a*q_i.  The form is primitive, so by Gauss's
-    lemma an exact quotient has integer coefficients.
-    """
-    a, b = p.numerator, p.denominator
-    rows: dict = {}  # exponent of the other variable -> {exponent of u: coefficient}
-    for key, c in num.items():
-        rows.setdefault(key[1 - axis], {})[key[axis]] = c
-    out = {}
-    for o, row in rows.items():
-        q = 0
-        for i in range(max(row), 0, -1):
-            q, r = divmod(row.get(i, 0) + a * q, b)
-            if r:
-                return None
-            if q:
-                out[(i - 1, o) if axis == 0 else (o, i - 1)] = q
-        if row.get(0, 0) + a * q:
-            return None
-    return out
+        total = total * base.lift(Rf2(*P2.p2_clear(numer, {(0, 0): 1})))
+    return total
 
 
 def wave_from_streams(x: LogRat, y_main: LogRat, y_tail: HSeries, trunc: int, var: str = "z") -> WaveData:
-    """Wave data from explicit streams (single live variable)."""
-    return WaveData(trunc, x={var: x}, y={var: y_main}, tail={var: y_tail})
+    """Wave data from explicit streams (single live variable), the tail's
+    `Rf2` coefficients lifted onto the forms of x and y."""
+    base = _form_base([], x, y_main, (var,))
+    return WaveData(trunc, x={var: x}, y={var: y_main}, tail={var: y_tail.map(base.lift)}, base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +633,19 @@ def _lograt_exponent_data(f: LogRat, var: str, scale: Fraction):
     return rho, {k: v for k, v in logs.items() if v}, {b: v for b, v in consts.items() if v}
 
 
-def _pref_deriv(pref: Prefactor, deriv) -> Rf2:
-    """Plain derivative of the prefactor exponent (a rational function)."""
-    out = deriv(pref.rho)
-    for argkey, c in pref.logs:
-        arg = Rf2.make(_uncanon(argkey), P2.p2_const(1))
-        d = deriv(arg)
-        if not d.is_zero():
-            out = out + d / arg * c
-    return out
+def _pref_deriv(pref: Prefactor, wave: WaveData, var: str) -> Factored:
+    """d/dx of the prefactor exponent (a rational function), along `var`."""
+    key = ("dp", pref.key(), var)
+    if key not in wave._dx_cache:
+        deriv = _VARS[var].deriv
+        out = deriv(wave.base.lift(pref.rho))
+        for argkey, c in pref.logs:
+            arg = _lift_arg(wave.base, argkey)
+            d = deriv(arg)
+            if d:
+                out = out + d / arg * c
+        wave._dx_cache[key] = out * wave.inv_xprime(var)
+    return wave._dx_cache[key]
 
 
 def apply_dbar(sym: Symbol, wave: WaveData, var: str) -> Symbol:
@@ -601,12 +657,12 @@ def apply_dbar(sym: Symbol, wave: WaveData, var: str) -> Symbol:
         raise WaveError(
             "bare derivative generator needs a rational y; use exponential form"
         )
-    xp = wave.xprime(var)
-    yfull = HSeries({0: v.lift(RatFun.make(y_main.rat.num, y_main.rat.den))}, wave.trunc) + y_tail
+    ixp = wave.inv_xprime(var)
+    yfull = HSeries({0: wave.lift(var, y_main.rat)}, wave.trunc) + y_tail
     out: Symbol = {}
     for _k, (p, s) in sym.items():
-        dp = _pref_deriv(p, v.deriv) / xp
-        ds = s.map(lambda f: v.deriv(f) / xp) + s.map(lambda f: f * dp)
+        dp = _pref_deriv(p, wave, var)
+        ds = s.map(lambda f: v.deriv(f) * ixp + f * dp)
         total = ds.shift(1).truncate(wave.trunc).scale(Fraction(v.sign)) + s * yfull
         sym_insert(out, p, total)
     return out
@@ -617,14 +673,13 @@ def _flow_delta(wave: WaveData, var: str, c: Fraction) -> HSeries:
     v = _VARS[var]
     target_c = v.sign * Fraction(c)
     N = wave.trunc
-    xp = wave.xprime(var)
-    inv_xp = Rf2.const(1) / xp
-    target = HSeries({1: Rf2.const(target_c)}, N)
-    delta = HSeries({1: Rf2.const(target_c) * inv_xp}, N)
-    derivs = [v.lift(wave.x_derivs(var, j)) for j in range(1, N + 1)]
+    inv_xp = wave.inv_xprime(var)
+    target = HSeries({1: Factored.const(target_c)}, N)
+    delta = HSeries({1: inv_xp * target_c}, N)
+    derivs = [wave.lift(var, wave.x_derivs(var, j)) for j in range(1, N + 1)]
     for _ in range(N):
         acc = HSeries({}, N)
-        dp = HSeries({0: Rf2.const(1)}, N)
+        dp = HSeries({0: _ONE}, N)
         for j in range(1, N + 1):
             dp = (dp * delta).truncate(N)
             if dp.is_zero():
@@ -640,7 +695,7 @@ def _flow_delta(wave: WaveData, var: str, c: Fraction) -> HSeries:
 def _taylor_compose_series(s: HSeries, delta: HSeries, deriv, trunc: int) -> HSeries:
     """s with every coefficient shifted to v + delta."""
     out = s
-    dp = HSeries({0: Rf2.const(1)}, trunc)
+    dp = HSeries({0: _ONE}, trunc)
     ds = s
     for j in range(1, trunc + 1):
         dp = (dp * delta).truncate(trunc)
@@ -670,7 +725,7 @@ def apply_shift(sym: Symbol, c: Fraction, wave: WaveData, var: str = "z") -> Sym
         piece = HSeries({0: main_k}, N) + tail_k
         wexp = wexp + piece.shift(m - 1).truncate(N).scale(fac)
 
-    def shifted(f: Rf2) -> HSeries:
+    def shifted(f: Factored) -> HSeries:
         """f(v + delta) - f(v)."""
         f = HSeries.const(f, N)
         return _taylor_compose_series(f, delta, v.deriv, N) - f
@@ -680,12 +735,13 @@ def apply_shift(sym: Symbol, c: Fraction, wave: WaveData, var: str = "z") -> Sym
         # compose the series part
         s1 = _taylor_compose_series(s, delta, v.deriv, N)
         # prefactor composition factors
-        expo = shifted(p.rho)
+        expo = shifted(wave.base.lift(p.rho))
         for argkey, ce in p.logs:
-            arg = Rf2.make(_uncanon(argkey), P2.p2_const(1))
-            expo = expo + shifted(arg).map(lambda f: f / arg).log1p().scale(ce)
-        sym_insert(out, p, s1 * (expo + wexp).exp(Rf2.const(1)))
-    return sym_mul_prefactor(out, *_lograt_exponent_data(y_main, var, c))
+            arg = _lift_arg(wave.base, argkey)
+            inv = arg.inverse()
+            expo = expo + shifted(arg).map(lambda f: f * inv).log1p().scale(ce)
+        sym_insert(out, p, s1 * (expo + wexp).exp(_ONE))
+    return sym_mul_prefactor(out, *_lograt_exponent_data(y_main, var, c), wave.base)
 
 
 def apply_inverse(inner: OpExpr, target: Symbol, wave: WaveData) -> Symbol:
@@ -708,7 +764,7 @@ def apply_inverse(inner: OpExpr, target: Symbol, wave: WaveData) -> Symbol:
     lead_series = s0_sym[keys[0]][1]
     if 0 not in lead_series.coeffs or lead_series.coeffs[0].is_zero():
         raise WaveError("inverse of an operator with vanishing leading coefficient")
-    sigma0 = lead_series.coeffs[0]
+    inv_sigma0 = lead_series.coeffs[0].inverse()
     out: Symbol = {}
     for _k, (p, s) in target.items():
         csol = HSeries({}, N)
@@ -717,7 +773,7 @@ def apply_inverse(inner: OpExpr, target: Symbol, wave: WaveData) -> Symbol:
             rk = resid.coeffs.get(k)
             if rk is None or rk.is_zero():
                 continue
-            step = HSeries({k: rk / sigma0}, N)
+            step = HSeries({k: rk * inv_sigma0}, N)
             csol = csol + step
             resid = resid - _collect_class(evaluate_operator_on(inner, {p.key(): (p, step)}, wave), p)
         ok, _w = sym_is_zero({p.key(): (p, resid.truncate(N))})
@@ -759,9 +815,9 @@ def evaluate_operator_on(op: OpExpr, sym: Symbol, wave: WaveData) -> Symbol:
             raise WaveError(f"no {op.kind} in this wave data")
         if x.has_logs():
             raise WaveError(f"multiplication by a logarithmic {op.kind} is not a symbol; use exp form")
-        return sym_scale_rf2(sym, _VARS[var].lift(RatFun.make(x.rat.num, x.rat.den)))
+        return sym_scale_by(sym, wave.lift(var, x.rat))
     if isinstance(op, CoordMul):
-        return sym_scale_rf2(sym, _VARS[_VAR_OF[op.var]].lift(op.fn))
+        return sym_scale_by(sym, wave.lift(_VAR_OF[op.var], op.fn))
     if isinstance(op, Add):
         out: Symbol = {}
         for c in op.children:
@@ -836,7 +892,7 @@ def evaluate_operator_on(op: OpExpr, sym: Symbol, wave: WaveData) -> Symbol:
                 _merge_into(logs, l2)
                 _merge_into(consts, c2)
         if not rho.is_zero() or logs or consts:
-            cur = sym_mul_prefactor(cur, rho, logs, consts)
+            cur = sym_mul_prefactor(cur, rho, logs, consts, wave.base)
         return cur
     raise TypeError(type(op))
 

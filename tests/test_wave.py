@@ -424,9 +424,10 @@ def cubic_wave():
 
 
 class TestGenericBaseCubic:
-    """x = z^3 - 3z, y = z at a generic base point: the gcds of these
-    symbols are the first that GCDHEU gives up on, so they reach the
-    remainder-sequence fallback."""
+    """x = z^3 - 3z, y = z at a generic base point: the symbols carry the
+    form z^2 + zw + w^2 - 3 of degree two.  As canonical Rf2 their gcds
+    were the first that GCDHEU gave up on, and at hbar^5 the
+    remainder-sequence fallback did not finish."""
 
     @pytest.mark.parametrize("gen", [Y, Y0], ids=["y", "y0"])
     def test_exp_times_its_inverse_is_one(self, cubic_wave, gen):
@@ -434,10 +435,13 @@ class TestGenericBaseCubic:
         rep = check_annihilation(op, cubic_wave, 3)
         assert rep.passed, rep.summary()
 
-    def test_pq_generic_operator_annihilates(self, cubic_wave):
-        # the pq family on its nontrivial side: x = p(y) with p = y^3 - 3y
+    @pytest.mark.parametrize("order", [3, 4, 5], ids=["hbar3", "hbar4", "hbar5"])
+    def test_pq_generic_operator_annihilates(self, cubic_wave, order):
+        # the pq family on its nontrivial side: x = p(y) with p = y^3 - 3y;
+        # its inverse meets the form z^2 + zw + w^2 - 3 of x(z) - x(w)
+        wave = cubic_wave if order == 3 else build_wave_data(run_tr(cubic_curve(), order - 1), "generic", order)
         op = pq_generic_operator(P.poly([0, -3, 0, 1]), P.ONE)
-        rep = check_annihilation(op, cubic_wave, 3)
+        rep = check_annihilation(op, wave, order)
         assert rep.passed, rep.summary()
 
 
