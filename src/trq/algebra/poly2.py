@@ -38,11 +38,6 @@ from . import poly as P
 Poly2 = dict
 
 
-def p2_const(v) -> Poly2:
-    v = Fraction(v)
-    return {(0, 0): v} if v else {}
-
-
 def p2_is_zero(a: Poly2) -> bool:
     return not a
 

@@ -15,12 +15,13 @@ other factor's denominator, and a derivative divides d' by gcd(d, d')
 instead of squaring d.  No step divides a polynomial again.
 
 `Rf2` is the canonical form, not the working form of the wave layer: its
-symbol and stream coefficients are `forms.Factored`, over the forms the
-curve gives, and take no gcd.  So the gcds that remain are those of the
-canonical form where it is made: `Factored.rf2` (one `make` for a check's
-failure text, a comparison with an `Rf2` or across two form bases), the
-prefactor exponent rho and its key, which stay `Rf2`, and the Airy
-saddle-point series of `trq.laplace`, which are `Rf2` throughout.
+symbol and stream coefficients and its prefactor exponents are
+`forms.Factored`, over the forms the curve gives, and take no gcd.  So
+the gcds that remain are those of the canonical form where it is made:
+`Factored.rf2` (one `make` for the text of a prefactor exponent in its
+key, a check's failure text, a comparison with an `Rf2` or across two
+form bases), and the Airy saddle-point series of `trq.laplace`, which are
+`Rf2` throughout.
 """
 
 from __future__ import annotations

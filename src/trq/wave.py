@@ -20,11 +20,10 @@ of the omegas.  No sum, product, derivative or quotient of them takes a
 polynomial gcd; a reduction only trial-divides by forms.  A function from
 outside (x, x', y, a `CoordMul` function, a log argument, the leading
 symbol of an inverse, the tail of `wave_from_streams`) is lifted onto the
-base once.  Canonical `Rf2` is made at the boundary only: the prefactor
-exponent rho and its key stay `Rf2` (so the sums and products of rho in
-`sym_mul_prefactor` and `_lograt_exponent_data` still take gcds), a
-failure text of `check_annihilation` takes one `Rf2.make`, and so does a
-comparison of a coefficient with an `Rf2` or across two wave data.
+base once, and so is the prefactor exponent rho.  Canonical `Rf2` is made
+at the boundary only: the text of rho in a prefactor key, a failure text
+of `check_annihilation` and a comparison of a coefficient with an `Rf2`
+or across two wave data each take one `Rf2.make`.
 """
 
 from __future__ import annotations
@@ -103,12 +102,14 @@ def _factor_rational(k: Fraction) -> dict:
 class Prefactor:
     """exp(rho) * prod_i arg_i^{c_i} * prod_j base_j^{d_j}.
 
-    rho is the rational part of the exponent; arg exponents and constant
-    exponents are kept with fractional parts only (integer parts are folded
-    into the series at construction).
+    rho is the rational part of the exponent, over the wave data's form
+    base; its text in the key is the canonical `Rf2`.  arg exponents and
+    constant exponents are kept with fractional parts only (integer parts
+    are folded into the series at construction).  A `Factored` cannot be
+    hashed, and neither can a Prefactor: classes are told apart by key.
     """
 
-    rho: Rf2
+    rho: Factored
     logs: tuple = ()    # ((poly2-key-tuple, Fraction), ...) sorted
     consts: tuple = ()  # ((int base, Fraction), ...) sorted
 
@@ -129,7 +130,7 @@ def _lift_arg(base: FormBase, argkey: tuple) -> Factored:
     return base.lift(Rf2(*P2.p2_clear(dict(argkey), {(0, 0): 1})))
 
 
-def make_term(rho: Rf2, logs: dict, consts: dict, series: HSeries, base: FormBase):
+def make_term(rho: Factored, logs: dict, consts: dict, series: HSeries, base: FormBase):
     """Fold integer exponent parts into the series; return (Prefactor, series)."""
     for argkey in list(logs):
         c = logs[argkey]
@@ -159,11 +160,11 @@ def make_term(rho: Rf2, logs: dict, consts: dict, series: HSeries, base: FormBas
 Symbol = dict  # key -> (Prefactor, HSeries of Factored)
 
 _ONE = Factored.const(1)
+_PLAIN = Prefactor(Factored.const(0))
 
 
 def sym_unit(trunc: int) -> Symbol:
-    pref = Prefactor(Rf2.const(0), (), ())
-    return {pref.key(): (pref, HSeries({0: _ONE}, trunc))}
+    return {_PLAIN.key(): (_PLAIN, HSeries({0: _ONE}, trunc))}
 
 
 def sym_insert(sym: Symbol, pref: Prefactor, series: HSeries) -> None:
@@ -196,7 +197,7 @@ def sym_scale_by(sym: Symbol, f: Factored) -> Symbol:
     return out
 
 
-def sym_mul_prefactor(sym: Symbol, rho: Rf2, logs: dict, consts: dict, base: FormBase) -> Symbol:
+def sym_mul_prefactor(sym: Symbol, rho: Factored, logs: dict, consts: dict, base: FormBase) -> Symbol:
     out: Symbol = {}
     for _k, (p, s) in sym.items():
         nl = dict(p.logs)
@@ -481,14 +482,10 @@ def _assemble_tail(wd: WaveData, curve: SpectralCurve, omegas: list, points: lis
     first forms of wd.base.  A term of an omega, its integer numerator over
     the omega's den (folded into the omega's constant `fac`) with its slot
     points read from the omega's point table, is then a rational constant
-    over a monomial in these forms (`_slot_difference`), and so is 1/dx at
-    the pole points (`_split_at`).  The terms of one hbar order are added
-    by their vector of form exponents, and `_over_forms` turns the sum into
-    one `Factored` by the one sum of that type, with no gcd.  The factors
-    of dx away from the pole points, forms of the base too, are applied at
-    the end: its denominator's as a polynomial factor and its numerator's
-    (the zeros of dx that are not pole points) by one product with their
-    inverse.
+    over a monomial in these forms (`_slot_difference`).  The terms of one
+    hbar order are added by their vector of form exponents, `_over_forms`
+    turns the sum into one `Factored` by the one sum of that type, with no
+    gcd, and one product with `wd.inv_xprime` divides it by dx.
     """
     v = _VARS[var]
     trunc = wd.trunc
@@ -499,28 +496,15 @@ def _assemble_tail(wd: WaveData, curve: SpectralCurve, omegas: list, points: lis
     npts = len(points)
     index = {p: i for i, p in enumerate(points)}
     col = {u: h * npts for h, u in enumerate(_VARS)}  # the forms of u: col[u] + index[p]
-    # 1/dx = scale * rest_den/rest_num * prod_p (u - p)^(-e_p), (u - p)^(-e) = b^e/L^e
-    num_mult, rest_num = _split_at(curve.dx.num, points)
-    den_mult, rest_den = _split_at(curve.dx.den, points)
-    scale = Fraction(1)
-    if P.degree(rest_num) == 0:
-        scale, rest_num = scale / rest_num[0], P.ONE
-    if P.degree(rest_den) == 0:
-        scale, rest_den = scale * rest_den[0], P.ONE
-    start = [0] * (2 * npts)
-    for i, p in enumerate(points):
-        e = num_mult[i] - den_mult[i]
-        start[col[var] + i] = e
-        scale *= Fraction(p.denominator) ** e
     sums: dict = {}   # j -> {form exponents: constant}
     by_table: dict = {}  # id of a point table -> {slot: _slot_difference}
     for j, n, pd in omegas:
         acc = sums.setdefault(j, {})
         table, diffs = pd.points, by_table.setdefault(id(pd.points), {})
-        fac = scale / (math.factorial(n - 1) * pd.den)
+        fac = Fraction(1, math.factorial(n - 1) * pd.den)
         for key, c in pd.terms.items():
             p, k = table[key[0][0]], key[0][1]
-            first = list(start)
+            first = [0] * (2 * npts)
             first[col[var] + index[p]] += k
             mons = {tuple(first): c * fac * p.denominator**k}
             for e in key[1:]:
@@ -540,28 +524,11 @@ def _assemble_tail(wd: WaveData, curve: SpectralCurve, omegas: list, points: lis
                 mons = nxt
             for ex, c0 in mons.items():
                 acc[ex] = acc.get(ex, 0) + c0
-    inv_rest = wd.lift(var, RatFun.make(P.ONE, rest_num)) if P.degree(rest_num) > 0 else None
     for j in sorted(sums):
-        f = _over_forms(sums[j], wd.base, v.poly_lift(rest_den))
-        if inv_rest is not None:
-            f = f * inv_rest
+        f = _over_forms(sums[j], wd.base) * wd.inv_xprime(var)
         if f:
             coeffs[j] = f
     return HSeries.make(coeffs, trunc)
-
-
-def _split_at(a: P.Poly, points: list) -> tuple[list, P.Poly]:
-    """The multiplicity of each point as a root of a, and the rest of a."""
-    mult = []
-    for p in points:
-        m = 0
-        while True:
-            q, r = P.divmod_(a, (-p, Fraction(1)))
-            if r:
-                break
-            a, m = q, m + 1
-        mult.append(m)
-    return mult, a
 
 
 def _slot_difference(entry: tuple, ends: tuple, col: dict, index: dict) -> list:
@@ -584,16 +551,13 @@ def _slot_difference(entry: tuple, ends: tuple, col: dict, index: dict) -> list:
     return out
 
 
-def _over_forms(terms: dict, base, numer: P2.Poly2) -> Factored:
-    """numer * sum of c / prod_i f_i^e_i over {e: c}, by the one sum of
+def _over_forms(terms: dict, base: FormBase) -> Factored:
+    """The sum of c / prod_i f_i^e_i over {e: c}, by the one sum of
     `Factored`, with no gcd.
 
-    e lists the exponents of the first forms of `base`: a FormBase, or the
-    pole points whose z-forms and then w-forms begin one.  An exponent
-    below 0 puts its form in the term's numerator.
+    e lists the exponents of the first forms of `base`; an exponent below 0
+    puts its form in the term's numerator.
     """
-    if not isinstance(base, FormBase):
-        base = FormBase.of_points(base)
     parts = []
     for e, c in terms.items():
         c = Fraction(c)
@@ -601,10 +565,7 @@ def _over_forms(terms: dict, base, numer: P2.Poly2) -> Factored:
             up = {i: -k for i, k in enumerate(e) if k < 0}
             num = {key: v * c.numerator for key, v in base.product(up).items()} if up else {(0, 0): c.numerator}
             parts.append(Factored(base, num, c.denominator, {i: k for i, k in enumerate(e) if k > 0}))
-    total = base.sum(parts)
-    if numer != {(0, 0): 1}:
-        total = total * base.lift(Rf2(*P2.p2_clear(numer, {(0, 0): 1})))
-    return total
+    return base.sum(parts)
 
 
 def wave_from_streams(x: LogRat, y_main: LogRat, y_tail: HSeries, trunc: int, var: str = "z") -> WaveData:
@@ -618,10 +579,10 @@ def wave_from_streams(x: LogRat, y_main: LogRat, y_tail: HSeries, trunc: int, va
 # operator application
 
 
-def _lograt_exponent_data(f: LogRat, var: str, scale: Fraction):
-    """Prefactor exponent data for exp(scale * f)."""
+def _lograt_exponent_data(f: LogRat, wave: WaveData, var: str, scale: Fraction):
+    """Prefactor exponent data for exp(scale * f), f a function of `var`."""
     v = _VARS[var]
-    rho = v.lift(f.rat) * scale
+    rho = wave.lift(var, f.rat) * scale
     logs: dict = {}
     consts: dict = {}
     for c, arg in f.logs:
@@ -638,7 +599,7 @@ def _pref_deriv(pref: Prefactor, wave: WaveData, var: str) -> Factored:
     key = ("dp", pref.key(), var)
     if key not in wave._dx_cache:
         deriv = _VARS[var].deriv
-        out = deriv(wave.base.lift(pref.rho))
+        out = deriv(pref.rho)
         for argkey, c in pref.logs:
             arg = _lift_arg(wave.base, argkey)
             d = deriv(arg)
@@ -735,13 +696,13 @@ def apply_shift(sym: Symbol, c: Fraction, wave: WaveData, var: str = "z") -> Sym
         # compose the series part
         s1 = _taylor_compose_series(s, delta, v.deriv, N)
         # prefactor composition factors
-        expo = shifted(wave.base.lift(p.rho))
+        expo = shifted(p.rho)
         for argkey, ce in p.logs:
             arg = _lift_arg(wave.base, argkey)
             inv = arg.inverse()
             expo = expo + shifted(arg).map(lambda f: f * inv).log1p().scale(ce)
         sym_insert(out, p, s1 * (expo + wexp).exp(_ONE))
-    return sym_mul_prefactor(out, *_lograt_exponent_data(y_main, var, c), wave.base)
+    return sym_mul_prefactor(out, *_lograt_exponent_data(y_main, wave, var, c), wave.base)
 
 
 def apply_inverse(inner: OpExpr, target: Symbol, wave: WaveData) -> Symbol:
@@ -759,7 +720,7 @@ def apply_inverse(inner: OpExpr, target: Symbol, wave: WaveData) -> Symbol:
     unit = sym_unit(N)
     s0_sym = evaluate_operator_on(inner, unit, wave)
     keys = [k for k, (_p, s) in s0_sym.items() if not s.is_zero()]
-    if len(keys) != 1 or s0_sym[keys[0]][0].key() != Prefactor(Rf2.const(0), (), ()).key():
+    if len(keys) != 1 or keys[0] != _PLAIN.key():
         raise WaveError("inverse needs an operator with a plain leading symbol")
     lead_series = s0_sym[keys[0]][1]
     if 0 not in lead_series.coeffs or lead_series.coeffs[0].is_zero():
@@ -884,10 +845,10 @@ def evaluate_operator_on(op: OpExpr, sym: Symbol, wave: WaveData) -> Symbol:
             if b:
                 cur = apply_shift(cur, b, wave, var)
         # multiplication prefactors
-        rho, logs, consts = Rf2.const(h0), {}, {}
+        rho, logs, consts = Factored.const(h0), {}, {}
         for var, (a, _b) in ab.items():
             if a:
-                r2, l2, c2 = _lograt_exponent_data(wave.x[var], var, a)
+                r2, l2, c2 = _lograt_exponent_data(wave.x[var], wave, var, a)
                 rho = rho + r2
                 _merge_into(logs, l2)
                 _merge_into(consts, c2)

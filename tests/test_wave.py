@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from trq.algebra import INF, HSeries, LogRat, RatFun, Rf2
+from trq.algebra import INF, Factored, FormBase, HSeries, LogRat, RatFun, Rf2
 from trq.algebra import poly as P
 from trq.curve import SpectralCurve
 from trq.fixtures import pq_generic_operator
@@ -193,7 +193,7 @@ class TestOverForms:
     POINTS = [F(0), F(1, 2)]
 
     @staticmethod
-    def by_terms(terms, numer):
+    def by_terms(terms):
         forms = (Rf2.z(), 2 * Rf2.z() - 1, Rf2.w(), 2 * Rf2.w() - 1)
         total = Rf2.const(0)
         for e, c in terms.items():
@@ -201,7 +201,7 @@ class TestOverForms:
             for form, k in zip(forms, e):
                 term = term * form ** (-k)
             total = total + term
-        return total * numer
+        return total
 
     @pytest.mark.parametrize("terms, want", [
         # 1/(z(2z-1)) - 2/(2z-1): the form 2z - 1 cancels
@@ -215,16 +215,19 @@ class TestOverForms:
         ({(1, 0, 1, 0): 1, (0, 0, 2, 0): F(1, 3)}, None),
         ({(1, 0, 0, 0): 0}, lambda z, w: Rf2.const(0)),
     ])
-    @pytest.mark.parametrize("numer", [{(0, 0): 1}, {(1, 0): F(1, 2), (0, 1): 1, (0, 0): 3}], ids=["1", "z/2+w+3"])
-    def test_sum_is_canonical(self, terms, want, numer):
+    # a factor applied to the sum afterwards, as the stream tail applies 1/dx
+    @pytest.mark.parametrize("factor", [{(0, 0): 1}, {(1, 0): F(1, 2), (0, 1): 1, (0, 0): 3}], ids=["1", "z/2+w+3"])
+    def test_sum_is_canonical(self, terms, want, factor):
         from trq.algebra import poly2 as P2
         from trq.wave import _over_forms
 
-        got = _over_forms(terms, self.POINTS, numer)
-        ref = self.by_terms(terms, Rf2(*P2.p2_clear(numer, {(0, 0): 1})))
-        assert (got.num, got.den) == (ref.num, ref.den)
-        if want is not None and numer == {(0, 0): 1}:
+        base = FormBase.of_points(self.POINTS)
+        got = _over_forms(terms, base)
+        if want is not None:
             assert got == want(Rf2.z(), Rf2.w())
+        factor = Rf2(*P2.p2_clear(factor, {(0, 0): 1}))
+        got, ref = got * base.lift(factor), self.by_terms(terms) * factor
+        assert (got.num, got.den) == (ref.num, ref.den)
 
 
 class TestFrozenPolePoint:
@@ -479,3 +482,30 @@ def test_prefactor_key_text():
         "Fraction(1, 2)),)|((2, Fraction(1, 3)),)"
     )
     assert Prefactor(Rf2.const(F(-3, 4)) * z / w, (), ()).key() == "(-3/4*z)/(w)|()|()"
+
+
+def test_prefactor_key_text_of_a_lifted_rho():
+    # the rho of `test_prefactor_key_text` over a form base: the key text is
+    # the canonical Rf2 text, byte for byte
+    z, w = Rf2.z(), Rf2.w()
+    base = FormBase.of_points([F(0), F(1, 2)])
+    logs = (((((1, 0), F(2)), ((0, 0), F(-1))), F(1, 2)),)
+    for rho in ((z * z + w) / (2 * z - w), Rf2.const(F(-3, 4)) * z / w, Rf2.const(F(-3, 4)), Rf2.const(0)):
+        lifted = base.lift(rho)
+        assert isinstance(lifted, Factored)
+        assert Prefactor(lifted, logs, ((2, F(1, 3)),)).key() == Prefactor(rho, logs, ((2, F(1, 3)),)).key()
+    # 2z - w joined the base: the first rho has a form in its denominator
+    assert base.lift((z * z + w) / (2 * z - w)).e
+    assert Prefactor(Factored.const(F(-3, 4))).key() == "-3/4|()|()"
+
+
+def test_prefactor_key_of_a_bessel_shift():
+    # exp(c y) on Bessel, y = 1/z: the class exp(c/z) has a form, z, in the
+    # denominator of its rho
+    wave = build_wave_data(store_to_chi3(bessel_curve), "generic", 3)
+    c = F(2, 3)
+    (pref, s), = evaluate_operator(Exp(Mul((sc(c), Y))), wave).values()
+    assert isinstance(pref.rho, Factored) and pref.rho.e
+    assert pref.rho == Rf2.const(c) / Rf2.z()
+    assert pref.key() == Prefactor(Rf2.const(c) / Rf2.z()).key() == "(2/3)/(z)|()|()"
+    assert not s.is_zero()
