@@ -275,6 +275,12 @@ class Factored:
     def __bool__(self) -> bool:
         return bool(self.n)
 
+    def const_value(self) -> Fraction | None:
+        """The value of a constant, else None."""
+        if self.e or self.n.keys() - {(0, 0)}:
+            return None
+        return Fraction(self.n.get((0, 0), 0), self.c)
+
     def rf2(self) -> Rf2:
         """The canonical `Rf2`: one gcd when the denominator has a form."""
         if self._rf2 is None:

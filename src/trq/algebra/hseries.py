@@ -4,8 +4,8 @@ BCH identity.
 All arithmetic, `invert`, `exp` and `log1p` come from `Series`.  An
 HSeries adds what the wave layer needs of a series in hbar: a constant
 series, multiplication by a power of the variable, and a map over the
-coefficients.  Coefficients are Fraction, RatFun, Rf2 or, for q-series,
-WeylPoly; exponent -1 is allowed (the leading WKB term).
+coefficients.  Coefficients are Fraction, RatFun, Rf2, Factored or, for
+q-series, WeylPoly; exponent -1 is allowed (the leading WKB term).
 """
 
 from __future__ import annotations

@@ -14,14 +14,12 @@ cancels only against g, a product cancels each numerator against the
 other factor's denominator, and a derivative divides d' by gcd(d, d')
 instead of squaring d.  No step divides a polynomial again.
 
-`Rf2` is the canonical form, not the working form of the wave layer: its
-symbol and stream coefficients and its prefactor exponents are
-`forms.Factored`, over the forms the curve gives, and take no gcd.  So
-the gcds that remain are those of the canonical form where it is made:
-`Factored.rf2` (one `make` for the text of a prefactor exponent in its
-key, a check's failure text, a comparison with an `Rf2` or across two
-form bases), and the Airy saddle-point series of `trq.laplace`, which are
-`Rf2` throughout.
+`Rf2` is the canonical text, the lift of outside input and the reference
+of the tests, not a working form: every bivariate function that `trq`
+computes with is a `forms.Factored`, over the forms the curve gives, and
+takes no gcd.  The gcds left are where canonical text is made,
+`Factored.rf2` (a prefactor key, a failure text, a comparison with an
+`Rf2` or across two form bases), and in `Rf2` arithmetic as a reference.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@
 exponent -> nonzero coefficient, exact for exponents <= trunc and unknown
 beyond.  Arithmetic never widens the window silently.  Coefficients are
 exact ring elements whose truth value says whether they are nonzero
-(Fraction, RatFun, Rf2, WeylPoly); a product keeps the left factor's
-coefficients on the left, so noncommuting coefficients are allowed.
+(Fraction, RatFun, Rf2, Factored, WeylPoly); a product keeps the left
+factor's coefficients on the left, so noncommuting coefficients are
+allowed.
 
 Two subclasses name what the variable is:
 - `LocalSeries` (here): the expansion of a rational function in t = z - p

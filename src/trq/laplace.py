@@ -5,18 +5,21 @@ fixtures: the two-variable extended Laplace transform between the wave
 function and its dual, and the one-variable transform producing the dual
 wave data of the empty-special-set Airy curve.  All comparisons are
 normalized against the order-zero term, which eliminates the 2 pi hbar
-and Hessian square-root prefactors.
+and Hessian square-root prefactors.  `saddle_expand` is generic over the
+coefficient ring; the Airy checks are `Factored`, over the wave's form
+base (log psi from `wave.stable_log_psi`) or, for polynomials, none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import factorial
 
-from .algebra import HSeries, RatFun, Rf2
+from .algebra import Factored, FormBase, HSeries
 from .recursion import OmegaStore
+from .wave import stable_log_psi
 
 
 class SaddleError(ValueError):
@@ -106,35 +109,21 @@ def saddle_expand(prob: SaddleProblem, order: int) -> HSeries:
 # Airy extended-Laplace cross-check
 
 
-def _taylor_inverse_linear(c0, c1_list, order: int, one):
-    """Taylor of 1/(c0 + sum_i c1_list[i] t_i) to total degree `order`."""
-    # 1/(c0 (1 + u)) with u = sum c1 t / c0
-    inv0 = one / c0
+def _taylor_inverse_linear(c0, c1_list, order: int) -> dict:
+    """Taylor of 1/(c0 + sum_i c1_list[i] t_i) to total degree `order`:
+    sum_k (-u)^k / c0 with u = sum_i c1_list[i] t_i / c0, by multinomials."""
+    inv0 = c0.inverse()
+    ratios = [-c * inv0 for c in c1_list]
     out: dict = {}
-    n = len(c1_list)
-    # expand sum_k (-1)^k u^k via multinomials
-    for k in range(order + 1):
-        for exps in _compositions(k, n):
-            coeff = one * Fraction(factorial(k))
-            for i, e in enumerate(exps):
-                coeff = coeff * Fraction(1, factorial(e))
-                for _ in range(e):
-                    coeff = coeff * (c1_list[i] * inv0)
-            coeff = coeff * Fraction((-1) ** k)
-            key = tuple(exps)
-            cur = out.get(key)
-            val = coeff * inv0
-            out[key] = val if cur is None else cur + val
-    return {k: v for k, v in out.items() if v}
-
-
-def _compositions(total: int, n: int):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            yield (first,) + rest
+    for exps in product(range(order + 1), repeat=len(ratios)):
+        if sum(exps) <= order:
+            val = inv0 * factorial(sum(exps))
+            for r, e in zip(ratios, exps):
+                if e:
+                    val = val * r**e * Fraction(1, factorial(e))
+            if val:
+                out[exps] = val
+    return out
 
 
 @dataclass
@@ -149,75 +138,53 @@ class LaplaceReport:
         return self.exponent_match and self.prefactor_constant is not None and all(self.matches.values())
 
 
-def airy_wave_exponent_series(store: OmegaStore, order: int) -> HSeries:
-    """exp(sum_k hbar^k s_k) with s_k the fully integrated stable part of
-    log psi for the Airy curve; coefficients are Rf2 in (z, z0)."""
-    coeffs: dict = {}
-    for (g, n), pd in store.omegas.items():
-        k = 2 * g + n - 2
-        if k > order or pd.is_zero():
-            continue
-        total = Rf2.const(0)
-        for key, v in pd.terms.items():
-            term = Rf2.const(v)
-            for (a, kk) in key:
-                c, p = Fraction(-1, kk - 1), pd.points[a]
-                up = Rf2.const(c) / (Rf2.z() - Rf2.const(p)) ** (kk - 1)
-                lo = Rf2.const(c) / (Rf2.w() - Rf2.const(p)) ** (kk - 1)
-                term = term * (up - lo)
-            total = total + term
-        if not total.is_zero():
-            cur = coeffs.get(k, Rf2.const(0))
-            coeffs[k] = cur + total * Fraction(1, factorial(n) * pd.den)
-    s = HSeries.make(coeffs, order)
-    return s.exp(Rf2.const(1))
+def airy_wave_exponent_series(store: OmegaStore, order: int) -> tuple[HSeries, FormBase]:
+    """exp(sum_k hbar^k s_k), s_k the stable part of log psi at a generic
+    base point (`stable_log_psi`), `Factored` over the wave's form base,
+    and that base."""
+    s, base = stable_log_psi(store, order)
+    return s.exp(Factored.const(1)), base
 
 
 def check_extlaplace_airy(store: OmegaStore, order: int = 1) -> LaplaceReport:
     """Compare psi/(x - x0) with the formal Gaussian transform of the dual
-    (trivial) wave function on the Airy curve, order by order in hbar."""
-    if order > 2:
-        raise SaddleError("only orders up to 2 are wired for the Airy check")
-    z, w = Rf2.z(), Rf2.w()
-    one = Rf2.const(1)
+    (trivial) wave function on the Airy curve, order by order in hbar.
+    Both sides are `Factored` over the one form base of the wave."""
+    if store.chi_max < order:
+        raise SaddleError(f"store covers chi <= {store.chi_max}, order {order} needs chi <= {order}")
     # left side: exponent (2/3)(z^3 - w^3), prefactor e^{s0}/(x-x0),
     # corrections from the omega store
+    lhs_series, base = airy_wave_exponent_series(store, order)
+    z, w = Factored(base, {(1, 0): 1}), Factored(base, {(0, 1): 1})
     lhs_exp = (z**3 - w**3) * Fraction(2, 3)
-    lhs_series = airy_wave_exponent_series(store, order)
 
     # right side: saddle of the chi-integral at (chi, chi0) = (w, z)
     # phase: z^2 chi0 - w^2 chi + (chi^3 - chi0^3)/3
     phase_crit = z * z * z - w * w * w - (z**3 - w**3) * Fraction(1, 3)
     exponent_match = phase_crit == lhs_exp
     # quadratic data: expansion chi = w + t1, chi0 = z + t0
-    a1 = Rf2.const(-2) * w   #  phase gains + w t1^2  => -a/2 = w
-    a2 = Rf2.const(2) * z    #  phase gains - z t0^2
-    vertices = {(3, 0): one * Fraction(1, 3), (0, 3): -one * Fraction(1, 3)}
+    a1 = w * -2   #  phase gains + w t1^2  => -a/2 = w
+    a2 = z * 2    #  phase gains - z t0^2
+    vertices = {(3, 0): Fraction(1, 3), (0, 3): Fraction(-1, 3)}
     # amplitude 1/(chi - chi0) = 1/((w - z) + t1 - t0)
-    amp = _taylor_inverse_linear(w - z, [one, -one], 2 * order + 1, one)
-    prob = SaddleProblem([a1, a2], vertices, amp, one)
-    rhs = saddle_expand(prob, order)
+    amp = _taylor_inverse_linear(w - z, [1, -1], 2 * order + 1)
+    rhs = saddle_expand(SaddleProblem([a1, a2], vertices, amp, Factored.const(1)), order)
     rhs0 = rhs.coeff(0)
-    if rhs0.is_zero():
+    if not rhs0:
         raise SaddleError("vanishing leading saddle term")
     # prefactor check: (lhs hbar^0 prefactor / rhs hbar^0 prefactor)^2 times
     # the Hessian product must be an absolute constant:
     # e^{2 s0} (chi-chi0)^2/(x-x0)^2 * (a1 a2) = a1 a2 / (x'(z) x'(w))
-    xp_z, xp_w = Rf2.const(2) * z, Rf2.const(2) * w
-    pref = (a1 * a2) / (xp_z * xp_w)
-    pref_const = pref.const_value() if pref.is_const() else None
-    matches = {}
-    for k in range(1, order + 1):
-        lk = lhs_series.coeffs.get(k, Rf2.const(0))
-        rk = rhs.coeffs.get(k, Rf2.const(0)) / rhs0
-        matches[k] = lk == rk
-    return LaplaceReport(exponent_match, pref_const, order, matches)
+    pref = (a1 * a2) / (z * 2 * (w * 2))
+    inv0 = rhs0.inverse()
+    matches = {k: rhs.coeff(k) * inv0 == lhs_series.coeff(k) for k in range(1, order + 1)}
+    return LaplaceReport(exponent_match, pref.const_value(), order, matches)
 
 
 def check_transform_inverse_airy() -> bool:
     """Order-zero round trip: the inverse transform of the forward critical
     exponent reproduces the dual exponent (and conversely)."""
-    z, w = Rf2.z(), Rf2.w()
+    z, w = Factored(None, {(1, 0): 1}), Factored(None, {(0, 1): 1})
     # forward: dual exponent (chi^3 - chi0^3)/3 at saddle (w, z) plus kernel
     fwd = z * z * z - w * w * w - (z**3 - w**3) * Fraction(1, 3)
     if fwd != (z**3 - w**3) * Fraction(2, 3):

@@ -23,7 +23,9 @@ symbol of an inverse, the tail of `wave_from_streams`) is lifted onto the
 base once, and so is the prefactor exponent rho.  Canonical `Rf2` is made
 at the boundary only: the text of rho in a prefactor key, a failure text
 of `check_annihilation` and a comparison of a coefficient with an `Rf2`
-or across two wave data each take one `Rf2.make`.
+or across two wave data each take one `Rf2.make`.  The stable part of
+log psi (`stable_log_psi`, read by the Airy Laplace check) is integrated
+by the one slot integrator of the streams, `_slot_sums`, over that base.
 """
 
 from __future__ import annotations
@@ -447,13 +449,7 @@ def build_wave_data(store: OmegaStore, base, trunc: int) -> WaveData:
         ends = (base[1], "w")
     else:
         raise WaveError(f"unknown base mode {base}")
-    # the stable omegas of the tail, hbar^j with j = 2g - 2 + n + 1 <= trunc
-    omegas = [
-        (2 * g + n - 1, n, pd)
-        for (g, n), pd in sorted(store.omegas.items())
-        if 2 * g + n - 1 <= trunc and not pd.is_zero()
-    ]
-    points = sorted({p for _j, _n, pd in omegas for p in pd.pole_points()})
+    omegas, points = _stable_omegas(store, trunc)
     for end in ends:
         if end not in _VARS and end != INF and Fraction(end) in points:
             raise WaveError(
@@ -468,6 +464,30 @@ def build_wave_data(store: OmegaStore, base, trunc: int) -> WaveData:
     return wd
 
 
+def _stable_omegas(store: OmegaStore, trunc: int) -> tuple[list, list]:
+    """The nonzero (j, n, omega_{g,n}) with j = 2g - 1 + n <= trunc, the
+    hbar order they reach in a stream, and their sorted pole points."""
+    omegas = [
+        (2 * g + n - 1, n, pd)
+        for (g, n), pd in sorted(store.omegas.items())
+        if 2 * g + n - 1 <= trunc and not pd.is_zero()
+    ]
+    return omegas, sorted({p for _j, _n, pd in omegas for p in pd.pole_points()})
+
+
+def stable_log_psi(store: OmegaStore, order: int) -> tuple[HSeries, FormBase]:
+    """The stable part of log psi at a generic base point to hbar^order,
+    s_k = sum_{2g-2+n=k} (1/n!) int_w^z ... int_w^z omega_{g,n} for k >= 1,
+    `Factored` over the form base that `build_wave_data` builds, and that
+    base.  d/dz s_k is x'(z) times hbar^(k+1) of the z stream."""
+    if store.chi_max < order:
+        raise WaveError(f"store covers chi <= {store.chi_max}, log psi to hbar^{order} needs chi <= {order}")
+    omegas, points = _stable_omegas(store, order + 1)
+    base = _form_base(points, store.curve.x, store.curve.y, ("z", "w"))
+    sums = _slot_sums(omegas, points, ("z", "w"), None)
+    return HSeries.make({j - 1: _over_forms(t, base) for j, t in sums.items()}, order), base
+
+
 def _assemble_tail(wd: WaveData, curve: SpectralCurve, omegas: list, points: list, var: str, other, ends: tuple) -> HSeries:
     """hbar^1.. of the `var` stream, to wd.trunc; `other` as in `_h02`,
     `omegas` the (j, n, omega_{g,n}) of `build_wave_data` and `points`
@@ -475,17 +495,10 @@ def _assemble_tail(wd: WaveData, curve: SpectralCurve, omegas: list, points: lis
 
     hbar^1 is the (0,2) piece.  hbar^j for j >= 2 sums the omega_{g,n} with
     2g - 1 + n = j, each with its first slot at `var` and the others
-    integrated between the ends, over (n - 1)! dx(var).
-
-    The denominator is known.  Each pole point p = a/b is rational and
-    gives the primitive integer linear forms L = b*u - a, u in {z, w}, the
-    first forms of wd.base.  A term of an omega, its integer numerator over
-    the omega's den (folded into the omega's constant `fac`) with its slot
-    points read from the omega's point table, is then a rational constant
-    over a monomial in these forms (`_slot_difference`).  The terms of one
-    hbar order are added by their vector of form exponents, `_over_forms`
-    turns the sum into one `Factored` by the one sum of that type, with no
-    gcd, and one product with `wd.inv_xprime` divides it by dx.
+    integrated between the ends, over (n - 1)! dx(var): `_slot_sums` gives
+    the sum of each order by its vector of form exponents, `_over_forms`
+    turns it into one `Factored` by the one sum of that type, with no gcd,
+    and one product with `wd.inv_xprime` divides it by dx.
     """
     v = _VARS[var]
     trunc = wd.trunc
@@ -493,42 +506,54 @@ def _assemble_tail(wd: WaveData, curve: SpectralCurve, omegas: list, points: lis
     if trunc >= 1:
         h02 = _h02(wd, curve, var, other)
         coeffs[1] = h02 if v.sign > 0 else -h02
+    sums = _slot_sums(omegas, points, ends, var)
+    for j in sorted(sums):
+        f = _over_forms(sums[j], wd.base) * wd.inv_xprime(var)
+        if f:
+            coeffs[j] = f
+    return HSeries.make(coeffs, trunc)
+
+
+def _slot_sums(omegas: list, points: list, ends: tuple, first: str | None) -> dict:
+    """The one slot integrator: {j: {form exponents: constant}}, the terms
+    of the (j, n, omega_{g,n}) of `omegas` summed by j, with the first slot
+    at the variable `first` over (n - 1)! and the other slots integrated
+    between `ends`, or with `first` None every slot integrated, over n!.
+
+    Each pole point p = a/b of the sorted `points` gives the integer forms
+    b*u - a, u in {z, w}, the first forms of a `_form_base`; a term (its
+    numerator over the omega's den, folded into `fac`) is a constant over
+    a monomial in them (`_slot_difference`), the denominator known.
+    """
     npts = len(points)
     index = {p: i for i, p in enumerate(points)}
     col = {u: h * npts for h, u in enumerate(_VARS)}  # the forms of u: col[u] + index[p]
-    sums: dict = {}   # j -> {form exponents: constant}
+    sums: dict = {}
     by_table: dict = {}  # id of a point table -> {slot: _slot_difference}
     for j, n, pd in omegas:
         acc = sums.setdefault(j, {})
         table, diffs = pd.points, by_table.setdefault(id(pd.points), {})
-        fac = Fraction(1, math.factorial(n - 1) * pd.den)
+        fac = Fraction(1, math.factorial(n if first is None else n - 1) * pd.den)
         for key, c in pd.terms.items():
-            p, k = table[key[0][0]], key[0][1]
-            first = [0] * (2 * npts)
-            first[col[var] + index[p]] += k
-            mons = {tuple(first): c * fac * p.denominator**k}
-            for e in key[1:]:
+            e0 = [0] * (2 * npts)
+            if first is not None:
+                (i, k), key = key[0], key[1:]
+                e0[col[first] + index[table[i]]] = k
+                c *= table[i].denominator**k
+            mons = {tuple(e0): c * fac}
+            for e in key:
                 diff = diffs.get(e)
                 if diff is None:
                     diff = diffs[e] = _slot_difference((table[e[0]], e[1]), ends, col, index)
                 nxt: dict = {}
                 for ex, c0 in mons.items():
                     for c1, i, m in diff:
-                        if m:
-                            ex1 = list(ex)
-                            ex1[i] += m
-                            ex1 = tuple(ex1)
-                        else:
-                            ex1 = ex
+                        ex1 = ex[:i] + (ex[i] + m,) + ex[i + 1:] if m else ex
                         nxt[ex1] = nxt.get(ex1, 0) + c0 * c1
                 mons = nxt
             for ex, c0 in mons.items():
                 acc[ex] = acc.get(ex, 0) + c0
-    for j in sorted(sums):
-        f = _over_forms(sums[j], wd.base) * wd.inv_xprime(var)
-        if f:
-            coeffs[j] = f
-    return HSeries.make(coeffs, trunc)
+    return sums
 
 
 def _slot_difference(entry: tuple, ends: tuple, col: dict, index: dict) -> list:
@@ -570,9 +595,10 @@ def _over_forms(terms: dict, base: FormBase) -> Factored:
 
 def wave_from_streams(x: LogRat, y_main: LogRat, y_tail: HSeries, trunc: int, var: str = "z") -> WaveData:
     """Wave data from explicit streams (single live variable), the tail's
-    `Rf2` coefficients lifted onto the forms of x and y."""
-    base = _form_base([], x, y_main, (var,))
-    return WaveData(trunc, x={var: x}, y={var: y_main}, tail={var: y_tail.map(base.lift)}, base=base)
+    `RatFun` coefficients in `var` lifted onto the forms of x and y."""
+    wd = WaveData(trunc, x={var: x}, y={var: y_main}, base=_form_base([], x, y_main, (var,)))
+    wd.tail[var] = y_tail.map(lambda f: wd.lift(var, f))
+    return wd
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from trq.algebra import HSeries, Rf2
+from trq.algebra import HSeries
+from trq.algebra import poly2 as P2
 from trq.laplace import (
     SaddleError,
     SaddleProblem,
@@ -20,7 +21,7 @@ from trq.laplace import (
     double_factorial_odd,
     saddle_expand,
 )
-from trq.recursion import run_tr
+from trq.recursion import OmegaStore, run_tr
 from tests.test_wave import airy_curve
 
 
@@ -94,3 +95,33 @@ class TestAiryExtLaplace:
 
     def test_transform_inverse_identity(self):
         assert check_transform_inverse_airy()
+
+    def test_takes_no_polynomial_gcd(self, store, monkeypatch):
+        monkeypatch.setattr(P2, "p2_gcd", lambda a, b: pytest.fail("p2_gcd called"))
+        assert check_extlaplace_airy(store, 2).passed
+        assert check_transform_inverse_airy()
+
+    def test_refuses_a_store_below_the_order(self, store):
+        with pytest.raises(SaddleError, match="store covers chi <= 2, order 3 needs chi <= 3"):
+            check_extlaplace_airy(store, 3)
+
+
+class TestAiryExtLaplaceHigherOrders:
+    @pytest.fixture(scope="class")
+    def store(self):
+        return run_tr(airy_curve(), 4)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_order(self, store, order):
+        rep = check_extlaplace_airy(store, order)
+        assert sorted(rep.matches) == list(range(1, order + 1))
+        assert rep.passed, rep.matches
+
+    def test_a_doubled_omega_fails_at_its_order(self, store):
+        # omega_{2,1} enters log psi at hbar^3
+        omegas = dict(store.omegas)
+        omegas[(2, 1)] = omegas[(2, 1)].scale(2)
+        rep = check_extlaplace_airy(OmegaStore(store.curve, omegas, store.chi_max), 3)
+        assert rep.matches[1] and rep.matches[2]
+        assert rep.matches[3] is False
+        assert not rep.passed

@@ -40,6 +40,7 @@ from trq.wave import (
     classical_symbol,
     evaluate_operator,
     evaluate_operator_on,
+    stable_log_psi,
     sym_is_zero,
     sym_unit,
 )
@@ -125,21 +126,25 @@ class TestStreams:
             assert base.coeffs.get(j, Rf2.const(0)) == (a.swap() if j % 2 == 0 else -a.swap()), j
 
 
+_COORD = {"z": Rf2.z(), "w": Rf2.w()}
+
+
+def _primitive(p, k, at):
+    """The primitive -1/((k - 1)(u - p)^(k-1)) of the slot (p, k) at `at`,
+    a coordinate, a rational point or INF, as an Rf2."""
+    c = F(-1, k - 1)
+    if at == INF:
+        return Rf2.const(0)
+    if at in _COORD:
+        return Rf2.const(c) / (_COORD[at] - Rf2.const(p)) ** (k - 1)
+    return Rf2.const(c / (F(at) - p) ** (k - 1))
+
+
 def _tail_by_terms(store, var, ends, trunc):
     """The hbar^j, j >= 2, coefficients of the `var` stream, summed one Rf2
     term at a time: the reference for the sum over the known denominator."""
-    coord = {"z": Rf2.z(), "w": Rf2.w()}
     dx = store.curve.dx
     xp = Rf2.from_ratfun_z(dx) if var == "z" else Rf2.from_ratfun_w(dx)
-
-    def primitive(p, k, at):
-        c = F(-1, k - 1)
-        if at == INF:
-            return Rf2.const(0)
-        if at in coord:
-            return Rf2.const(c) / (coord[at] - Rf2.const(p)) ** (k - 1)
-        return Rf2.const(c / (F(at) - p) ** (k - 1))
-
     out = {}
     for (g, n), pd in sorted(store.omegas.items()):
         j = 2 * g + n - 1
@@ -148,9 +153,9 @@ def _tail_by_terms(store, var, ends, trunc):
         total = Rf2.const(0)
         for key, c in pd.by_point().items():
             p, k = key[0]
-            term = Rf2.const(c) / (coord[var] - Rf2.const(p)) ** k
+            term = Rf2.const(c) / (_COORD[var] - Rf2.const(p)) ** k
             for q, m in key[1:]:
-                term = term * (primitive(q, m, ends[0]) - primitive(q, m, ends[1]))
+                term = term * (_primitive(q, m, ends[0]) - _primitive(q, m, ends[1]))
             total = total + term
         out[j] = out.get(j, Rf2.const(0)) + total / xp / math.factorial(n - 1)
     return {j: f for j, f in out.items() if not f.is_zero()}
@@ -186,6 +191,60 @@ class TestTailOracle:
             assert sorted(got) == sorted(want) == [2, 3], var
             for j, f in want.items():
                 assert (got[j].num, got[j].den) == (f.num, f.den), (var, j)
+
+
+def _log_psi_by_terms(store, order):
+    """s_k, 1 <= k <= order, of log psi at a generic base point, summed one
+    Rf2 term at a time: the reference for `stable_log_psi`."""
+    out = {}
+    for (g, n), pd in sorted(store.omegas.items()):
+        k = 2 * g - 2 + n
+        if k > order:
+            continue
+        total = Rf2.const(0)
+        for key, c in pd.by_point().items():
+            term = Rf2.const(c)
+            for p, m in key:
+                term = term * (_primitive(p, m, "z") - _primitive(p, m, "w"))
+            total = total + term
+        out[k] = out.get(k, Rf2.const(0)) + total / math.factorial(n)
+    return {k: f for k, f in out.items() if not f.is_zero()}
+
+
+_LOG_PSI_STORES = {
+    "airy-chi4": lambda: run_tr(airy_curve(), 4),
+    "cubic-chi3": lambda: store_to_chi3(cubic_curve),
+    "bessel-chi3": lambda: store_to_chi3(bessel_curve),
+}
+
+
+class TestStableLogPsi:
+    @pytest.mark.parametrize("name", list(_LOG_PSI_STORES))
+    def test_matches_the_termwise_sum(self, name):
+        st = _LOG_PSI_STORES[name]()
+        got, base = stable_log_psi(st, st.chi_max)
+        want = _log_psi_by_terms(st, st.chi_max)
+        assert sorted(got.coeffs) == sorted(want) == list(range(1, st.chi_max + 1))
+        for k, f in want.items():
+            assert got.coeffs[k].base is base
+            assert (got.coeffs[k].num, got.coeffs[k].den) == (f.num, f.den), k
+
+    @pytest.mark.parametrize("name", list(_LOG_PSI_STORES))
+    def test_z_derivative_is_the_z_stream(self, name):
+        # d/dz s_k = x'(z) * hbar^(k+1) of the z stream: both integrate
+        # their slots by the one slot integrator
+        st = _LOG_PSI_STORES[name]()
+        s, base = stable_log_psi(st, st.chi_max)
+        wd = build_wave_data(st, "generic", st.chi_max + 1)
+        assert base.forms == wd.base.forms
+        stream = wd.tail["z"]
+        assert sorted(s.coeffs) == [j - 1 for j in sorted(stream.coeffs) if j >= 2]
+        for k, f in s.coeffs.items():
+            assert f.deriv_z() == wd.xprime("z") * stream.coeff(k + 1), k
+
+    def test_refuses_a_short_store(self):
+        with pytest.raises(WaveError, match=re.escape("store covers chi <= 2, log psi to hbar^3 needs chi <= 3")):
+            stable_log_psi(store_to_chi2(airy_curve), 3)
 
 
 class TestOverForms:
