@@ -28,10 +28,11 @@ a derivative, a form free of its variable.  `trq.wave` makes the forms of
 a curve so (by factor refinement, Bach, Driscoll and Shallit, J.
 Algorithms 15, 1993), and then a reduced quotient is in lowest terms.
 Exactness never depends on it: any forms give a correct common
-denominator, only maybe not the least.  The canonical `Rf2`, which takes
-one gcd, is made only where a text or a comparison with an `Rf2` needs it
-(`Factored.rf2`, `str`, `num`/`den`, `==` with an `Rf2` or across two
-bases).
+denominator, only maybe not the least.  The canonical `Rf2` is made only
+where a text or a comparison with an `Rf2` needs it (`Factored.rf2`,
+`str`, `num`/`den`, `==` with an `Rf2` or across two bases).  It takes
+no gcd when every form of the denominator is linear and does not divide
+the numerator, and one gcd otherwise.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ _ONE = {(0, 0): 1}
 
 def _is_const(a: P2.Poly2) -> bool:
     return len(a) == 1 and (0, 0) in a
+
+
+def _is_linear(f: P2.Poly2) -> bool:
+    """A nonconstant f of total degree 1, so irreducible."""
+    return all(i + j <= 1 for i, j in f)
 
 
 class FormBase:
@@ -282,15 +288,28 @@ class Factored:
         return Fraction(self.n.get((0, 0), 0), self.c)
 
     def rf2(self) -> Rf2:
-        """The canonical `Rf2`: one gcd when the denominator has a form."""
+        """The canonical `Rf2`.  Over linear forms that do not divide the
+        numerator it takes no gcd: each such form is irreducible, so the
+        numerator and denominator share at most an integer, the content of
+        n with c.  Otherwise (a nonlinear form, which may be reducible, or
+        a form that divides n over a base whose forms are not coprime) it
+        takes one."""
         if self._rf2 is None:
-            if not self.n:
+            n, c, e = self.n, self.c, self.e
+            if not n:
                 self._rf2 = RF2_ZERO
-            elif not self.e:
-                self._rf2 = Rf2(self.n, {(0, 0): self.c})
+            elif not e:
+                self._rf2 = Rf2(n, {(0, 0): c})
             else:
-                den = self.base.product(self.e)
-                self._rf2 = Rf2.make(self.n, {k: v * self.c for k, v in den.items()})
+                base = self.base
+                lowest = all(_is_linear(base.forms[i]) and base.divide(n, i) is None for i in e)
+                if lowest:
+                    g = igcd(c, *n.values())
+                    if g != 1:
+                        n, c = {k: v // g for k, v in n.items()}, c // g
+                # c > 0 and every form has a positive lex-leading coefficient
+                den = {k: v * c for k, v in base.product(e).items()}
+                self._rf2 = Rf2(n, den) if lowest else Rf2.make(n, den)
         return self._rf2
 
     @property
@@ -363,6 +382,10 @@ class Factored:
         o = self._other(o)
         return o if o is NotImplemented else self + (-o)
 
+    def __rsub__(self, o) -> "Factored":
+        o = self._other(o)
+        return o if o is NotImplemented else o + (-self)
+
     def _scaled(self, v) -> "Factored":
         if not isinstance(v, Fraction):
             v = Fraction(v)
@@ -414,6 +437,10 @@ class Factored:
             return self._scaled(1 / Fraction(o))
         o = self._other(o)
         return o if o is NotImplemented else self * o.inverse()
+
+    def __rtruediv__(self, o) -> "Factored":
+        o = self._other(o)
+        return o if o is NotImplemented else o * self.inverse()
 
     def __pow__(self, k: int) -> "Factored":
         if k < 0:

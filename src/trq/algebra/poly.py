@@ -2,6 +2,8 @@
 
 A polynomial is a tuple of Fractions, lowest degree first, with no trailing
 zeros.  The zero polynomial is the empty tuple.  All operations are exact.
+Coefficients that are already Fractions are not wrapped again, and `scale`
+by 1 returns its (tuple) operand itself.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ X: Poly = (Fraction(0), Fraction(1))
 
 def poly(coeffs: Iterable) -> Poly:
     """Build a normalized polynomial from low-to-high coefficients."""
-    c = [Fraction(v) for v in coeffs]
+    c = [v if isinstance(v, Fraction) else Fraction(v) for v in coeffs]
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
@@ -70,10 +72,14 @@ def mul(a: Poly, b: Poly) -> Poly:
 
 
 def scale(a: Poly, c) -> Poly:
-    c = Fraction(c)
+    """c * a; a itself when c is 1 and a is a tuple."""
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
     if not c:
         return ZERO
-    return tuple(v * c for v in a)
+    if c == 1 and isinstance(a, tuple):
+        return a
+    return tuple([v * c for v in a])
 
 
 def pow_(a: Poly, n: int) -> Poly:

@@ -34,8 +34,9 @@ class RatFun:
             num = P.divexact(num, g)
             den = P.divexact(den, g)
         lc = den[-1]
-        num = P.scale(num, 1 / lc)
-        den = P.scale(den, 1 / lc)
+        if lc != 1:
+            num = P.scale(num, 1 / lc)
+            den = P.scale(den, 1 / lc)
         return RatFun(num, den)
 
     @staticmethod

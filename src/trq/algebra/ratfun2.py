@@ -17,9 +17,10 @@ instead of squaring d.  No step divides a polynomial again.
 `Rf2` is the canonical text, the lift of outside input and the reference
 of the tests, not a working form: every bivariate function that `trq`
 computes with is a `forms.Factored`, over the forms the curve gives, and
-takes no gcd.  The gcds left are where canonical text is made,
-`Factored.rf2` (a prefactor key, a failure text, a comparison with an
-`Rf2` or across two form bases), and in `Rf2` arithmetic as a reference.
+takes no gcd.  The gcds left are where canonical text is made over a
+nonlinear form, `Factored.rf2` (a prefactor key, a failure text, a
+comparison with an `Rf2` or across two form bases), and in `Rf2`
+arithmetic as a reference.
 """
 
 from __future__ import annotations

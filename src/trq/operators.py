@@ -42,7 +42,8 @@ on it, in slots that are not fields (they take no part in equality, hash or
 repr):
 - `_hash`: every node and every `Sym` computes its hash on first use, so the
   memo, the like terms and the function groups, all keyed by node, hash
-  each node once;
+  each node once (a `Sym` hashes each coefficient as its numerator and
+  denominator);
 - `_canon`: set on every node that `simplify` returns, which is a fixed
   point, so a later call returns it at once, also as a subtree of a new
   tree;
@@ -51,7 +52,10 @@ repr):
 - `_expanded`: set on every node that `expand` was given, to its result, so
   expanding the same object again costs one read;
 - `_text`: set by `op_text` on first use, so sorting the terms of a sum
-  reads each core's text.
+  reads each core's text;
+- `_split`: set by `_split_coeff` on a product with a scalar in front, to
+  (coefficient, core), so a term that meets many sums gives one core
+  object, whose hash and text are computed once.
 Within one call `simplify` also keeps a memo from each node it has rebuilt
 to the result, so structurally equal but distinct subtrees, which a literal
 rewrite puts in many places, are rebuilt once.
@@ -88,7 +92,7 @@ def _cached_hash(self) -> int:
     """The dataclass hash of a frozen instance, computed on first use only."""
     h = self._hash
     if h is None:
-        h = hash(tuple(getattr(self, f) for f in self.__dataclass_fields__))
+        h = hash(tuple([getattr(self, f) for f in self.__dataclass_fields__]))
         object.__setattr__(self, "_hash", h)
     return h
 
@@ -106,25 +110,50 @@ def _is_unit(terms: tuple) -> bool:
 
 @dataclass(frozen=True)
 class Sym:
+    """A Laurent polynomial in hbar and named parameters over Q.
+
+    Normal form, which every constructor keeps and the fast paths of `+`,
+    `*` and `scale` rely on: `terms` is a tuple of (monomial, coefficient)
+    sorted by monomial, each monomial a tuple of (name, exponent) sorted by
+    name with no zero exponent, each coefficient a nonzero `Fraction`, no
+    monomial twice.  Equal scalars have equal terms.
+    """
+
     terms: tuple = ()  # tuple[(monomial, Fraction)], monomial = tuple[(name, int)]
 
-    _hash = None  # set on first use by _cached_hash
-    __hash__ = _cached_hash
+    _hash = None  # set on first use by __hash__
+
+    def __hash__(self) -> int:
+        """The hash of the terms with each coefficient as its numerator and
+        denominator, computed on first use only."""
+        h = self._hash
+        if h is None:
+            h = hash(tuple([(m, c.numerator, c.denominator) for m, c in self.terms]))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @staticmethod
     def make(d: dict) -> "Sym":
-        clean = {}
+        """The normal form of {monomial: coefficient}, a name that appears
+        twice in a monomial taking the sum of its exponents."""
+        clean: dict = {}
         for mono, c in d.items():
-            mono = tuple(sorted((n, e) for n, e in mono if e))
-            c = Fraction(c)
+            exps: dict = {}
+            for n, e in mono:
+                exps[n] = exps.get(n, 0) + e
+            mono = tuple(sorted((n, e) for n, e in exps.items() if e))
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if not c:
                 continue
-            clean[mono] = clean.get(mono, Fraction(0)) + c
+            old = clean.get(mono)
+            clean[mono] = c if old is None else old + c
         return Sym(tuple(sorted((m, c) for m, c in clean.items() if c)))
 
     @staticmethod
     def const(v) -> "Sym":
-        v = Fraction(v)
+        if not isinstance(v, Fraction):
+            v = Fraction(v)
         return Sym(((tuple(), v),)) if v else Sym()
 
     @staticmethod
@@ -149,13 +178,35 @@ class Sym:
         return self.terms[0][1]
 
     def __add__(self, o: "Sym") -> "Sym":
-        d = {m: c for m, c in self.terms}
-        for m, c in o.terms:
-            d[m] = d.get(m, Fraction(0)) + c
-        return Sym.make(d)
+        """The two sorted term lists merged, like monomials added and zeros
+        dropped: the result is sorted without a sort."""
+        a, b = self.terms, o.terms
+        if not b:
+            return self
+        if not a:
+            return o
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ma, mb = a[i][0], b[j][0]
+            if ma == mb:
+                c = a[i][1] + b[j][1]
+                if c:
+                    out.append((ma, c))
+                i += 1
+                j += 1
+            elif ma < mb:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        out += a[i:]
+        out += b[j:]
+        return Sym(tuple(out))
 
     def __neg__(self) -> "Sym":
-        return Sym(tuple((m, -c) for m, c in self.terms))
+        return Sym(tuple([(m, -c) for m, c in self.terms]))
 
     def __sub__(self, o: "Sym") -> "Sym":
         return self + (-o)
@@ -166,8 +217,14 @@ class Sym:
             return o
         if not a or _is_unit(b):
             return self
-        if len(a) == len(b) == 1 and not a[0][0] and not b[0][0]:  # two plain rationals
-            return Sym((((), a[0][1] * b[0][1]),))
+        # a plain rational scales each coefficient: monomials, their order
+        # and the nonzero coefficients stay
+        if len(a) == 1 and not a[0][0]:
+            v = a[0][1]
+            return Sym(tuple([(m, c * v) for m, c in b]))
+        if len(b) == 1 and not b[0][0]:
+            v = b[0][1]
+            return Sym(tuple([(m, c * v) for m, c in a]))
         d: dict = {}
         for m1, c1 in a:
             e1 = dict(m1)
@@ -176,12 +233,16 @@ class Sym:
                 for n, k in m2:
                     e[n] = e.get(n, 0) + k
                 key = tuple(sorted((n, k) for n, k in e.items() if k))
-                d[key] = d.get(key, Fraction(0)) + c1 * c2
-        return Sym.make(d)
+                old = d.get(key)
+                d[key] = c1 * c2 if old is None else old + c1 * c2
+        return Sym(tuple(sorted((m, c) for m, c in d.items() if c)))
 
     def scale(self, v) -> "Sym":
-        v = Fraction(v)
-        return Sym.make({m: c * v for m, c in self.terms})
+        if not isinstance(v, Fraction):
+            v = Fraction(v)
+        if not v:
+            return Sym()
+        return Sym(tuple([(m, c * v) for m, c in self.terms]))
 
     def pow(self, n: int) -> "Sym":
         if n < 0:
@@ -237,6 +298,7 @@ class OpExpr:
     _form = None   # the node's canonical form, once simplify has been given it
     _expanded = None  # the node's expanded form, once expand has been given it
     _text = None   # set by op_text on first use
+    _split = None  # (coefficient, core) of a scalar-led product, set by _split_coeff
 
 
 @dataclass(frozen=True)
@@ -465,20 +527,25 @@ _T = RatFun.var()
 
 
 def _split_coeff(e: OpExpr) -> tuple[Sym, OpExpr]:
-    """Write a canonical term e as coeff * core with a scalar coefficient pulled out."""
+    """Write a canonical term e as coeff * core with a scalar coefficient
+    pulled out; a product keeps the pair (see the module docstring)."""
     if isinstance(e, Scalar):
         return e.value, _ONE
     if isinstance(e, Mul) and isinstance(e.children[0], Scalar):
-        rest = e.children[1:]
-        return e.children[0].value, rest[0] if len(rest) == 1 else Mul(rest)
+        split = e._split
+        if split is None:
+            rest = e.children[1:]
+            split = (e.children[0].value, rest[0] if len(rest) == 1 else Mul(rest))
+            object.__setattr__(e, "_split", split)
+        return split
     return ONE, e
 
 
 def _term(coeff: Sym, core: OpExpr) -> OpExpr:
     """coeff * core as a canonical term, for a core that is not a sum."""
-    if core == _ONE:
+    if isinstance(core, Scalar) and _is_unit(core.value.terms):
         return Scalar(coeff)
-    if coeff == ONE:
+    if _is_unit(coeff.terms):
         return core
     if isinstance(core, Mul):
         return Mul((Scalar(coeff),) + core.children)
@@ -487,7 +554,7 @@ def _term(coeff: Sym, core: OpExpr) -> OpExpr:
 
 def _scale(c: Sym, e: OpExpr) -> OpExpr:
     """c * e for canonical e; a sum is scaled term by term and stays flat."""
-    if c == ONE:
+    if _is_unit(c.terms):
         return e
     if c.is_zero():
         return sc(0)
@@ -563,7 +630,7 @@ def _pow(c: OpExpr, k: int) -> OpExpr:
         return _scale(Sym.const(lead**k), _pow_node(prim, k))
     if isinstance(c, Mul):
         v, rest = _split_coeff(c)
-        if v != ONE and (k > 0 or len(v.terms) == 1):
+        if not _is_unit(v.terms) and (k > 0 or len(v.terms) == 1):
             return _scale(v.pow(k), _pow(rest, k))
         if k < 0:  # a scalar that has no inverse stays inside
             return _pow_node(_pow(c, -k), -1)
@@ -613,7 +680,7 @@ def _fn(r: RatFun, base: OpExpr) -> OpExpr:
             return _fn(r.compose(_T * lead), prim)
     elif isinstance(base, Mul):
         c, rest = _split_coeff(base)
-        if c != ONE and c.is_const():
+        if not _is_unit(c.terms) and c.is_const():
             return _fn(r.compose(_T * c.const_value()), rest)
     lc = r.num[-1]
     node = RatSubst(P.scale(r.num, 1 / lc), r.den, base)
@@ -670,7 +737,7 @@ def _mul(factors: list) -> OpExpr:
         return Scalar(coeff)
     if len(out) == 1:
         return _scale(coeff, out[0])
-    return Mul(tuple(out)) if coeff == ONE else Mul((Scalar(coeff),) + tuple(out))
+    return Mul(tuple(out)) if _is_unit(coeff.terms) else Mul((Scalar(coeff),) + tuple(out))
 
 
 def _add(terms: list) -> OpExpr:
@@ -716,6 +783,8 @@ def _merge_function_groups(coeffs: dict, push) -> None:
     t, beside positive powers of the base.
     """
     while True:
+        if not any(isinstance(core, RatSubst) for core in coeffs):
+            return
         groups: dict = {}
         for core, c in coeffs.items():
             if isinstance(core, (Gen, Pow, Inv, RatSubst)) and c.is_const() and not c.is_zero():
@@ -1059,7 +1128,8 @@ class WeylPoly:
     def __add__(self, o: "WeylPoly") -> "WeylPoly":
         out = dict(self.terms)
         for k, v in o.terms.items():
-            s = out.get(k, Sym.const(0)) + v
+            s = out.get(k)
+            s = v if s is None else s + v
             if s.is_zero():
                 out.pop(k, None)
             else:
@@ -1089,7 +1159,8 @@ class WeylPoly:
                     else:
                         sym = uv
                     key = (a + c - k, b + d - k)
-                    cur = out.terms.get(key, Sym.const(0)) + sym
+                    cur = out.terms.get(key)
+                    cur = sym if cur is None else cur + sym
                     if cur.is_zero():
                         out.terms.pop(key, None)
                     else:

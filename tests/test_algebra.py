@@ -31,6 +31,26 @@ def rand_ratfun(rng, deg=3):
             return RatFun.make(num, den)
 
 
+class TestPolyCoefficients:
+    def test_poly_and_scale_give_tuples_of_fractions(self):
+        got = [
+            P.poly([1, 2, 0]),
+            P.poly((F(1, 2), 3)),
+            P.scale([1, 2], 3),
+            P.scale([1, F(2)], 1),
+            P.scale((F(1), F(2)), 2),
+            P.scale(P.poly([1, 2]), F(-1, 2)),
+        ]
+        for p in got:
+            assert type(p) is tuple and all(type(v) is F for v in p)
+        assert got[0] == (F(1), F(2)) and got[2] == (F(3), F(6)) and got[3] == (F(1), F(2))
+
+    def test_scale_by_one_returns_its_operand(self):
+        p = P.poly([1, -2, 3])
+        assert P.scale(p, 1) is p and P.scale(p, F(1)) is p
+        assert P.scale(p, 0) == P.ZERO and P.scale(p, -1) == P.neg(p)
+
+
 class TestRatFun:
     def test_canonical_zero(self):
         assert rf([0], [3]).num == ()

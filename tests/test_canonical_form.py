@@ -7,10 +7,10 @@ ways that share no code with `simplify`/`expand`:
 
 Trees that reuse one subtree object are checked against a copy that shares
 no node, because `simplify` rebuilds each distinct subtree once and nodes
-cache their hashes.  A node keeps what `simplify` and `op_text` found for it
-(`_canon`, `_form`, `_text`), so `simplify` returns a canonical node itself;
-the fixed-point properties therefore re-simplify a rebuilt copy (`fresh`),
-whose nodes keep nothing.
+cache their hashes.  A node keeps what `simplify`, `op_text` and
+`_split_coeff` found for it (`_canon`, `_form`, `_text`, `_split`), so
+`simplify` returns a canonical node itself; the fixed-point properties
+therefore re-simplify a rebuilt copy (`fresh`), whose nodes keep nothing.
 """
 
 from dataclasses import FrozenInstanceError, fields
@@ -363,6 +363,19 @@ class TestWorkKeptOnNodes:
         for n in nodes(s):
             assert n._text is not None
             assert n._text == op_text(fresh(n))
+
+    @_PROPERTY
+    @given(_rich_tree)
+    def test_a_term_keeps_its_split(self, e):
+        s = _simplified(e)
+        if s is None:
+            return
+        for t in s.children if isinstance(s, Add) else (s,):
+            c, core = operators._split_coeff(t)
+            again = operators._split_coeff(t)
+            assert again[0] is c and again[1] is core
+            assert operators._term(c, core) == t
+            assert (c, core) == operators._split_coeff(fresh(t))
 
     @_PROPERTY
     @given(_hashed_tree)

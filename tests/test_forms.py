@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trq.algebra import Factored, FormBase, Rf2
+from trq.algebra import Factored, FormBase, HSeries, Rf2
 from trq.algebra import poly2 as P2
 
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -19,6 +19,8 @@ LINEAR = [Z, W, {(1, 0): 2, (0, 0): -1}, {(0, 1): 3, (0, 0): 1}, Z_MINUS_W]
 BASE_FORMS = LINEAR + [QUADRATIC]
 OUTSIDE = [{(1, 0): 1, (0, 1): 2, (0, 0): 1}, {(2, 0): 1, (0, 0): 1}]  # z + 2w + 1, z^2 + 1: in no base below
 REDUCIBLE = {(2, 0): 1, (0, 2): -1}  # z^2 - w^2 = (z - w)(z + w)
+# (x(z) - x(w))/(z - w) for x = z^4: (z + w)(z^2 + w^2)
+QUARTIC_QUOTIENT = {(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1}
 
 _numer = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-4, 4), min_size=1, max_size=4
@@ -141,3 +143,92 @@ class TestBoundary:
         one = Factored.const(1)
         assert (one * a).base is base and (one + a).base is base
         assert str(a.inverse() * F(1, 2)) == "1/2*w"
+
+
+_linear_form = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda t: t[0] or t[1]
+).map(lambda t: {k: v for k, v in zip(((1, 0), (0, 1), (0, 0)), t) if v})
+
+
+@st.composite
+def _over_linear_forms(draw) -> Factored:
+    """n / (c * prod f^e) over a random base of linear forms, as built, not
+    reduced: a form of the denominator may divide n, and c may share a
+    factor with n's content."""
+    base = FormBase()
+    for f in draw(st.lists(_linear_form, min_size=1, max_size=4)):
+        base.add_poly(f)
+    k = len(base.forms)
+    e = draw(st.dictionaries(st.integers(0, k - 1), st.integers(1, 2), min_size=1))
+    n = draw(_numer.filter(bool))
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        n = P2.p2_mul(n, base.forms[i])
+    return Factored(base, n, draw(st.integers(1, 6)), e)
+
+
+def _made(a: Factored) -> Rf2:
+    den = a.base.product(a.e) if a.e else {(0, 0): 1}
+    return Rf2.make(a.n, {k: v * a.c for k, v in den.items()})
+
+
+def _gcd_calls(monkeypatch) -> list:
+    """The calls of `p2_gcd` from now on, one entry each."""
+    calls: list = []
+    gcd = P2.p2_gcd
+    monkeypatch.setattr(P2, "p2_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    return calls
+
+
+class TestCanonicalText:
+    @_PROPERTY
+    @given(_over_linear_forms())
+    def test_over_linear_forms_it_is_rf2_make(self, a):
+        want = _made(a)
+        assert a.rf2() == want and str(a) == str(want)
+
+    @_PROPERTY
+    @given(_rf2_over(LINEAR), _rf2_over(LINEAR))
+    def test_reduced_over_linear_forms_it_takes_no_gcd(self, f, g):
+        base = FormBase(LINEAR)
+        a, b = base.lift(f), base.lift(g)
+        got = [a + b, a * b, a.deriv_z(), a.deriv_w() - b.swap()]
+        if b and b.n.keys() <= {(0, 0), (1, 0), (0, 1)}:
+            got.append(a / b)  # a linear numerator: its inverse is over linear forms
+        wants = [_made(h) for h in got]
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _gcd_calls(mp)
+            texts = [h.rf2() for h in got]
+        assert texts == wants
+        assert not calls
+
+    def test_a_reducible_form_keeps_the_gcd(self, monkeypatch):
+        base = FormBase([Z_MINUS_W, QUARTIC_QUOTIENT])
+        # reduced (the form does not divide z + w), yet not in lowest terms
+        a = Factored(base, {(1, 0): 1, (0, 1): 1}, 2, {1: 1})
+        calls = _gcd_calls(monkeypatch)
+        assert a.rf2() == Rf2.make({(0, 0): 1}, {(2, 0): 2, (0, 2): 2})
+        assert calls
+
+    def test_a_linear_form_that_divides_the_numerator_keeps_the_gcd(self, monkeypatch):
+        # over z^2 - w^2 beside z - w a sum can leave z - w dividing n
+        base = FormBase([Z_MINUS_W, REDUCIBLE])
+        a = Factored(base, dict(Z_MINUS_W), 1, {0: 1})
+        calls = _gcd_calls(monkeypatch)
+        assert a.rf2() == Rf2.const(1)
+        assert calls
+
+
+class TestReflectedOperators:
+    def test_a_missing_series_coefficient_over_a_factored(self):
+        assert HSeries.make({1: Factored.const(3)}, 2).coeff(2) / Factored.const(2) == 0
+
+    def test_a_number_minus_and_over_a_factored(self):
+        base = FormBase(LINEAR)
+        z, w = Rf2.z(), Rf2.w()
+        f = (z - w) / (2 * z - 1)
+        a = base.lift(f)
+        _same(1 - a, 1 - f)
+        _same(F(3, 2) - a, F(3, 2) - f)
+        _same(F(1, 2) / a, F(1, 2) / f)
+        _same(2 / a, 2 / f)
+        assert (1 - a).base is base

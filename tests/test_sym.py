@@ -1,12 +1,14 @@
 """`Sym` arithmetic against sympy, on Laurent polynomials in hbar and one
 named parameter a.  Every result is compared as a canonical `Sym`, so the
-shortcuts of the product (the unit, zero, two plain rationals) must return
-the same terms, in the same order, as the general product."""
+shortcuts of the product (the unit, zero, a plain rational times any
+scalar), the merge of the sum and `scale` must return the same terms, in
+the same order, as the general product and `Sym.make`, with the same hash.
+"""
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from trq.operators import OperatorError, Sym
@@ -32,6 +34,29 @@ _sym = st.one_of(
 )
 
 
+def _is_rational(s: Sym) -> bool:
+    return len(s.terms) == 1 and not s.terms[0][0]
+
+
+def assert_normal(s: Sym) -> None:
+    """The normal form of the `Sym` docstring."""
+    monos = [m for m, _ in s.terms]
+    assert monos == sorted(set(monos))
+    for m, c in s.terms:
+        assert type(c) is F and c
+        assert [n for n, _ in m] == sorted({n for n, _ in m})
+        assert all(e for _, e in m)
+
+
+def assert_as_made(s: Sym) -> None:
+    """s is normal, and equal, with an equal hash, to the `Sym.make` of its
+    terms, and to a copy whose hash is not kept yet."""
+    assert_normal(s)
+    made = Sym.make(dict(s.terms))
+    assert made == s and hash(made) == hash(s)
+    assert hash(Sym(tuple(s.terms))) == hash(s)
+
+
 def to_sympy(s: Sym):
     return sum(
         (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(dict(_NAMES)[n] ** e for n, e in m))
@@ -52,8 +77,10 @@ def from_sympy(expr) -> Sym:
 @_PROPERTY
 @given(_sym, _sym)
 def test_product(a, b):
-    assert a * b == from_sympy(to_sympy(a) * to_sympy(b))
+    want = from_sympy(to_sympy(a) * to_sympy(b))
+    assert a * b == want and hash(a * b) == hash(want)
     assert b * a == a * b
+    assert_as_made(a * b)
 
 
 @_PROPERTY
@@ -61,6 +88,18 @@ def test_product(a, b):
 def test_sum(a, b):
     assert a + b == from_sympy(to_sympy(a) + to_sympy(b))
     assert a - b == from_sympy(to_sympy(a) - to_sympy(b))
+    assert b + a == a + b
+    for s in (a + b, a - b, -a):
+        assert_as_made(s)
+
+
+@_PROPERTY
+@given(_sym, _rational)
+def test_scale(a, v):
+    want = from_sympy(to_sympy(a) * sympy.Rational(v.numerator, v.denominator))
+    assert a.scale(v) == want and hash(a.scale(v)) == hash(want)
+    assert a.scale(v) == a * Sym.const(v) == Sym.const(v) * a
+    assert_as_made(a.scale(v))
 
 
 @_PROPERTY
@@ -71,6 +110,41 @@ def test_power(a, n):
             a.pow(n)
         return
     assert a.pow(n) == from_sympy(to_sympy(a) ** n)
+    assert_as_made(a.pow(n))
+
+
+def test_the_strategy_reaches_a_rational_times_a_sum():
+    """The strategy of `test_product` reaches the shortcut for a plain
+    rational times a scalar of several terms within the same budget of
+    examples."""
+    a, b = find(
+        st.tuples(_sym, _sym),
+        lambda ab: _is_rational(ab[0]) and len(ab[1].terms) > 1,
+        settings=settings(_PROPERTY, phases=(Phase.generate,)),
+    )
+    assert a * b == from_sympy(to_sympy(a) * to_sympy(b))
+    assert_as_made(a * b)
+
+
+def test_coefficients_are_fractions_from_every_constructor():
+    for s in (
+        Sym.make({(("hbar", 1), ("a", 0)): 2, (): F(1, 2), (("a", 1),): 0}),
+        Sym.const(3),
+        Sym.var("a", -2),
+        Sym.hbar(0),
+        Sym.hbar().scale(4),
+        Sym.const(2) * Sym.make({(("a", 1),): 1, (): 1}),
+    ):
+        assert_as_made(s)
+    assert Sym.make({(("hbar", 1), ("a", 0)): 2}).terms == (((("hbar", 1),), F(2)),)
+    assert Sym.const(0) == Sym() and Sym.hbar().scale(0) == Sym()
+
+
+def test_make_adds_the_exponents_of_a_repeated_name():
+    a2 = Sym.make({(("a", 1), ("a", 1)): 1})
+    assert a2 == Sym.var("a", 2)
+    assert (a2 * Sym.var("a", -2)).is_const()
+    assert Sym.make({(("hbar", 1), ("a", 2), ("hbar", -1)): 3}) == Sym.var("a", 2).scale(3)
 
 
 def test_unit_and_zero_are_neutral_and_absorbing():
