@@ -100,12 +100,20 @@ def _cached_hash(self) -> int:
 # ---------------------------------------------------------------------------
 # scalars: Laurent polynomials in hbar and named parameters over Q
 
-def _is_unit(terms: tuple) -> bool:
-    """The terms of the scalar 1, read without comparing Fractions."""
-    if len(terms) != 1 or terms[0][0]:
-        return False
-    c = terms[0][1]
-    return c.denominator == 1 and c.numerator == 1
+class _Unit:
+    """`Sym.unit`, whether a scalar is 1, read without comparing Fractions:
+    computed on the first read and kept on the instance, where every later
+    read finds it as a plain attribute (a non-data descriptor).  This is
+    `functools.cached_property` without its lock, which before Python 3.12
+    costs about 1 us per first read: some 3 % of a rewrite run."""
+
+    def __get__(self, s, owner=None):
+        if s is None:
+            return self
+        terms = s.terms
+        unit = len(terms) == 1 and not terms[0][0] and terms[0][1].denominator == 1 and terms[0][1].numerator == 1
+        s.__dict__["unit"] = unit
+        return unit
 
 
 @dataclass(frozen=True)
@@ -122,6 +130,8 @@ class Sym:
     terms: tuple = ()  # tuple[(monomial, Fraction)], monomial = tuple[(name, int)]
 
     _hash = None  # set on first use by __hash__
+
+    unit = _Unit()  # whether this is the scalar 1
 
     def __hash__(self) -> int:
         """The hash of the terms with each coefficient as its numerator and
@@ -213,9 +223,9 @@ class Sym:
 
     def __mul__(self, o: "Sym") -> "Sym":
         a, b = self.terms, o.terms
-        if not b or _is_unit(a):
+        if not b or self.unit:
             return o
-        if not a or _is_unit(b):
+        if not a or o.unit:
             return self
         # a plain rational scales each coefficient: monomials, their order
         # and the nonzero coefficients stay
@@ -543,9 +553,9 @@ def _split_coeff(e: OpExpr) -> tuple[Sym, OpExpr]:
 
 def _term(coeff: Sym, core: OpExpr) -> OpExpr:
     """coeff * core as a canonical term, for a core that is not a sum."""
-    if isinstance(core, Scalar) and _is_unit(core.value.terms):
+    if isinstance(core, Scalar) and core.value.unit:
         return Scalar(coeff)
-    if _is_unit(coeff.terms):
+    if coeff.unit:
         return core
     if isinstance(core, Mul):
         return Mul((Scalar(coeff),) + core.children)
@@ -554,7 +564,7 @@ def _term(coeff: Sym, core: OpExpr) -> OpExpr:
 
 def _scale(c: Sym, e: OpExpr) -> OpExpr:
     """c * e for canonical e; a sum is scaled term by term and stays flat."""
-    if _is_unit(c.terms):
+    if c.unit:
         return e
     if c.is_zero():
         return sc(0)
@@ -630,7 +640,7 @@ def _pow(c: OpExpr, k: int) -> OpExpr:
         return _scale(Sym.const(lead**k), _pow_node(prim, k))
     if isinstance(c, Mul):
         v, rest = _split_coeff(c)
-        if not _is_unit(v.terms) and (k > 0 or len(v.terms) == 1):
+        if not v.unit and (k > 0 or len(v.terms) == 1):
             return _scale(v.pow(k), _pow(rest, k))
         if k < 0:  # a scalar that has no inverse stays inside
             return _pow_node(_pow(c, -k), -1)
@@ -680,7 +690,7 @@ def _fn(r: RatFun, base: OpExpr) -> OpExpr:
             return _fn(r.compose(_T * lead), prim)
     elif isinstance(base, Mul):
         c, rest = _split_coeff(base)
-        if not _is_unit(c.terms) and c.is_const():
+        if not c.unit and c.is_const():
             return _fn(r.compose(_T * c.const_value()), rest)
     lc = r.num[-1]
     node = RatSubst(P.scale(r.num, 1 / lc), r.den, base)
@@ -737,7 +747,7 @@ def _mul(factors: list) -> OpExpr:
         return Scalar(coeff)
     if len(out) == 1:
         return _scale(coeff, out[0])
-    return Mul(tuple(out)) if _is_unit(coeff.terms) else Mul((Scalar(coeff),) + tuple(out))
+    return Mul(tuple(out)) if coeff.unit else Mul((Scalar(coeff),) + tuple(out))
 
 
 def _add(terms: list) -> OpExpr:

@@ -7,35 +7,42 @@ point p, with local coordinate t = z - p and deck transformation sigma, the
 residue formula of Eynard-Orantin (arXiv:math-ph/0702045) pairs one slot
 at t with one at sigma(t).  The residue of such a pair against the
 recursion kernel depends only on the two slots, so it is computed when a
-pair first occurs and kept, per run and ramification point, in a table
-(`_Branch`).  A step then only multiplies stored coefficients with table
-entries: the A/B/C/D form of topological recursion
+pair first occurs and kept, per run and ramification point, in an integer
+table (`_Branch`).  A step then only multiplies stored coefficients with
+table entries: the A/B/C/D form of topological recursion
 (Andersen-Borot-Chekhov-Orantin, arXiv:1703.03307).  omega_{0,2} enters
 the second summand as a virtual differential over the slots (p, m+2), and
 the first as one table entry for its value at (t, sigma(t)).
 
 An omega (`PoleDifferential`) is integer numerators over one denominator,
-keyed by slot ids: a pole point is a small int, its index in a point table
-that every omega of a run shares (the ramification points first, then the
-vital points).  A step reads that form, the store keeps it and `to_json`
-writes it, so no step builds or hashes a Fraction.  The residue tables
-are integer too, over one denominator per branch point (`_Branch`).  A
-step adds products into buckets keyed by their denominator, one per pair
-of omega denominators and branch point; in the second summand the terms of
-both factors are grouped by their last slot, so an entry is looked up once
-per pair of last slots.  `tr_step` then brings the buckets over one
-denominator and divides out the common factor.  Fractions remain where a
-table starts (sigma from `galois_series`, the kernel D, the base of a slot
-at sigma(t), each converted once), in the logarithmic correction, and in
-`PoleDifferential.by_point`, the view keyed by (point, k) that tests and
-`as_ratfun` read.
+one per symmetric orbit: omega_{g,n} is symmetric in its n slots, so a
+sorted key of slot ids (a pole point's index in the point table that the
+omegas of a run share) stands for its distinct permutations.  A step
+computes each output orbit once, from the representative whose head, the
+slot of omega_{g,n}(z, ...) at z, is its smallest slot.  The head is the
+output slot (p, m+1) of one branch point p, so only that branch adds to
+the orbit, and m+1 <= k when the smallest spectator (a, k) is at p
+(`_merge`).  In the first summand each orbit gives each distinct
+ordered pair of its slots to (t, sigma(t)), the rest spectators.  In the
+second, the orbits of each factor less a distinct slot at t or sigma(t)
+are grouped by that slot (`_Run.split`), so an entry is looked up once per
+pair of them; the spectators merge, R = R1 + R2, weighted by the
+labelled splittings prod_s C(m_R(s), m_R1(s)), m the multiplicities
+(`_merge`); t <-> sigma(t) swaps the factors, so (g1,n1) < (g2,n2) counts
+twice and the reverse not at all.  Products go into buckets keyed by
+their denominator, brought over one at the end of the step: no step
+builds or hashes a Fraction.  `terms`, `by_point` and `to_json` expand
+each orbit into its permutations, `from_json` folds them back and refuses
+a text that is not symmetric, and `==` across point tables sorts each
+relabelled key again.
 
 omega_{g,n} has poles of order at most 6g-4+2n at a simple ramification
 point (Eynard-Orantin).  The series windows of a run follow from this
 bound, every computed omega is checked against it, and a residue that
-would read past a known window raises.  Every omega is also checked to be
-symmetric, in one pass: the terms are grouped by their sorted key, and a
-group must hold every distinct permutation of it with one coefficient.
+would read past a known window raises.  A store is symmetric by
+construction; `symmetry_witness` checks the theorem behind it (ibid.,
+Theorem 4.6) by computing each orbit again with its largest slot as head,
+over the residue tables of the run, which `run_tr` leaves on the store.
 The logarithmic correction adds principal parts at the vital points of dy
 to every omega_{g,1}.
 """
@@ -45,9 +52,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, permutations
 from json.encoder import encode_basestring_ascii as _quote
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm
 from operator import itemgetter
 
 from .algebra import LocalSeries, RatFun, series_at
@@ -66,21 +73,26 @@ class RecursionError_(CurveError):
 
 @dataclass
 class PoleDifferential:
-    """One omega_{g,n} in the pole basis: the sum over `terms` of
-    v/den prod_i dz_i/(z_i - points[a_i])^k_i, with a term's key the slots
-    ((a_1, k_1), ..., (a_n, k_n)) and v its integer numerator.  den > 0 and
-    gcd(den, every v) = 1, so the form is unique for a given table.
-    `points` maps a slot id to its point; the omegas of a run or a loaded
-    store share one table, which is only ever appended to."""
+    """One omega_{g,n} in the pole basis: the sum over `orbits` of v/den
+    times the sum over the distinct permutations ((a_1, k_1), ...) of its
+    sorted key of prod_i dz_i/(z_i - points[a_i])^k_i, v an integer.
+    den > 0 and gcd(den, every v) = 1, so the form is unique for a given
+    table.  `points` maps a slot id to its point; the omegas of a run or a
+    loaded store share one table, which is only ever appended to."""
 
     g: int
     n: int
-    terms: dict = field(default_factory=dict)  # ((slot id, order), ...) -> int
+    orbits: dict = field(default_factory=dict)  # sorted ((slot id, order), ...) -> int
     den: int = 1
     points: list = field(default_factory=list)
 
+    @property
+    def terms(self) -> dict:
+        """Every distinct permutation of each orbit, with its numerator."""
+        return {key: v for orbit, v in self.orbits.items() for key in _permutations(orbit)}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.orbits
 
     def by_point(self) -> dict:
         """The terms keyed by ((point, k), ...), with Fraction coefficients."""
@@ -88,56 +100,36 @@ class PoleDifferential:
 
     def scale(self, c) -> "PoleDifferential":
         c = Fraction(c)
-        terms = {k: v * c.numerator for k, v in self.terms.items()}
-        return _reduced(self.g, self.n, terms, self.den * c.denominator, self.points)
+        orbits = {k: v * c.numerator for k, v in self.orbits.items()}
+        return _reduced(self.g, self.n, orbits, self.den * c.denominator, self.points)
 
     def __add__(self, o: "PoleDifferential") -> "PoleDifferential":
-        if o.terms and o.points is not self.points:
+        if o.orbits and o.points is not self.points:
             raise ValueError("omegas over different point tables")
         den = lcm(self.den, o.den)
-        terms = {k: v * (den // self.den) for k, v in self.terms.items()}
-        for k, v in o.terms.items():
-            terms[k] = terms.get(k, 0) + v * (den // o.den)
-        return _reduced(self.g, self.n, terms, den, self.points)
+        orbits = {k: v * (den // self.den) for k, v in self.orbits.items()}
+        for k, v in o.orbits.items():
+            orbits[k] = orbits.get(k, 0) + v * (den // o.den)
+        return _reduced(self.g, self.n, orbits, den, self.points)
 
     def __eq__(self, o) -> bool:
         if not isinstance(o, PoleDifferential):
             return False
-        if (self.g, self.n, self.den, len(self.terms)) != (o.g, o.n, o.den, len(o.terms)):
+        if (self.g, self.n, self.den, len(self.orbits)) != (o.g, o.n, o.den, len(o.orbits)):
             return False
         if self.points is o.points:
-            return self.terms == o.terms
-        # over different tables: o's slot id of each point of self
+            return self.orbits == o.orbits
+        # over different tables: o's slot id of each point of self (-1 for
+        # none), each relabelled key sorted again in o's id order
         ids = {p: i for i, p in enumerate(o.points)}
-        to_o = [ids.get(p) for p in self.points]
-        return all(o.terms.get(tuple([(to_o[a], k) for a, k in key])) == v for key, v in self.terms.items())
-
-    def is_symmetric(self) -> bool:
-        """Invariance under every transposition of slots: the terms with one
-        sorted key hold all its distinct permutations, with one coefficient.
-        A zero coefficient counts as an absent term."""
-        groups: dict = {}  # sorted key -> [coefficient, terms seen]
-        for key, v in self.terms.items():
-            if not v:
-                continue
-            s = tuple(sorted(key))
-            got = groups.get(s)
-            if got is None:
-                groups[s] = [v, 1]
-            elif got[0] != v:
-                return False
-            else:
-                got[1] += 1
-        return all(
-            seen == factorial(len(s)) // prod(factorial(len(list(same))) for _e, same in groupby(s))
-            for s, (_v, seen) in groups.items()
-        )
+        to_o = [ids.get(p, -1) for p in self.points]
+        return all(o.orbits.get(tuple(sorted([(to_o[a], k) for a, k in key]))) == v for key, v in self.orbits.items())
 
     def pole_points(self) -> set:
-        return {self.points[a] for a in {a for key in self.terms for a, _k in key}}
+        return {self.points[a] for a in {a for key in self.orbits for a, _k in key}}
 
     def min_order(self) -> int:
-        return min((k for key in self.terms for _a, k in key), default=_BIG)
+        return min((k for key in self.orbits for _a, k in key), default=_BIG)
 
     def as_ratfun(self) -> RatFun:
         """n = 1 only: the function f with omega = f dz."""
@@ -149,21 +141,59 @@ class PoleDifferential:
         return out
 
 
-def _reduced(g: int, n: int, terms: dict, den: int, points: list) -> PoleDifferential:
-    """The omega of terms, integer numerators over den > 0, with the zero
+def orbit_size(key: tuple) -> int:
+    """The number of distinct permutations of the sorted tuple key."""
+    out = factorial(len(key))
+    for _e, same in groupby(key):
+        out //= factorial(len(list(same)))
+    return out
+
+
+def takeouts(key: tuple) -> list:
+    """(e, key without e) for each distinct slot e of the sorted tuple key."""
+    return [(e, key[:i] + key[i + 1:]) for i, e in enumerate(key) if i == 0 or e != key[i - 1]]
+
+
+def _permutations(key: tuple, memo: dict | None = None) -> list:
+    """The distinct permutations of the sorted tuple key; `memo` keeps those
+    of the sub-multisets met on the way, across calls that share it."""
+    if len(set(key)) == len(key):
+        return list(permutations(key))
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = [(e,) + p for e, rest in takeouts(key) for p in _permutations(rest, memo)]
+    return memo[key]
+
+
+def _reduced(g: int, n: int, orbits: dict, den: int, points: list) -> PoleDifferential:
+    """The omega of orbits, integer numerators over den > 0, with the zero
     terms dropped and the common factor taken out."""
-    terms = {k: v for k, v in terms.items() if v}
-    common = gcd(den, *terms.values())
+    orbits = {k: v for k, v in orbits.items() if v}
+    common = gcd(den, *orbits.values())
     if common > 1:
         den //= common
-        terms = {k: v // common for k, v in terms.items()}
-    return PoleDifferential(g, n, terms, den, points)
+        orbits = {k: v // common for k, v in orbits.items()}
+    return PoleDifferential(g, n, orbits, den, points)
 
 
-def _from_fractions(g: int, n: int, terms: dict, points: list) -> PoleDifferential:
-    """The omega of terms, keyed by slot ids with Fraction coefficients."""
-    den = lcm(*(v.denominator for v in terms.values()))
-    return _reduced(g, n, {k: v.numerator * (den // v.denominator) for k, v in terms.items()}, den, points)
+def _from_fractions(g: int, n: int, orbits: dict, points: list) -> PoleDifferential:
+    """The omega of orbits, keyed by slot ids with Fraction coefficients."""
+    den = lcm(*(v.denominator for v in orbits.values()))
+    return _reduced(g, n, {k: v.numerator * (den // v.denominator) for k, v in orbits.items()}, den, points)
+
+
+def _fold(g: int, n: int, terms: dict, points: list) -> dict:
+    """The orbits of the ordered terms {key of slot ids: coefficient} of
+    omega_{g,n}, a zero counting as an absent term; raises unless every
+    distinct permutation of a key is there, with one coefficient."""
+    orbits = {tuple(sorted(key)): v for key, v in terms.items() if v}
+    for orbit, v in orbits.items():
+        for key in _permutations(orbit):
+            if terms.get(key, 0) != v:
+                what = "has unequal coefficients on" if terms.get(key) else "lacks a permutation of"
+                slots = ", ".join(f"({points[a]}, {k})" for a, k in orbit)
+                raise RecursionError_(f"omega_({g},{n}) {what} the slots ({slots})")
+    return orbits
 
 
 @dataclass
@@ -171,7 +201,7 @@ class OmegaStore:
     curve: SpectralCurve
     omegas: dict = field(default_factory=dict)  # (g, n) -> PoleDifferential
     chi_max: int = 0
-    # the point table and residue tables while run_tr runs
+    # the point table and residue tables of the run that made the store
     run: _Run | None = field(default=None, repr=False, compare=False)
 
     def get(self, g: int, n: int) -> PoleDifferential:
@@ -184,23 +214,27 @@ class OmegaStore:
         """The text of json.dumps(payload, indent=1, sort_keys=True), written
         directly (an indent turns the C encoder off): payload is {"chi_max",
         "curve", "omegas": {"g,n": sorted terms}} and a term
-        [[[str(point), k], ...], str(coefficient)].
+        [[[str(point), k], ...], str(coefficient)], one per distinct
+        permutation of an orbit.
 
         Each distinct slot (point id, k) of an omega gets one rank, in the
-        order of its (point text, k), and its text once; the terms sort by
-        their tuples of slot ranks, which orders them as the lists of
-        (point text, k) would, since the texts of a table are distinct."""
-        blocks = []
+        order of its (point text, k), and its text once; the permutations of
+        the orbits' ranks sort as tuples, which orders the terms as the lists
+        of (point text, k) would, since the texts of a table are distinct."""
+        blocks, memo = [], {}
         # sort_keys orders the labels as strings: "0,10" before "0,3"
         for label, pd in sorted(((f"{g},{n}", pd) for (g, n), pd in self.omegas.items()), key=itemgetter(0)):
-            text, den, terms = [str(p) for p in pd.points], pd.den, pd.terms
-            order = sorted(set().union(*terms), key=lambda e: (text[e[0]], e[1]))
+            text = [str(p) for p in pd.points]
+            order = sorted(set().union(*pd.orbits), key=lambda e: (text[e[0]], e[1]))
             rank = {e: r for r, e in enumerate(order)}
-            slots = {e: f"     [\n      {_quote(text[e[0]])},\n      {e[1]!r}\n     ]" for e in order}
+            slots = [f"     [\n      {_quote(text[a])},\n      {k!r}\n     ]" for a, k in order]
+            coeffs = [_quote(_ratio_text(v, pd.den)) for v in pd.orbits.values()]
+            orbits = [tuple(sorted(map(rank.get, orbit))) for orbit in pd.orbits]
+            ranked = sorted((key, i) for i, orbit in enumerate(orbits) for key in _permutations(orbit, memo))
             lines = []
-            for key in sorted(terms, key=lambda key: tuple(map(rank.__getitem__, key))):
-                inner = "[\n" + ",\n".join([slots[e] for e in key]) + "\n    ]" if key else "[]"
-                lines.append(f"   [\n    {inner},\n    {_quote(_ratio_text(terms[key], den))}\n   ]")
+            for key, i in ranked:
+                inner = "[\n" + ",\n".join([slots[r] for r in key]) + "\n    ]" if key else "[]"
+                lines.append(f"   [\n    {inner},\n    {coeffs[i]}\n   ]")
             body = "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
             blocks.append(f"  {_quote(label)}: {body}")
         omegas = "{\n" + ",\n".join(blocks) + "\n }" if blocks else "{}"
@@ -211,7 +245,8 @@ class OmegaStore:
 
     @staticmethod
     def from_json(curve: SpectralCurve, text: str) -> "OmegaStore":
-        """The store of `to_json`'s text, over one table of the points it meets."""
+        """The store of `to_json`'s text, over one table of the points it
+        meets, each omega's terms folded to its orbits."""
         payload = json.loads(text)
         if payload["curve"] != curve.hash_key():
             raise RecursionError_("cache belongs to a different curve")
@@ -229,7 +264,7 @@ class OmegaStore:
                             points.append(point)
                         ids[p] = points.index(point)
                 coeffs[tuple([(ids[p], k) for p, k in key])] = Fraction(coeff)
-            store.omegas[(g, n)] = _from_fractions(g, n, coeffs, points)
+            store.omegas[(g, n)] = _from_fractions(g, n, _fold(g, n, coeffs, points), points)
         return store
 
 
@@ -319,9 +354,12 @@ class _Branch:
                 self.columns.setdefault(j, []).append((m, v * (self.kden // d)))
         self.ktrunc = min(ker.trunc for _d, ker in kernel)  # every E_m D is exact to t^ktrunc
         self.low = min(ker.order() for _d, ker in kernel)  # the kernel starts at t^low
-        # omega_{0,2}(z, p+t) = sum_m (m+1) dz/(z-p)^{m+2} t^m dt; a partner slot of
+        # omega_{0,2}(z, p+t) = sum_m (m+1) dz/(z-p)^{m+2} t^m dt as a split factor
+        # (`_Run.split`): the slot (p, -m) at t leaves (p, m+2); a partner slot of
         # pole order k at p pairs with t^m only for m <= k <= window
-        self.bergman = {((pid, m + 2), (pid, -m)): m + 1 for m in range(window + 1)}
+        self.bergman = (
+            1, {(pid, -m): [(m, m + 1)] for m in range(window + 1)}, [((pid, m + 2),) for m in range(window + 1)],
+        )
         # the output slot (p, m+1) of each m, shared by every output key
         self.heads = [((pid, m + 1),) for m in range(window + 2)]
         # omega_{0,2}(p+t, p+sigma(t)) = sigma'(t) dt^2 / (t - sigma(t))^2, over its own denominator
@@ -424,12 +462,42 @@ def _product(f: tuple, g: tuple, top: int = _BIG) -> tuple:
 
 class _Run:
     """The point table of a run's omegas, with every ramification and vital
-    point in it, and the residue tables of each ramification point."""
+    point in it, the residue tables of each ramification point, and the
+    omegas read as factors, split by one slot."""
 
     def __init__(self, curve: SpectralCurve, rams: list, vital_pts: list, window: int, points: list):
         points += [p for p in [r.location for r in rams] + vital_pts if p not in points]
-        self.points = points
+        self.curve, self.window, self.points = curve, window, points
         self.branches = [_Branch(curve, r, window, points) for r in rams]
+        self.splits: dict = {}  # (g, n) -> (omega, its split)
+
+    def split(self, omegas: dict, g: int, n: int) -> tuple:
+        """(den, slots, rests) of omega_{g,n}: `rests` lists the distinct
+        orbits less one slot, and `slots` maps that slot to [(index in
+        rests, numerator)], one item per orbit holding it.  Kept while
+        `omegas` holds the same omega_{g,n}."""
+        pd = omegas[(g, n)]
+        got = self.splits.get((g, n))
+        if got is None or got[0] is not pd:
+            index, slots = {}, {}
+            for key, v in pd.orbits.items():
+                for e, rest in takeouts(key):
+                    slots.setdefault(e, []).append((index.setdefault(rest, len(index)), v))
+            got = self.splits[(g, n)] = pd, (pd.den, slots, list(index))
+        return got[1]
+
+
+def _store_run(curve: SpectralCurve, store: OmegaStore, chi: int) -> _Run:
+    """The run that made the store when it is of this curve, over the point
+    table of the store's omegas and with tables that reach a step at chi;
+    else a new run over that table."""
+    tables = {id(pd.points): pd.points for pd in store.omegas.values() if pd.orbits}
+    if len(tables) > 1:
+        raise RecursionError_("the store's omegas are over different point tables")
+    run = store.run
+    if run and run.curve is curve and run.window >= _window(chi) and all(t is run.points for t in tables.values()):
+        return run
+    return _Run(curve, find_ramification(curve), [], _window(chi), next(iter(tables.values()), []))
 
 
 # ---------------------------------------------------------------------------
@@ -441,29 +509,28 @@ def tr_step(curve: SpectralCurve, store: OmegaStore, g: int, n: int) -> PoleDiff
     over the point table of the store's omegas."""
     if 2 * g + n - 2 < 1:
         raise ValueError("tr_step only computes stable differentials")
-    run = store.run
-    if run is None:
-        tables = {id(pd.points): pd.points for pd in store.omegas.values() if pd.terms}
-        if len(tables) > 1:
-            raise RecursionError_("the store's omegas are over different point tables")
-        run = _Run(curve, find_ramification(curve), [], _window(2 * g - 2 + n), next(iter(tables.values()), []))
+    return _step(_store_run(curve, store, 2 * g - 2 + n), store.omegas, g, n, True)
+
+
+def _step(run: _Run, omegas: dict, g: int, n: int, lead: bool) -> PoleDifferential:
     acc: dict = {}
     for br in run.branches:
-        _tr_step_at(store.omegas, g, n, br, acc)
+        _tr_step_at(run, omegas, g, n, br, acc, lead)
     # one denominator for the step, then the common factor taken out
     den = lcm(*acc)
-    terms: dict = {}
+    orbits: dict = {}
     for d, part in acc.items():
         scale = den // d
         for key, v in part.items():
-            terms[key] = terms.get(key, 0) + v * scale
-    return _reduced(g, n, terms, den, run.points)
+            orbits[key] = orbits.get(key, 0) + v * scale
+    return _reduced(g, n, orbits, den, run.points)
 
 
-def _tr_step_at(omegas: dict, g: int, n: int, br: _Branch, acc: dict) -> None:
-    """Add the residues at br to acc, a dict den -> {output key: numerator};
-    integer arithmetic only."""
-    heads = br.heads
+def _tr_step_at(run: _Run, omegas: dict, g: int, n: int, br: _Branch, acc: dict, lead: bool) -> None:
+    """Add the residues at br to acc, a dict den -> {orbit: numerator};
+    integer arithmetic only.  An output orbit is the head (id of p, m+1)
+    and sorted spectators, the head first (lead) or last."""
+    heads, pid = br.heads, br.id
 
     # first summand: omega_{g-1,n+1}(t, sigma(t), I)
     if g >= 1:
@@ -473,74 +540,76 @@ def _tr_step_at(omegas: dict, g: int, n: int, br: _Branch, acc: dict) -> None:
             for m, r in residues:
                 out[heads[m]] = out.get(heads[m], 0) + r
         else:
-            pd = omegas[(g - 1, n + 1)]
-            for key, v in pd.terms.items():
-                den, residues = br.entry(key[0], key[1])
-                if residues:
-                    out, rest = acc.setdefault(pd.den * den, {}), key[2:]
-                    for m, r in residues:
-                        k = heads[m] + rest
-                        out[k] = out.get(k, 0) + v * r
+            d1, slots, rests = run.split(omegas, g - 1, n + 1)
+            # for each orbit less its slot a at t: each distinct slot b at sigma(t), the rest placed by _merge
+            pairs = [[(b,) + got for b, spect in takeouts(rest) if (got := _merge(spect, (), pid, lead, 1))]
+                     for rest in rests]
+            for a, group in slots.items():
+                for j, v in group:
+                    for b, spect, lo, hi, _one in pairs[j]:
+                        den, residues = br.entry(a, b)
+                        if residues:
+                            out = acc.setdefault(d1 * den, {})
+                            for m, r in residues:
+                                if lo <= m <= hi:
+                                    k = heads[m] + spect if lead else spect + heads[m]
+                                    out[k] = out.get(k, 0) + v * r
 
-    # second summand: omega_{g1}(t, I1) omega_{g2}(sigma(t), I2); t <-> sigma(t)
-    # swaps the two factors, so each unordered splitting is taken once
-    spect = n - 1
-    every = (1 << spect) - 1
+    # second summand: omega_{g1,n1}(t, I1) omega_{g2,n2}(sigma(t), I2)
     for g1 in range(g + 1):
-        for mask in range(1 << spect):
-            split = (g1, mask), (g - g1, every ^ mask)
-            if split[0] > split[1]:
-                continue
-            n1 = bin(mask).count("1") + 1
-            f1 = _factor(omegas, br, g1, n1)
-            f2 = f1 and _factor(omegas, br, g - g1, spect + 2 - n1)
+        for n1 in range(1, n + 1):
+            g2, n2 = g - g1, n + 1 - n1
+            f1 = (g1, n1) <= (g2, n2) and _factor(run, omegas, br, g1, n1)
+            f2 = f1 and _factor(run, omegas, br, g2, n2)
             if not f2:
                 continue
-            where = [i for i in range(spect) if mask >> i & 1] + [i for i in range(spect) if not mask >> i & 1]
-            perm = sorted(range(spect), key=where.__getitem__)
-            # the spectator slots of key1 then key2, in the order of I
-            arrange = None if perm == sorted(perm) else itemgetter(*perm)
-            weight = 1 if split[0] == split[1] else 2
-            d12 = f1[0] * f2[0]
-            # an entry depends only on the two last slots: one lookup per pair of them
-            groups2 = list(_by_last_slot(f2[1]).items())
-            for e1, group1 in _by_last_slot(f1[1]).items():
+            twice = 1 if (g1, n1) == (g2, n2) else 2
+            (d1, slots1, rests1), (d2, slots2, rests2) = f1, f2
+            width, groups2 = len(rests2), list(slots2.items())
+            merged: dict = {}  # j1 * width + j2 -> _merge of rests1[j1], rests2[j2]
+            for e1, group1 in slots1.items():
                 for e2, group2 in groups2:
                     den, residues = br.entry(e1, e2)
                     if not residues:
                         continue
-                    out = acc.setdefault(d12 * den, {})
-                    for rest1, v1 in group1:
-                        c1 = weight * v1
-                        for rest2, v2 in group2:
-                            c = c1 * v2
-                            key = rest1 + rest2 if arrange is None else arrange(rest1 + rest2)
+                    out = acc.setdefault(d1 * d2 * den, {})
+                    for j1, v1 in group1:
+                        for j2, v2 in group2:
+                            got = merged.get(j1 * width + j2)
+                            if got is None:
+                                got = merged[j1 * width + j2] = _merge(rests1[j1], rests2[j2], pid, lead, twice)
+                            if not got:
+                                continue
+                            spect, lo, hi, w = got
+                            c = w * v1 * v2
                             for m, r in residues:
-                                k = heads[m] + key
-                                out[k] = out.get(k, 0) + c * r
+                                if lo <= m <= hi:
+                                    k = heads[m] + spect if lead else spect + heads[m]
+                                    out[k] = out.get(k, 0) + c * r
 
 
-def _by_last_slot(terms: dict) -> dict:
-    """last slot -> [(the other slots, coefficient), ...]"""
-    out: dict = {}
-    for key, v in terms.items():
-        got = out.get(key[-1])
-        if got is None:
-            out[key[-1]] = [(key[:-1], v)]
-        else:
-            got.append((key[:-1], v))
-    return out
+def _merge(r1: tuple, r2: tuple, pid: int, lead: bool, weight: int) -> tuple:
+    """(R, lo, hi, weight times the labelled splittings of R into r1, r2)
+    for the sorted spectators R = r1 + r2: the head (pid, m+1) is the
+    smallest slot of the orbit (lead), or its largest, for lo <= m <= hi;
+    () for no m."""
+    spect, lo, hi = tuple(sorted(r1 + r2)), 0, _BIG
+    if spect:
+        a, k = spect[0] if lead else spect[-1]
+        if a == pid:
+            lo, hi = (0, k - 1) if lead else (k - 1, _BIG)
+        elif (a > pid) != lead:
+            return ()
+    for s in set(r1).intersection(r2):
+        weight *= comb(r1.count(s) + r2.count(s), r1.count(s))
+    return spect, lo, hi, weight
 
 
-def _factor(omegas: dict, br: _Branch, gi: int, ni: int) -> tuple | None:
-    """(den, terms) of omega_{gi,ni} with the last slot at t or sigma(t),
-    integer numerators over den; None when unstable and absent."""
+def _factor(run: _Run, omegas: dict, br: _Branch, gi: int, ni: int) -> tuple | None:
+    """The split of omega_{gi,ni} (`_Run.split`); None when unstable and absent."""
     if (gi, ni) == (0, 2):
-        return 1, br.bergman
-    if 2 * gi + ni - 2 < 1:
-        return None
-    pd = omegas[(gi, ni)]
-    return pd.den, pd.terms
+        return br.bergman
+    return run.split(omegas, gi, ni) if 2 * gi + ni - 2 >= 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +655,12 @@ def logtr_term(curve: SpectralCurve, g: int, vital=None, points: list | None = N
 def run_tr(curve: SpectralCurve, chi_max: int) -> OmegaStore:
     """All stable omegas with 2g+n-2 <= chi_max, with invariant checks."""
     store = OmegaStore(curve, chi_max=chi_max)
+    # the stable (g, n) by chi, then g
+    steps = [(g, chi + 2 - 2 * g) for chi in range(1, chi_max + 1) for g in range(chi // 2 + 2) if chi + 2 >= 2 * g + 1]
     if curve.gen_tr and curve.special_set == ():
         # empty special set: every stable differential vanishes
         points: list = []
-        for chi in range(1, chi_max + 1):
-            for g in range(chi // 2 + 2):
-                n = chi + 2 - 2 * g
-                if n >= 1:
-                    store.omegas[(g, n)] = PoleDifferential(g, n, points=points)
+        store.omegas = {(g, n): PoleDifferential(g, n, points=points) for g, n in steps}
         return store
     if curve.gen_tr:
         raise RecursionError_(
@@ -613,22 +680,17 @@ def run_tr(curve: SpectralCurve, chi_max: int) -> OmegaStore:
     run = store.run = _Run(curve, rams, vital_pts, _window(chi_max), [])
     ram_ids = set(range(len(rams)))
     vital_ids = set(range(len(rams), len(run.points)))
-    for chi in range(1, chi_max + 1):
-        for g in range(chi // 2 + 2):
-            n = chi + 2 - 2 * g
-            if n < 1:
-                continue
-            pd = tr_step(curve, store, g, n)
-            if n == 1 and g >= 1 and vital:
-                pd = pd + logtr_term(curve, g, vital, run.points)
-            _check_invariants(pd, ram_ids, vital_ids)
-            store.omegas[(g, n)] = pd
-    store.run = None
+    for g, n in steps:
+        pd = tr_step(curve, store, g, n)
+        if n == 1 and g >= 1 and vital:
+            pd = pd + logtr_term(curve, g, vital, run.points)
+        _check_invariants(pd, ram_ids, vital_ids)
+        store.omegas[(g, n)] = pd
     return store
 
 
 def _check_invariants(pd: PoleDifferential, ram_ids: set, vital_ids: set) -> None:
-    slots = {e for key in pd.terms for e in key}  # the distinct (id, k)
+    slots = {e for key in pd.orbits for e in key}  # the distinct (id, k)
     if min((k for _a, k in slots), default=_BIG) < 2:
         raise RecursionError_(f"omega_({pd.g},{pd.n}) has a residue term")
     allowed = ram_ids | (vital_ids if pd.n == 1 else set())
@@ -641,5 +703,18 @@ def _check_invariants(pd: PoleDifferential, ram_ids: set, vital_ids: set) -> Non
     bound = _pole_bound(pd.g, pd.n)
     if any(k > bound for a, k in slots if a in ram_ids):
         raise RecursionError_(f"omega_({pd.g},{pd.n}) has a pole of order above {bound}")
-    if not pd.is_symmetric():
-        raise RecursionError_(f"omega_({pd.g},{pd.n}) is not symmetric")
+
+
+def symmetry_witness(store: OmegaStore) -> list:
+    """The (g, n), n >= 2, whose stored omega differs from the residue
+    formula over the stored omegas with each orbit's largest slot as head,
+    with the residue tables of the run that made the store when it has
+    them.  A run takes the smallest; as the omegas of TR are symmetric, the
+    two agree unless the step or an omega it read is at fault.  An
+    omega_{g,1} has one slot, and the empty special set of Gen-TR no
+    residue formula: neither is witnessed."""
+    todo = sorted(k for k in store.omegas if k[1] >= 2)
+    if store.curve.gen_tr or not todo:
+        return []
+    run = _store_run(store.curve, store, max(2 * g - 2 + n for g, n in todo))
+    return [(g, n) for g, n in todo if _step(run, store.omegas, g, n, False) != store.omegas[(g, n)]]

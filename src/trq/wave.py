@@ -26,6 +26,10 @@ of `check_annihilation` and a comparison of a coefficient with an `Rf2`
 or across two wave data each take one `Rf2.make`.  The stable part of
 log psi (`stable_log_psi`, read by the Airy Laplace check) is integrated
 by the one slot integrator of the streams, `_slot_sums`, over that base.
+It reads the omegas by symmetric orbit, as `recursion` stores them: the
+integrated slots enter symmetrically, so an orbit takes one pass per
+distinct slot at the live variable, weighted by the permutations of the
+others, or one pass in all when every slot is integrated.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from .operators import (
     op_text,
     simplify,
 )
-from .recursion import OmegaStore
+from .recursion import OmegaStore, orbit_size, takeouts
 
 
 class WaveError(ValueError):
@@ -520,8 +524,14 @@ def _slot_sums(omegas: list, points: list, ends: tuple, first: str | None) -> di
     at the variable `first` over (n - 1)! and the other slots integrated
     between `ends`, or with `first` None every slot integrated, over n!.
 
+    The omegas are read by orbit.  The integrated slots enter symmetrically,
+    so an orbit S with numerator v takes one pass per distinct first slot e,
+    with the rest R = S - e integrated and weight v P(R), P the number of
+    distinct permutations (`orbit_size`); with every slot integrated, one
+    pass with weight v P(S).
+
     Each pole point p = a/b of the sorted `points` gives the integer forms
-    b*u - a, u in {z, w}, the first forms of a `_form_base`; a term (its
+    b*u - a, u in {z, w}, the first forms of a `_form_base`; a pass (its
     numerator over the omega's den, folded into `fac`) is a constant over
     a monomial in them (`_slot_difference`), the denominator known.
     """
@@ -534,25 +544,27 @@ def _slot_sums(omegas: list, points: list, ends: tuple, first: str | None) -> di
         acc = sums.setdefault(j, {})
         table, diffs = pd.points, by_table.setdefault(id(pd.points), {})
         fac = Fraction(1, math.factorial(n if first is None else n - 1) * pd.den)
-        for key, c in pd.terms.items():
-            e0 = [0] * (2 * npts)
-            if first is not None:
-                (i, k), key = key[0], key[1:]
-                e0[col[first] + index[table[i]]] = k
-                c *= table[i].denominator**k
-            mons = {tuple(e0): c * fac}
-            for e in key:
-                diff = diffs.get(e)
-                if diff is None:
-                    diff = diffs[e] = _slot_difference((table[e[0]], e[1]), ends, col, index)
-                nxt: dict = {}
+        for orbit, v in pd.orbits.items():
+            for head, key in [(None, orbit)] if first is None else takeouts(orbit):
+                e0 = [0] * (2 * npts)
+                c = v * orbit_size(key)
+                if head is not None:
+                    i, k = head
+                    e0[col[first] + index[table[i]]] = k
+                    c *= table[i].denominator**k
+                mons = {tuple(e0): c * fac}
+                for e in key:
+                    diff = diffs.get(e)
+                    if diff is None:
+                        diff = diffs[e] = _slot_difference((table[e[0]], e[1]), ends, col, index)
+                    nxt: dict = {}
+                    for ex, c0 in mons.items():
+                        for c1, i, m in diff:
+                            ex1 = ex[:i] + (ex[i] + m,) + ex[i + 1:] if m else ex
+                            nxt[ex1] = nxt.get(ex1, 0) + c0 * c1
+                    mons = nxt
                 for ex, c0 in mons.items():
-                    for c1, i, m in diff:
-                        ex1 = ex[:i] + (ex[i] + m,) + ex[i + 1:] if m else ex
-                        nxt[ex1] = nxt.get(ex1, 0) + c0 * c1
-                mons = nxt
-            for ex, c0 in mons.items():
-                acc[ex] = acc.get(ex, 0) + c0
+                    acc[ex] = acc.get(ex, 0) + c0
     return sums
 
 

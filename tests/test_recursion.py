@@ -19,19 +19,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trq import recursion
 from trq.algebra import LocalSeries, LogRat, RatFun, series_at
 from trq.algebra import poly as P
 from trq.curve import SpectralCurve, find_logvital, find_ramification, galois_series
+from trq.fixtures import _summary
 from trq.recursion import (
     OmegaStore,
     PoleDifferential,
     RecursionError_,
     _Branch,
     _check_invariants,
+    _fold,
+    _step,
+    _store_run,
     _window,
     logtr_term,
+    orbit_size,
     run_tr,
     s_inverse_coeff,
+    symmetry_witness,
     tr_step,
 )
 
@@ -82,8 +89,8 @@ class TestAiry:
 
     def test_chi_three_invariants(self):
         st = run_tr(airy(), 3)
+        assert symmetry_witness(st) == []
         for (g, n), pd in st.omegas.items():
-            assert pd.is_symmetric()
             assert pd.min_order() >= 2
             assert pd.pole_points() <= {F(0)}
         # Airy degree count: total pole order of omega_{g,n} is 6g - 6 + 4n
@@ -252,6 +259,18 @@ class TestGoldenDigests:
         digest = "9f36c945b93cefe3f654493ef2f57c013b79a860aab2ec0e1f24f33e36c0119b"
         assert _digest(run_tr(mk([0, -3, 0, 1], [0, 1], "cubic"), 5)) == digest
 
+    # two stores beyond them, each holding 150 to 300 ordered terms per
+    # orbit; recorded at commit 5869dfb, whose digest prefixes BENCH_13.json
+    # already gives
+
+    def test_airy_chi9(self):
+        digest = "3ce6e41ecd7becefadbf99f1d43c0a89f878f5d69da27768a6f6a9ac852440d6"
+        assert _digest(run_tr(airy(), 9)) == digest
+
+    def test_cubic_chi6(self):
+        digest = "90602ffd9455eb4d6934225584b5c667a145cfd9cfe39e833f44bbd88bf6755b"
+        assert _digest(run_tr(mk([0, -3, 0, 1], [0, 1], "cubic"), 6)) == digest
+
     def test_vital_point_chi4(self):
         # every omega_{g,1} has poles at the vital point; later steps read
         # these slots back, at a point that is not the ramification point
@@ -287,9 +306,16 @@ class TestPoleBound:
             _check_invariants(pd, {0}, set())
 
     def test_invariants_reject_an_asymmetric_omega(self):
-        pd = PoleDifferential(1, 2, {((0, 2), (0, 4)): 1}, 1, [F(0)])
-        with pytest.raises(RecursionError_, match="not symmetric"):
-            _check_invariants(pd, {0}, set())
+        # omega_{0,3} doubled, which the residue formula does not give:
+        # omega_{0,4} is linear in it and stays symmetric, but omega_{0,5}
+        # adds omega_{0,4} omega_{0,2} to omega_{0,3}^2, and now depends on
+        # which slot is its head
+        st = run_tr(airy(), 1)
+        st.omegas[(0, 3)] = st.get(0, 3).scale(2)
+        for n in (4, 5):
+            st.omegas[(0, n)] = tr_step(airy(), st, 0, n)
+        assert symmetry_witness(st) == [(0, 3), (0, 5)]
+        assert _step(_store_run(st.curve, st, 3), st.omegas, 0, 5, False) != st.get(0, 5)
 
     def test_entries_symmetric(self):
         # a slot pair's residue is unchanged by t <-> sigma(t), which the
@@ -304,27 +330,38 @@ class TestPoleBound:
                 assert one.entry(e1, e2) == other.entry(e2, e1), (e1, e2)
 
 
-def _symmetric_by_transpositions(pd: PoleDifferential) -> bool:
+def _symmetric_by_transpositions(terms: dict, n: int) -> bool:
     """The definition: invariance under every transposition of slots, a
     zero coefficient counting as an absent term."""
-    for key, v in pd.terms.items():
-        for i in range(pd.n):
-            for j in range(i + 1, pd.n):
+    for key, v in terms.items():
+        for i in range(n):
+            for j in range(i + 1, n):
                 kk = list(key)
                 kk[i], kk[j] = kk[j], kk[i]
-                if pd.terms.get(tuple(kk), F(0)) != v:
+                if terms.get(tuple(kk), F(0)) != v:
                     return False
+    return True
+
+
+def _folds(n: int, terms: dict, points) -> bool:
+    try:
+        orbits = _fold(0, n, terms, points)
+    except RecursionError_:
+        return False
+    # the orbits expand back to the nonzero terms
+    assert dict(PoleDifferential(0, n, orbits, 1, points).terms.items()) == {k: v for k, v in terms.items() if v}
     return True
 
 
 @st.composite
 def _near_symmetric(draw):
-    """An omega that is symmetric, or nearly: every permutation of a few
+    """Ordered terms over a point table, (n, {key of slot ids: coefficient},
+    points), that are symmetric or nearly: every permutation of a few
     sorted keys with one coefficient each, then possibly one permutation
     dropped, one coefficient changed or one set to an explicit zero."""
     n = draw(st.integers(1, 4))
     points = draw(st.sampled_from([(0, 1), (F(0), F(1, 2))]))
-    slot = st.tuples(st.sampled_from(points), st.sampled_from((2, 3)))
+    slot = st.tuples(st.sampled_from((0, 1)), st.sampled_from((2, 3)))
     terms = {}
     for base in draw(st.lists(st.lists(slot, min_size=n, max_size=n), min_size=1, max_size=3)):
         v = F(draw(st.integers(-2, 2)))
@@ -338,32 +375,137 @@ def _near_symmetric(draw):
             del terms[key]
         else:
             terms[key] = terms[key] + 1 if how == "change" else F(0)
-    return PoleDifferential(0, n, terms)
+    return n, terms, points
 
 
 class TestSymmetryCheck:
-    """The one-pass check against the transposition definition."""
+    """The one-pass fold of ordered terms to orbits, which `from_json`
+    reads a store's text by, against the transposition definition."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(_near_symmetric())
-    def test_against_transpositions(self, pd):
-        assert pd.is_symmetric() == _symmetric_by_transpositions(pd)
+    def test_against_transpositions(self, case):
+        n, terms, points = case
+        assert _folds(n, terms, points) == _symmetric_by_transpositions(terms, n)
 
     @pytest.mark.parametrize("points", [(0, 1, 2), (F(0), F(1, 2), F(2))])
     def test_cases(self, points):
-        a, b, c = ((p, 2) for p in points)
+        a, b, c = ((i, 2) for i in range(3))
         full = {key: F(3) for key in itertools.permutations((a, b, c))}
-        assert PoleDifferential(0, 3, full).is_symmetric()
+        assert _fold(0, 3, full, points) == {(a, b, c): F(3)}
         missing = {k: v for k, v in full.items() if k != (a, b, c)}
         unequal = full | {(a, b, c): F(4)}
         zero = full | {(a, b, c): F(0)}
         repeated = {(a, a, b): F(1), (a, b, a): F(1)}
-        for terms in (missing, unequal, zero, repeated):
-            pd = PoleDifferential(0, 3, terms)
-            assert not pd.is_symmetric() and not _symmetric_by_transpositions(pd)
+        for terms, why in ((missing, "lacks"), (unequal, "unequal"), (zero, "lacks"), (repeated, "lacks")):
+            with pytest.raises(RecursionError_, match=rf"omega_\(0,3\) .*{why}"):
+                _fold(0, 3, terms, points)
+            assert not _symmetric_by_transpositions(terms, 3)
         # an explicit zero is an absent term, on either side
-        pd = PoleDifferential(0, 3, repeated | {(b, a, a): F(1), (b, b, a): F(0)})
-        assert pd.is_symmetric() and _symmetric_by_transpositions(pd)
+        terms = repeated | {(b, a, a): F(1), (b, b, a): F(0)}
+        assert _folds(3, terms, points) and _symmetric_by_transpositions(terms, 3)
+
+
+class TestSymmetryWitness:
+    """The store holds one term per orbit, computed from its smallest slot
+    as head; the witness computes each again from its largest slot."""
+
+    @pytest.mark.parametrize("make,chi", [
+        (airy, 6), (lambda: mk([0, -3, 0, 1], [0, 1], "cubic"), 4), (bessel, 4), (vital_curve, 4),
+    ], ids=["airy", "cubic", "bessel", "logtr-vital"])
+    def test_the_two_heads_agree(self, make, chi):
+        st = run_tr(make(), chi)
+        assert symmetry_witness(st) == []
+        # not vacuous: orbits whose smallest and largest slots differ
+        assert any(key[0] != key[-1] for pd in st.omegas.values() for key in pd.orbits)
+
+    def test_no_witness_for_the_empty_special_set(self):
+        assert symmetry_witness(run_tr(airy(gen_tr=True, special_set=()), 3)) == []
+
+    def test_the_largest_head_gives_the_stored_omega(self):
+        st = run_tr(airy(), 2)
+        assert _step(_store_run(st.curve, st, 2), st.omegas, 1, 2, False) == tr_step(airy(), st, 1, 2) == st.get(1, 2)
+
+    def test_the_witness_reads_the_tables_of_the_run(self, monkeypatch):
+        # one sigma series per branch point for the run and its witness; a
+        # store read from its text has no run, and the witness builds one
+        calls = []
+        monkeypatch.setattr(recursion, "galois_series", lambda *a: calls.append(a) or galois_series(*a))
+        curve = mk([0, -3, 0, 1], [0, 1], "cubic")
+        st = run_tr(curve, 4)
+        assert len(calls) == 2 and symmetry_witness(st) == [] and len(calls) == 2
+        assert symmetry_witness(OmegaStore.from_json(curve, st.to_json())) == [] and len(calls) == 4
+
+    def test_the_kept_run_reads_a_replaced_omega(self):
+        # the run kept on the store splits an omega again once the store
+        # holds another one: omega_{0,3} doubled, omega_{0,4} and
+        # omega_{0,5} recomputed from it over the kept tables equal those
+        # of a new run
+        st = run_tr(airy(), 3)
+        st.omegas = {(0, n): st.get(0, n) for n in (3, 4, 5)}
+        st.omegas[(0, 3)] = st.get(0, 3).scale(2)
+        for n in (4, 5):
+            kept = tr_step(st.curve, st, 0, n)
+            assert _store_run(st.curve, st, 3) is st.run
+            assert kept == tr_step(airy(), st, 0, n) != st.get(0, n), n
+            st.omegas[(0, n)] = kept
+        assert symmetry_witness(st) == [(0, 3), (0, 5)]
+
+    def test_orbit_size(self):
+        for key in [(), ((0, 2),), ((0, 2), (0, 2), (0, 4)), ((0, 2), (0, 3), (1, 2), (1, 2)), ((0, 2),) * 5]:
+            assert orbit_size(key) == len(set(itertools.permutations(key)))
+        st = run_tr(mk([0, -3, 0, 1], [0, 1], "cubic"), 3)
+        for pd in st.omegas.values():
+            assert len(pd.terms) == len(list(pd.terms)) == len(pd.by_point())
+
+
+def _reversed_table(store: OmegaStore) -> OmegaStore:
+    """The store over the reversed point table of its omegas, each key sorted
+    again in the new id order."""
+    old = next(pd.points for pd in store.omegas.values() if pd.orbits)
+    table, last = old[::-1], len(old) - 1
+    return OmegaStore(store.curve, {
+        (g, n): PoleDifferential(
+            g, n, {tuple(sorted((last - a, k) for a, k in key)): v for key, v in pd.orbits.items()}, pd.den, table,
+        )
+        for (g, n), pd in store.omegas.items()
+    }, store.chi_max)
+
+
+class TestPointTables:
+    """Omegas over a point table whose id order reverses the run's: each
+    orbit sorts its slots the other way round, so its head is at the other
+    branch point."""
+
+    def curve(self):
+        return mk([0, -3, 0, 1], [0, 0, 1], "cubic-z2")
+
+    def test_equality(self):
+        st = run_tr(self.curve(), 3)
+        rev = _reversed_table(st)
+        last = len(st.get(0, 3).points) - 1
+        assert rev.get(0, 3).points == st.get(0, 3).points[::-1]
+        # keys of rev that, mapped back to the run's ids, are not sorted there
+        back = [tuple((last - a, k) for a, k in key) for pd in rev.omegas.values() for key in pd.orbits]
+        assert any(key != tuple(sorted(key)) for key in back)
+        for gn, pd in st.omegas.items():
+            assert pd == rev.omegas[gn] and rev.omegas[gn] == pd, gn
+            key = next(iter(pd.orbits))
+            other = PoleDifferential(pd.g, pd.n, pd.orbits | {key: pd.orbits[key] + pd.den}, pd.den, pd.points)
+            assert other != rev.omegas[gn] and rev.omegas[gn] != other, gn
+        # a point missing from the other table
+        assert PoleDifferential(0, 1, {((0, 2),): 1}, 1, [F(0)]) != PoleDifferential(0, 1, {((0, 2),): 1}, 1, [F(5)])
+
+    def test_tr_step_outside_run_tr(self):
+        ref = run_tr(self.curve(), 4)
+        rev = _reversed_table(run_tr(self.curve(), 3))
+        for g, n in ((0, 6), (1, 4), (2, 2)):
+            got = tr_step(self.curve(), rev, g, n)
+            assert got.points is rev.get(0, 3).points
+            assert got == ref.get(g, n) and ref.get(g, n) == got, (g, n)
+            # each orbit from its largest slot, as the witness computes it
+            assert _step(_store_run(self.curve(), rev, 2 * g - 2 + n), rev.omegas, g, n, False) == got, (g, n)
+        assert symmetry_witness(rev) == []
 
 
 class TestBessel:
@@ -379,7 +521,7 @@ class TestBessel:
             assert pd.is_zero() == (g == 0), (g, n)
         for pd in st.omegas.values():
             assert pd.min_order() >= 2
-            assert pd.is_symmetric()
+        assert symmetry_witness(st) == []
 
 
 class TestHomogeneity:
@@ -427,8 +569,8 @@ class TestCubicTwoRamPoints:
     def test_runs_and_invariants(self):
         c = mk([0, -1, 0, F(1, 3)], [0, 1])
         st = run_tr(c, 2)
+        assert symmetry_witness(st) == []
         for (g, n), pd in st.omegas.items():
-            assert pd.is_symmetric(), (g, n)
             assert pd.min_order() >= 2
             assert pd.pole_points() <= {F(1), F(-1)}
         assert not st.get(0, 3).is_zero()
@@ -550,6 +692,38 @@ class TestJsonWriter:
         text = store.to_json()
         assert text == _json_by_encoder(store)
         assert OmegaStore.from_json(store.curve, text).to_json() == text
+
+
+class TestFoldOnRead:
+    """from_json folds each omega's terms to its orbits, and refuses a text
+    that is not symmetric, naming the omega."""
+
+    def _payload(self):
+        store = run_tr(mk([0, -3, 0, 1], [0, 1], "cubic"), 2)
+        return store, json.loads(store.to_json())
+
+    def _read(self, store, payload):
+        return OmegaStore.from_json(store.curve, json.dumps(payload, indent=1, sort_keys=True))
+
+    def test_a_lacking_permutation(self):
+        store, payload = self._payload()
+        terms = payload["omegas"]["0,4"]
+        # a term whose slots are not all equal has another permutation
+        terms.remove(next(t for t in terms if len({tuple(s) for s in t[0]}) > 1))
+        with pytest.raises(RecursionError_, match=r"omega_\(0,4\) lacks a permutation of the slots \(\("):
+            self._read(store, payload)
+
+    def test_unequal_coefficients(self):
+        store, payload = self._payload()
+        term = next(t for t in payload["omegas"]["1,2"] if t[0][0] != t[0][1])
+        term[1] = str(F(term[1]) + 1)
+        with pytest.raises(RecursionError_, match=r"omega_\(1,2\) has unequal coefficients on the slots \(\("):
+            self._read(store, payload)
+
+    def test_the_summary_counts_the_written_terms(self):
+        for store in (run_tr(mk([0, -3, 0, 1], [0, 1], "cubic"), 3), run_tr(vital_curve(), 4)):
+            written = {label: len(terms) for label, terms in json.loads(store.to_json())["omegas"].items()}
+            assert _summary(store) == written
 
 
 def _residues_by_series(curve, ram, factor, ms, order) -> list:

@@ -152,3 +152,16 @@ def test_unit_and_zero_are_neutral_and_absorbing():
     assert Sym.const(1) * s is s and s * Sym.const(1) is s
     assert (Sym() * s).is_zero() and (s * Sym()).is_zero()
     assert Sym.const(F(2, 3)) * Sym.const(F(-3, 4)) == Sym.const(F(-1, 2))
+
+
+@_PROPERTY
+@given(_sym, _sym)
+def test_unit_is_known_once_per_scalar(a, b):
+    # the flag agrees with equality to 1 before and after it is stored, and
+    # storing it changes neither equality nor the hash
+    for s in (a, b, a * b, a + b):
+        h = hash(s)
+        assert s.unit == (s == Sym.const(1)) == s.unit
+        assert "unit" in vars(s) and hash(s) == h and s == Sym(s.terms)
+    assert (Sym.const(F(2, 3)) * Sym.const(F(3, 2))).unit and Sym.make({(("a", 1), ("a", -1)): 1}).unit
+    assert not any(s.unit for s in (Sym(), Sym.const(-1), Sym.const(F(1, 2)), Sym.hbar(), Sym.var("a", 0).scale(2)))
