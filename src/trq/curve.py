@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .algebra import INF, LocalSeries, LogRat, RatFun, series_at
 from .algebra import poly as P
@@ -47,8 +48,14 @@ class SpectralCurve:
     def dy(self) -> RatFun:
         return self.y.derivative()
 
+    @cached_property
+    def _x_expansions(self) -> dict:
+        return {}  # (p, order) -> x_series(p, order)
+
     def x_series(self, p, order: int) -> LocalSeries:
         """Series of x(p+t) - x(p) in t; log parts expanded via log(1+u).
+        Kept per (p, order): a branch point's sigma and its x' read the same
+        expansion.
 
         Only valid when no log argument of x vanishes at p (otherwise the
         difference is not a power series).
@@ -56,6 +63,12 @@ class SpectralCurve:
         if p == INF:
             raise CurveError("x_series at infinity is not needed for ramification work")
         p = Fraction(p)
+        got = self._x_expansions.get((p, order))
+        if got is None:
+            got = self._x_expansions[(p, order)] = self._expand_x(p, order)
+        return got
+
+    def _expand_x(self, p: Fraction, order: int) -> LocalSeries:
         rat = self.x.rat
         out = series_at(rat, p, order) - LocalSeries.make(p, {0: rat.eval(p)}, order)
         for c, arg in self.x.logs:
@@ -129,9 +142,21 @@ def _y_type_at(curve: SpectralCurve, p: Fraction) -> str:
 def galois_series(curve: SpectralCurve, p: RamPoint, order: int) -> LocalSeries:
     """Local deck transformation sigma(t) = -t + c2 t^2 + ... at a simple
     ramification point, exact to t^order: the root of u(sigma) = u(t), with
-    u(t) = x(p+t) - x(p), by Newton iteration from sigma = -t.  A step
-    sigma <- sigma - (u(sigma) - u(t))/u'(sigma) doubles the power of t to
-    which sigma is exact."""
+    u(t) = x(p+t) - x(p) = a_2 (t^2 + sum_(k >= 3) b_k t^k), a_2 != 0.
+
+    The coefficients come one at a time.  [t^(j+1)] of u(sigma) - u(t)
+    reads c_j only through 2 a_2 c_1 c_j = -2 a_2 c_j, so
+
+        2 c_j = sum_(3 <= k <= j+1) b_k [t^(j+1)] sigma^k
+                + sum_(2 <= i <= j-1) c_i c_(j+1-i) - b_(j+1),
+
+    whose right side reads c_1 .. c_(j-1) only.  In s = lam t, with lam four
+    times the common denominator of the b_k, sigma is
+    (1/lam) sum_j C_j s^j with C_j = c_j lam^(j-1), and the same equation
+    holds with b_k lam^(k-2) for b_k.  Those are multiples of 4, and so, by
+    induction from C_1 = -1, is every term on the right: each C_j, j >= 2,
+    is an even integer.  Only the nonzero b_k and C_i are visited, so
+    sigma = -t (x quadratic in t) costs one pass over empty sums."""
     if p.order != 1:
         raise CurveError(
             f"ramification order {p.order + 1} at {p.location}: only simple branching is supported"
@@ -139,17 +164,31 @@ def galois_series(curve: SpectralCurve, p: RamPoint, order: int) -> LocalSeries:
     u = curve.x_series(p.location, order + 1)
     if u.coeff(1) != 0 or u.coeff(2) == 0:
         raise CurveError(f"x does not branch quadratically at {p.location}")
-    du = u.derivative()
-    sigma = LocalSeries.make(p.location, {1: -1}, 1)
-    while sigma.trunc < order:
-        k = min(2 * sigma.trunc, order)
-        # u(s) to t^(k+1) reads s only to t^k, since u starts at t^2; the
-        # residual starts at t^(sigma.trunc+2), so the quotient is exact to t^k
-        s = LocalSeries(sigma.coeffs, k + 1, p.location)
-        uk = u.truncate(k + 1)
-        step = (uk.compose(s) - uk) * du.truncate(k).compose(s).invert()
-        sigma = (s - step).truncate(k)
-    return sigma
+    b = {k: v / u.coeffs[2] for k, v in u.coeffs.items() if k >= 3}
+    lam = 4 * lcm(*(v.denominator for v in b.values()))
+    b = {k: int(v * lam ** (k - 2)) for k, v in b.items()}
+    c = {1: -1}
+    # pw[k] = {n: [s^n] of (sum_j C_j s^j)^k} for the n whose C_i are known,
+    # k = 2 .. the largest k with b_k != 0; it reads C_1 .. C_(n-k+1)
+    top = max(b, default=1)
+    pw = {k: {} for k in range(2, top + 1)}
+
+    def extend(j: int) -> None:
+        """[s^(j+k-1)] of the k-th power for each k, which C_j has made known."""
+        for k in range(2, min(top, order + 2 - j) + 1):
+            n, low = j + k - 1, pw.get(k - 1, c)
+            acc = sum(ci * low[n - i] for i, ci in c.items() if n - i in low)
+            if acc:
+                pw[k][n] = acc
+
+    extend(1)
+    for j in range(2, order + 1):
+        r = sum(v * pw[k][j + 1] for k, v in b.items() if j + 1 in pw[k]) - b.get(j + 1, 0)
+        r += sum(ci * c[j + 1 - i] for i, ci in c.items() if 2 <= i <= j - 1 and j + 1 - i in c)
+        if r:
+            c[j] = r // 2
+        extend(j)
+    return LocalSeries({j: Fraction(v, lam ** (j - 1)) for j, v in c.items()}, order, p.location)
 
 
 def _form_order(f: RatFun, p) -> int:

@@ -58,7 +58,6 @@ from math import comb, factorial, gcd, lcm
 from operator import itemgetter
 
 from .algebra import LocalSeries, RatFun, series_at
-from .algebra import poly as P
 from .algebra.series import Series
 from .curve import (
     CurveError, RamPoint, SpectralCurve, find_logvital, find_ramification, galois_series,
@@ -292,21 +291,6 @@ def _window(chi_max: int) -> int:
     return max(2, 2 * _pole_bound(g - 1, chi_max + 3 - 2 * g))
 
 
-def _y_diff_series(curve: SpectralCurve, p: Fraction, sigma: LocalSeries, order: int) -> LocalSeries:
-    """y(p+t) - y(p+sigma(t)) as an exact Laurent series."""
-    ys = series_at(curve.y.rat, p, order)
-    out = ys - ys.compose(sigma)
-    for c, arg in curve.y.logs:
-        a0 = P.evaluate(arg, p)
-        if a0 == 0:
-            raise RecursionError_(f"log singularity of y at ramification point {p}")
-        aser = series_at(RatFun.make(arg), p, order)
-        # log(A(t)) - log(A(sigma)) = log(A(t)/A(sigma))
-        ratio = (aser * aser.compose(sigma).invert()) - LocalSeries.make(p, {0: 1}, order)
-        out = out + ratio.log1p().scale(c)
-    return out
-
-
 class _Branch:
     """Residue tables at one simple ramification point p, for one run.
 
@@ -317,11 +301,19 @@ class _Branch:
     E_m = (t^m - sigma^m)/2 and the kernel D = 1/((y(t) - y(sigma t)) x'(t));
     the output slot is (id of p, m+1).
 
-    The tables are integer.  Every series they are built from (sigma and
-    sigma', the kernels E_m D, the powers of the base of a slot at sigma(t),
-    each slot at sigma(t) times sigma') is a pair (den, Series of int
-    numerators), with the common content taken out after each product.  The
-    kernels are over one denominator `kden` and stored by column: column j
+    The tables are integer.  Past the expansions of x(p+t) and y(p+t), every
+    series is a pair (den, Series of int numerators), with the common
+    content taken out after each product (`_product`) and each inversion
+    (`_inverse`).  One table of powers per base serves every reader
+    (`power`): the powers of sigma give y(p + sigma), the kernels E_m and
+    the virtual slots at sigma(t); those of 1/sigma the slots at p at
+    sigma(t), and the simple pole of y at p; those of 1/(p - a + sigma) the
+    slots at a foreign point a.  x'(p+t) is the derivative of the
+    expansion of x that sigma was solved from.  D, and the diagonal
+    omega_{0,2}(t, sigma(t)) as t^-2 ((t - sigma)/t)^-2 sigma', are integer
+    inversions over one denominator.  The log parts of y alone are `LocalSeries`.
+
+    The kernels are over one denominator `kden` and stored by column: column j
     holds (m, [t^j] E_m D) for the m where it is nonzero.  A residue then
     walks the nonzero coefficients of the slot series and the one column
     each meets; for Airy, sigma(t) = -t, so a slot at sigma is a monomial.
@@ -336,17 +328,20 @@ class _Branch:
         self.points = points  # slot id -> point, shared with the run
         pid = self.id = points.index(p)
         self.order = order = window + 3  # D is exact to t^(order-3), E_m D must reach t^(window-1)
-        self.sigma = sigma = galois_series(curve, ram, order)
-        sig = _over_one_den(sigma)
-        self.sig_d = _over_one_den(sigma.derivative())
-        D = _over_one_den((_y_diff_series(curve, p, sigma, order) * series_at(curve.dx, p, order)).invert())
+        sigma = galois_series(curve, ram, order)
+        self.sig = sig = _over_one_den(sigma)
+        self.sig_d = _derivative(sig)
+        # (a, inverse) -> [1, b, b^2, ...] for the base b of slots at sigma(t):
+        # sigma, 1/sigma or 1/(p - a + sigma)
+        self.powers: dict = {(pid, False): [_ONE, sig]}
+        dx = _derivative(_over_one_den(curve.x_series(p, order + 1)))
+        D = _inverse(_product(self._y_diff(curve, sigma), dx))
         # E_m D for every m a slot pair within the window can reach
         kernel = []
-        pw = _ONE
         for m in range(1, window + 2):
-            pw = _product(pw, sig, window + 1)
-            em = Series({m: pw[0]}, window + 1) - pw[1]  # (t^m - sigma^m) over pw[0]
-            kernel.append(_product((2 * pw[0], em), D))
+            d, pw = self.power(pid, False, m)
+            em = Series({m: d}, window + 1) - pw  # (t^m - sigma^m) over d
+            kernel.append(_product((2 * d, em), D))
         self.kden = lcm(*(d for d, _ker in kernel))
         self.columns: dict = {}
         for m, (d, ker) in enumerate(kernel, 1):
@@ -362,13 +357,51 @@ class _Branch:
         )
         # the output slot (p, m+1) of each m, shared by every output key
         self.heads = [((pid, m + 1),) for m in range(window + 2)]
-        # omega_{0,2}(p+t, p+sigma(t)) = sigma'(t) dt^2 / (t - sigma(t))^2, over its own denominator
-        diagonal = (LocalSeries.make(p, {1: 1}, order) - sigma).pow(-2) * sigma.derivative()
-        self.diagonal = self._residues(0, _over_one_den(diagonal))
+        # omega_{0,2}(p+t, p+sigma(t)) = sigma'(t) dt^2 / (t - sigma(t))^2, with
+        # (t - sigma)/t = 2 - c_2 t - c_3 t^2 - ...
+        d, s = sig
+        w = d, Series({0: 2 * d} | {k - 1: -v for k, v in s.coeffs.items() if k > 1}, s.trunc - 1)
+        self.diagonal = self._residues(-2, _product(_inverse(_product(w, w)), self.sig_d))
         self.den = 1
-        self.powers: dict = {}   # (a, k > 0) -> [1, b, b^2, ...] for the base b of slots at sigma(t)
         self.at_sigma: dict = {}  # slot -> its series at sigma(t), times sigma'
         self.entries: dict = {}  # (e1, e2) -> (den, ((m, numerator), ...))
+
+    def power(self, a: int, inverse: bool, k: int) -> tuple:
+        """The k-th power of the base of the slots at a at sigma(t):
+        sigma (a = p, not inverse), 1/sigma (a = p, inverse) or
+        1/(p - a + sigma), each exact to t^order at most."""
+        pows = self.powers.get((a, inverse))
+        if pows is None:
+            if a == self.id:
+                base = _inverse(self.sig)
+            else:
+                # p - a + sigma = (qn d + qd s) / (qd d) with p - a = qn/qd
+                (d, s), q = self.sig, self.p - self.points[a]
+                base = _inverse((q.denominator * d, Series({0: q.numerator * d}, _BIG) + s.scale(q.denominator)))
+            pows = self.powers[(a, inverse)] = [_ONE, base]
+        while len(pows) <= k:
+            pows.append(_product(pows[-1], pows[1], self.order))
+        return pows[k]
+
+    def _y_diff(self, curve: SpectralCurve, sigma: LocalSeries) -> tuple:
+        """y(p+t) - y(p+sigma(t)): sum_k y_k (t^k - sigma^k) over the table
+        of the powers of sigma, or of 1/sigma at the simple pole of y."""
+        p, order = self.p, self.order
+        dy, ys = _over_one_den(series_at(curve.y.rat, p, order))
+        pows = {k: self.power(self.id, k < 0, abs(k)) for k in ys.coeffs}
+        den = lcm(*(d for d, _s in pows.values()))
+        out = ys.scale(den)
+        for k, v in ys.coeffs.items():
+            d, s = pows[k]
+            out = out - s.scale(v * (den // d))
+        out = den * dy, out
+        for c, arg in curve.y.logs:
+            # log(A(t)) - log(A(sigma)) = log(A(t)/A(sigma)); no log argument
+            # vanishes at a ramification point (`find_ramification`)
+            aser = series_at(RatFun.make(arg), p, order)
+            ratio = (aser * aser.compose(sigma).invert()) - LocalSeries.make(p, {0: 1}, order)
+            out = _sum(out, _over_one_den(ratio.log1p().scale(c)))
+        return out
 
     def entry(self, e1: tuple, e2: tuple) -> tuple:
         got = self.entries.get((e1, e2))
@@ -404,16 +437,7 @@ class _Branch:
         got = self.at_sigma.get(e)
         if got is None:
             a, k = e
-            pows = self.powers.get((a, k > 0))
-            if pows is None:
-                if a != self.id:
-                    base = (LocalSeries.make(self.p, {0: self.p - self.points[a]}, _BIG) + self.sigma).invert()
-                else:
-                    base = self.sigma.invert() if k > 0 else self.sigma
-                pows = self.powers[(a, k > 0)] = [_ONE, _over_one_den(base)]
-            while len(pows) <= abs(k):
-                pows.append(_product(pows[-1], pows[1], self.order))
-            got = self.at_sigma[e] = _product(pows[abs(k)], self.sig_d)
+            got = self.at_sigma[e] = _product(self.power(a, k > 0, abs(k)), self.sig_d)
         return got
 
     def _residues(self, s: int, f: tuple) -> tuple:
@@ -449,15 +473,59 @@ def _over_one_den(s: LocalSeries) -> tuple:
     return den, Series({k: v.numerator * (den // v.denominator) for k, v in s.coeffs.items()}, s.trunc)
 
 
+def _lowest(den: int, s: Series) -> tuple:
+    """(den, s) with the common content of den and the numerators taken
+    out and den > 0."""
+    common = gcd(den, *s.coeffs.values())
+    if den < 0:
+        common = -common
+    if common == 1:
+        return den, s
+    return den // common, Series({k: v // common for k, v in s.coeffs.items()}, s.trunc)
+
+
 def _product(f: tuple, g: tuple, top: int = _BIG) -> tuple:
     """f g truncated at t^top, integer numerators over one denominator with
     the common content taken out."""
     (df, f), (dg, g) = f, g
-    out = (f * g).truncate(top)
-    common = gcd(df * dg, *out.coeffs.values())
-    if common == 1:
-        return df * dg, out
-    return df * dg // common, Series({k: v // common for k, v in out.coeffs.items()}, out.trunc)
+    return _lowest(df * dg, (f * g).truncate(top))
+
+
+def _sum(f: tuple, g: tuple) -> tuple:
+    """f + g over the lcm of their denominators, the content taken out."""
+    (df, f), (dg, g) = f, g
+    den = lcm(df, dg)
+    return _lowest(den, f.scale(den // df) + g.scale(den // dg))
+
+
+def _derivative(f: tuple) -> tuple:
+    """d/dt of f, over its denominator less the common content."""
+    den, f = f
+    return _lowest(den, Series({k - 1: v * k for k, v in f.coeffs.items() if k}, f.trunc - 1))
+
+
+def _inverse(f: tuple) -> tuple:
+    """1/f, exact to t^n with n = trunc - 2m as `Series.invert`.  With F
+    the numerators of f and b t^m their leading term, 1/F is
+    t^-m sum_i h_i t^i / b^(i+1) for the integers h_0 = 1 and
+    h_i = -sum_(l >= 1) F_(m+l) b^(l-1) h_(i-l): one denominator
+    b^(n+m+1) for the exponents up to n."""
+    den, f = f
+    if f.is_zero():
+        raise ZeroDivisionError("inverting the zero series")
+    m = f.order()
+    n = f.trunc - 2 * m
+    if n < -m:
+        raise ValueError("insufficient truncation to invert")
+    b = f.coeffs[m]
+    rest = [(k - m, v * b ** (k - m - 1)) for k, v in sorted(f.coeffs.items()) if k > m]
+    h = {0: 1}
+    for i in range(1, n + m + 1):
+        v = -sum(w * h[i - l] for l, w in rest if l <= i and i - l in h)
+        if v:
+            h[i] = v
+    top = n + m
+    return _lowest(b ** (top + 1), Series({i - m: den * v * b ** (top - i) for i, v in h.items()}, n))
 
 
 class _Run:

@@ -57,6 +57,36 @@ class TestRamification:
             find_ramification(c)
 
 
+def newton_sigma(c, p, order):
+    """sigma by Newton iteration from -t, an oracle for galois_series that
+    shares only u = x(p+t) - x(p) with it: a step
+    sigma <- sigma - (u(sigma) - u(t))/u'(sigma) doubles the power of t to
+    which sigma is exact."""
+    u = c.x_series(p.location, order + 1)
+    du = u.derivative()
+    sigma = LocalSeries.make(p.location, {1: -1}, 1)
+    while sigma.trunc < order:
+        k = min(2 * sigma.trunc, order)
+        # u(s) to t^(k+1) reads s only to t^k, since u starts at t^2; the
+        # residual starts at t^(sigma.trunc+2), so the quotient is exact to t^k
+        s = LocalSeries(sigma.coeffs, k + 1, p.location)
+        uk = u.truncate(k + 1)
+        step = (uk.compose(s) - uk) * du.truncate(k).compose(s).invert()
+        sigma = (s - step).truncate(k)
+    return sigma
+
+
+def skips_t3():
+    # x = z^2 + z^4 + z^5: dx/z = 2 + 4z^2 + 5z^3 has no rational root, so
+    # 0 is declared; u has no t^3 term
+    return curve(lr([0, 0, 1, 0, 1, 1]), lr([0, 1]), "skips-t3", declared_ram=(0,))
+
+
+def log_x():
+    # x = log(1+z) - z: u = -t^2/2 + t^3/3 - t^4/4 + ... has every power
+    return curve(LogRat.make(RatFun.make(P.poly([0, -1])), [(1, RatFun.make(P.poly([1, 1])))]), lr([0, 1]), "log-x")
+
+
 class TestGalois:
     def test_airy_exact(self):
         c = airy()
@@ -94,6 +124,29 @@ class TestGalois:
         for p in find_ramification(c):
             assert galois_series(c, p, 3).coeff(3) == F(-1, 9)
             assert galois_series(c, p, 10).coeff(10) == -p.location * F(323, 19683)
+
+    @pytest.mark.parametrize("make", [skips_t3, log_x], ids=["skips-t3", "log-x"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_recurrence_against_newton(self, make, n):
+        c = make()
+        p, = find_ramification(c)
+        s = galois_series(c, p, n)
+        assert s.trunc == n and s == newton_sigma(c, p, n)
+        # u(sigma) = u(t) to t^(n+1), which reads sigma to t^n
+        u = c.x_series(p.location, n + 1)
+        resid = u.compose(LocalSeries(s.coeffs, n + 1, s.point)) - u
+        assert resid.trunc == n + 1 and resid.is_zero()
+        # sigma o sigma = t to t^n
+        comp = s.compose(s)
+        assert comp.trunc == n and comp.coeffs == {1: 1}
+
+    def test_recurrence_coefficients(self):
+        # x = z^2 + z^4 + z^5: c_2 = c_3 = 0 and c_4 = -1; x = log(1+z) - z:
+        # sigma = -t + 2/3 t^2 - 4/9 t^3 + 44/135 t^4 - ...
+        p, = find_ramification(skips_t3())
+        assert [galois_series(skips_t3(), p, 4).coeff(k) for k in range(1, 5)] == [-1, 0, 0, -1]
+        p, = find_ramification(log_x())
+        assert [galois_series(log_x(), p, 4).coeff(k) for k in range(1, 5)] == [-1, F(2, 3), F(-4, 9), F(44, 135)]
 
     def test_involution_property(self):
         c = curve(LogRat.from_ratfun(RatFun.make(P.poly([0, -1, 0, F(1, 3)]))), lr([0, 1]))

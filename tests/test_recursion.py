@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 from trq import recursion
 from trq.algebra import LocalSeries, LogRat, RatFun, series_at
+from trq.algebra.series import Series
 from trq.algebra import poly as P
-from trq.curve import SpectralCurve, find_logvital, find_ramification, galois_series
+from trq.curve import CurveError, SpectralCurve, find_logvital, find_ramification, galois_series
 from trq.fixtures import _summary
 from trq.recursion import (
     OmegaStore,
@@ -31,6 +32,7 @@ from trq.recursion import (
     _Branch,
     _check_invariants,
     _fold,
+    _inverse,
     _step,
     _store_run,
     _window,
@@ -41,6 +43,8 @@ from trq.recursion import (
     symmetry_witness,
     tr_step,
 )
+
+from test_curve import newton_sigma
 
 
 def mk(xc, yc, name="c", **kw):
@@ -621,6 +625,14 @@ class TestLogTR:
     def test_no_vital_points_zero(self):
         assert logtr_term(airy(), 1).is_zero()
 
+    def test_log_of_y_at_a_branch_point_refused(self):
+        # x = z^2, y = log z: classifying the branch point 0 refuses the log
+        # singularity before any series is built
+        c = SpectralCurve("log-y", LogRat.from_ratfun(RatFun.make(P.poly([0, 0, 1]))),
+                          LogRat.make(RatFun.const(0), [(1, RatFun.var())]))
+        with pytest.raises(CurveError, match="logarithmic singularity of y at ramification point 0$"):
+            run_tr(c, 1)
+
     def test_general_alpha_weighting(self):
         # per-point weight alpha^{2g-1} for alpha not +-1
         alphas = [(F(3), F(2))]
@@ -728,9 +740,10 @@ class TestFoldOnRead:
 
 def _residues_by_series(curve, ram, factor, ms, order) -> list:
     """Res_t E_m D factor(t, sigma) for each m in ms, from Fraction series:
-    E_m = (t^m - sigma^m)/2 and D = 1/((y(t) - y(sigma t)) x'(t))."""
+    E_m = (t^m - sigma^m)/2 and D = 1/((y(t) - y(sigma t)) x'(t)), with
+    sigma by Newton iteration, not from galois_series."""
     p = ram.location
-    sigma = galois_series(curve, ram, order)
+    sigma = newton_sigma(curve, ram, order)
     t = LocalSeries.make(p, {1: 1}, order)
 
     def y_at(u):
@@ -743,6 +756,25 @@ def _residues_by_series(curve, ram, factor, ms, order) -> list:
 
     rest = ((y_at(t) - y_at(sigma)) * series_at(curve.dx, p, order)).invert() * factor(t, sigma)
     return [((t.pow(m) - sigma.pow(m)).scale(F(1, 2)) * rest).coeff(-1) for m in ms]
+
+
+class TestIntegerInverse:
+    """`_inverse` over one integer denominator against `Series.invert` over
+    Fractions, with leading coefficients of either sign."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(-1, 2), st.integers(1, 12), st.integers(-9, 9).filter(bool),
+        st.lists(st.integers(-6, 6), max_size=8), st.integers(0, 6),
+    )
+    def test_against_fractions(self, m, den, lead, rest, extra):
+        coeffs = {m: lead} | {m + 1 + i: v for i, v in enumerate(rest) if v}
+        trunc = m + len(rest) + extra
+        got_den, got = _inverse((den, Series(coeffs, trunc)))
+        want = LocalSeries.make(0, {k: F(v, den) for k, v in coeffs.items()}, trunc).invert()
+        assert got.trunc == want.trunc
+        assert {k: F(v, got_den) for k, v in got.coeffs.items()} == want.coeffs
+        assert got_den > 0 and math.gcd(got_den, *got.coeffs.values()) == 1
 
 
 def _slot_series(e, u, points, order):
@@ -798,6 +830,29 @@ class TestResidueTables:
                 ((other, 2), (pid, 3)), ((pid, 2), (other, 3)), ((other, 2), (other, 4)),
             ]
         self._check(mk([0, -3, 0, 1], [0, 1]), pairs)
+
+    def test_bessel(self):
+        # y = 1/z has a simple pole at the branch point, so y(sigma) reads
+        # 1/sigma; sigma = -t and D = 1/4, so only pairs whose orders have an
+        # even sum meet an odd m, where E_m is not zero
+        def pairs(pid, _other):
+            return [
+                ((pid, 2), (pid, 2)), ((pid, 2), (pid, 4)), ((pid, 5), (pid, 3)),
+                ((pid, 4), (pid, 0)), ((pid, 3), (pid, -1)), ((pid, -1), (pid, 3)),
+            ]
+        self._check(bessel(), pairs)
+
+    def test_pole_of_y_with_a_curved_sigma(self):
+        # x = z^2 + z^3, y = 1/z: branch points 0, where y has its pole and
+        # sigma = -t - t^2 - ..., and -2/3.  At 0 the kernel has no pole, so
+        # a pair of foreign slots has no residue there
+        def pairs(pid, other):
+            return [
+                ((pid, 2), (pid, 3)), ((pid, 5), (pid, 2)), ((pid, 4), (pid, 0)),
+                ((pid, -1), (pid, 3)), ((other, 2), (pid, 3)), ((pid, 2), (other, 4)),
+            ]
+        x = LogRat.from_ratfun(RatFun.make(P.poly([0, 0, 1, 1])))
+        self._check(SpectralCurve("pole", x, bessel().y), pairs)
 
     def test_logtr(self):
         def pairs(pid, vital):
