@@ -204,8 +204,30 @@ def compose(a: Poly, b: Poly) -> Poly:
 
 
 def shift(a: Poly, p) -> Poly:
-    """a(z + p)."""
-    return compose(a, (Fraction(p), Fraction(1)))
+    """a(z + p), by repeated synthetic division in integers.
+
+    With p = r/b and a = A/D, A integral of degree n, g(u) = sum_i A_i
+    b^(n-i) u^i is D b^n a(u/b), so [u^k] g(u + r) is D b^(n-k) times the
+    coefficient k of a(z + p).  g = sum_k c_k (u - r)^k with c_k = [u^k]
+    g(u + r), so dividing g by u - r leaves c_0 as the remainder, dividing
+    the quotient leaves c_1, and so on; done in place (Horner's Taylor
+    shift), the remainders stay in g.
+    """
+    if not a:
+        return ZERO
+    p = Fraction(p)
+    r, b = p.numerator, p.denominator
+    n = len(a) - 1
+    d = lcm(*[v.denominator for v in a])
+    bpow = [1]
+    for _ in range(n):
+        bpow.append(bpow[-1] * b)
+    g = [v.numerator * (d // v.denominator) * bpow[n - i] for i, v in enumerate(a)]
+    if r:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                g[j] += r * g[j + 1]
+    return tuple(Fraction(v, d * bpow[n - k]) for k, v in enumerate(g))
 
 
 def monic(a: Poly) -> Poly:

@@ -226,7 +226,11 @@ def series_at(f: RatFun, p, k_max: int) -> LocalSeries:
         base = series_at(g, 0, k_max - d)
         return LocalSeries.make(INF, {k + d: v for k, v in base.coeffs.items()}, k_max)
     p = Fraction(p)
-    num = LocalSeries.make(p, dict(enumerate(P.shift(f.num, p))), _BIG)
+    shifted = dict(enumerate(P.shift(f.num, p)))
+    if f.den == P.ONE:
+        # a polynomial (a canonical denominator is monic): the shift alone
+        return LocalSeries.make(p, shifted, k_max)
+    num = LocalSeries.make(p, shifted, _BIG)
     den = LocalSeries.make(p, dict(enumerate(P.shift(f.den, p))), _BIG)
     m = den.order()  # den = t^m u(t), u(0) != 0
     return (num * den.truncate(max(k_max, -m) + 2 * m).invert()).truncate(k_max)

@@ -11,7 +11,11 @@ bivariate rationals).  Annihilation holds when every merged prefactor class
 carries the zero series.
 
 Everything that tells z from w sits in the one table `_VARS`; every generator
-action, stream and (0,2) piece has one code path for both variables.
+action, stream and (0,2) piece has one code path for both variables.  An
+operator of order at most one in y acts on a class with series s as
+s*m + hbar*d(s), m its value on the class's unit and d a derivation
+(`_first_order`): so act y and y0, and so `apply_inverse` solves the
+inverse of such an operator, by one recurrence per class.
 
 The series coefficients are `Factored`: an integer numerator over a
 constant times powers of the forms of the wave data's one `FormBase`,
@@ -65,6 +69,7 @@ from .operators import (
     RatSubst,
     Scalar,
     Sym,
+    _kids,
     linear_form,
     op_text,
     simplify,
@@ -649,22 +654,41 @@ def _pref_deriv(pref: Prefactor, wave: WaveData, var: str) -> Factored:
 
 def apply_dbar(sym: Symbol, wave: WaveData, var: str) -> Symbol:
     """The generator action: +hbar d/dx + (mult by Y) for the main variable,
-    -hbar d/dx0 + (mult by Y0) for the base variable."""
-    v = _VARS[var]
+    -hbar d/dx0 + (mult by Y0) for the base variable.  On a class (p, s) it
+    is the first-order action of `_first_order` with m = Y + sign*hbar*(d/dx
+    of p's exponent) and the derivation of y alone."""
     y_main, y_tail = wave.y_stream(var)
     if y_main.logs or y_main.const_logs:
         raise WaveError(
             "bare derivative generator needs a rational y; use exponential form"
         )
-    ixp = wave.inv_xprime(var)
     yfull = HSeries({0: wave.lift(var, y_main.rat)}, wave.trunc) + y_tail
+    d = _derivation({var: 1}, wave)
     out: Symbol = {}
     for _k, (p, s) in sym.items():
-        dp = _pref_deriv(p, wave, var)
-        ds = s.map(lambda f: v.deriv(f) * ixp + f * dp)
-        total = ds.shift(1).truncate(wave.trunc).scale(Fraction(v.sign)) + s * yfull
-        sym_insert(out, p, total)
+        m = yfull + HSeries.make({1: _pref_deriv(p, wave, var) * _VARS[var].sign}, wave.trunc)
+        sym_insert(out, p, _first_order(s, m, d, wave.trunc))
     return out
+
+
+def _derivation(b: dict, wave: WaveData) -> Callable[[Factored], Factored] | None:
+    """f -> sum_v b_v sign_v D_v f, D_v = (1/x'(v)) d/dv, for the
+    coefficients b_v of the generators y_v; None when every b_v is 0."""
+    parts = [(_VARS[var].deriv, wave.inv_xprime(var), c * _VARS[var].sign) for var, c in b.items() if c]
+    if not parts:
+        return None
+
+    def d(f: Factored) -> Factored:
+        return wave.base.sum([deriv(f) * ixp * c for deriv, ixp, c in parts])
+
+    return d
+
+
+def _first_order(s: HSeries, m: HSeries, d, trunc: int) -> HSeries:
+    """s*m + hbar*d(s): an operator of order <= 1 in y, sum_v b_v y_v plus
+    multiplications, on a class with series s.  m is its value on the
+    class's unit, d the `_derivation` of the b_v."""
+    return s.map(d).shift(1).truncate(trunc) + s * m
 
 
 def _flow_delta(wave: WaveData, var: str, c: Fraction) -> HSeries:
@@ -744,42 +768,99 @@ def apply_shift(sym: Symbol, c: Fraction, wave: WaveData, var: str = "z") -> Sym
 
 
 def apply_inverse(inner: OpExpr, target: Symbol, wave: WaveData) -> Symbol:
-    """Solve inner * C = target order by order in hbar.
+    """Solve inner * C = target in each prefactor class of the target.
 
     inner must act on the unit as a plain series with a nonzero hbar^0
-    coefficient sigma0.  Within a prefactor class inner acts linearly on
-    the series and does not lower the hbar order, so the solve keeps the
-    residual R = target - inner * C: step k adds c_k = R_k / sigma0 at
-    hbar^k to C and subtracts inner applied to the one term c_k hbar^k
-    from R.  inner thus meets each coefficient of C once, never the
-    growing sum.  R must vanish through hbar^N at the end.
+    coefficient sigma0.  Within a class (p, T) inner acts linearly on the
+    series and does not lower the hbar order, so C_k follows from C_0 ..
+    C_(k-1); C is exact to hbar^n, n the smaller of N and T's truncation.
+    inner is solved in one of three ways:
+
+    - no y in inner: inner multiplies by its value m on the unit, and C is
+      T / m by series division;
+    - inner of order one in y, a scalar plus constant multiples of
+      generators (`linear_form`): on the class it is `_first_order`, C
+      times m_p plus hbar*d(C), with m_p its value on (p, 1), evaluated
+      once per class, so C_k = (T_k - sum_(j>=1) m_(p,j) C_(k-j)
+      - d(C_(k-1))) / sigma0;
+    - any other inner (order two or more in y): the solve keeps the
+      residual R = T - inner * C, step k adds c_k = R_k / sigma0 at hbar^k
+      to C and subtracts inner applied to the one term c_k hbar^k from R,
+      which must vanish through hbar^n at the end.
     """
     N = wave.trunc
-    unit = sym_unit(N)
-    s0_sym = evaluate_operator_on(inner, unit, wave)
+    s0_sym = evaluate_operator_on(inner, sym_unit(N), wave)
     keys = [k for k, (_p, s) in s0_sym.items() if not s.is_zero()]
     if len(keys) != 1 or keys[0] != _PLAIN.key():
         raise WaveError("inverse needs an operator with a plain leading symbol")
     lead_series = s0_sym[keys[0]][1]
     if 0 not in lead_series.coeffs or lead_series.coeffs[0].is_zero():
         raise WaveError("inverse of an operator with vanishing leading coefficient")
-    inv_sigma0 = lead_series.coeffs[0].inverse()
+    lin = linear_form(inner)
+    if lin is not None:
+        b = {_VAR_OF[k]: c for k, c in lin[1].items() if k[:1] == "y"}
+    else:
+        b = None if _has_y(inner) else {}
+    d = _derivation(b, wave) if b else None
     out: Symbol = {}
     for _k, (p, s) in target.items():
-        csol = HSeries({}, N)
-        resid = s
-        for k in range(0, N + 1):
-            rk = resid.coeffs.get(k)
-            if rk is None or rk.is_zero():
-                continue
-            step = HSeries({k: rk * inv_sigma0}, N)
-            csol = csol + step
-            resid = resid - _collect_class(evaluate_operator_on(inner, {p.key(): (p, step)}, wave), p)
-        ok, _w = sym_is_zero({p.key(): (p, resid.truncate(N))})
-        if not ok:
-            raise WaveError("inverse solve failed to converge")
+        n = min(N, s.trunc)
+        if b is None:
+            csol = _solve_by_residual(inner, p, s, lead_series.coeffs[0].inverse(), n, wave)
+        else:
+            m = lead_series
+            if d is not None and p.key() != _PLAIN.key():
+                m = _collect_class(evaluate_operator_on(inner, {p.key(): (p, HSeries({0: _ONE}, N))}, wave), p)
+            csol = _solve_first_order(s, m, d, n, wave.base)
         sym_insert(out, p, csol)
     return out
+
+
+def _has_y(e: OpExpr) -> bool:
+    """Whether a generator y or y0 occurs in e."""
+    if isinstance(e, Gen):
+        return e.kind[:1] == "y"
+    return any(_has_y(c) for c in _kids(e))
+
+
+def _solve_first_order(t: HSeries, m: HSeries, d, n: int, base: FormBase) -> HSeries:
+    """C through hbar^n with `_first_order`(C, m, d) = t, by
+    C_k = (t_k - sum_(j>=1) m_j C_(k-j) - d(C_(k-1))) / m_0; with d None,
+    C = t / m."""
+    inv0 = m.coeffs[0].inverse()
+    higher = sorted((j, v) for j, v in m.coeffs.items() if j > 0)
+    c: dict = {}
+    for k in range(n + 1):
+        terms = [t.coeffs[k]] if k in t.coeffs else []
+        for j, v in higher:
+            if j > k:
+                break
+            if k - j in c:
+                terms.append(-(v * c[k - j]))
+        if d is not None and k - 1 in c:
+            terms.append(-d(c[k - 1]))
+        ck = base.sum(terms) * inv0 if terms else None
+        if ck:
+            c[k] = ck
+    return HSeries(c, n)
+
+
+def _solve_by_residual(inner: OpExpr, p: Prefactor, t: HSeries, inv_sigma0: Factored, n: int, wave: WaveData) -> HSeries:
+    """C through hbar^n with inner * C = t in the class p, one evaluation
+    of inner per hbar order (see `apply_inverse`)."""
+    csol = HSeries({}, n)
+    resid = t
+    for k in range(0, n + 1):
+        rk = resid.coeffs.get(k)
+        if rk is None or rk.is_zero():
+            continue
+        step = HSeries({k: rk * inv_sigma0}, n)
+        csol = csol + step
+        resid = resid - _collect_class(evaluate_operator_on(inner, {p.key(): (p, step)}, wave), p)
+    ok, _w = sym_is_zero({p.key(): (p, resid.truncate(n))})
+    if not ok:
+        raise WaveError("inverse solve failed to converge")
+    return csol
 
 
 def _collect_class(sym: Symbol, pref: Prefactor) -> HSeries:

@@ -370,6 +370,53 @@ class TestPolyGcd:
         assert P.gcd(P.poly([-big, big]), P.poly([-1, 0, 1])) == P.poly([-1, 1])
 
 
+def _series_at_by_composition(f, p, k_max):
+    """`series_at` at a finite point as it read while every expansion took a
+    series product: both parts shifted by `P.compose`, the numerator times
+    the inverse of the denominator."""
+    shift = (F(p), F(1))
+    num = LocalSeries.make(p, dict(enumerate(P.compose(f.num, shift))), 10**9)
+    den = LocalSeries.make(p, dict(enumerate(P.compose(f.den, shift))), 10**9)
+    m = den.order()
+    return (num * den.truncate(max(k_max, -m) + 2 * m).invert()).truncate(k_max)
+
+
+# points a/b with b > 1 as often as not
+_point = st.builds(F, st.integers(-20, 20), st.integers(1, 12))
+
+
+class TestTaylorShift:
+    @_PROPERTY
+    @given(_poly_st(7), _point)
+    def test_shift_matches_composition(self, a, p):
+        got = P.shift(a, p)
+        assert got == P.compose(a, (p, F(1)))
+        assert all(type(v) is F for v in got)
+
+    @_PROPERTY
+    @given(_poly_st(6), _coeff.filter(bool), _point, st.integers(-1, 8))
+    def test_polynomial_expansion_matches_the_product(self, a, c, p, k_max):
+        f = RatFun.make(a, P.poly([c]))
+        got = series_at(f, p, k_max)
+        assert got == _series_at_by_composition(f, p, k_max)
+        assert got.trunc == k_max
+        # at infinity z^i is w^-i
+        assert series_at(f, INF, k_max) == LocalSeries.make(INF, {-i: v / c for i, v in enumerate(a)}, k_max)
+
+    @_PROPERTY
+    @given(_poly_st(4), st.lists(_small, min_size=2, max_size=4).filter(lambda d: any(d[1:])), _point)
+    def test_rational_expansion_matches_the_product(self, a, d, p):
+        f = RatFun.make(a, P.poly(d))
+        assert series_at(f, p, 5) == _series_at_by_composition(f, p, 5)
+
+    def test_random_points(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            a = P.poly([F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, 8))])
+            p = F(rng.randint(-30, 30), rng.randint(1, 15))
+            assert P.shift(a, p) == P.compose(a, (p, F(1)))
+
+
 def _poly2_st(max_deg, coeff=_small):
     keys = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg))
     return st.dictionaries(keys, coeff, max_size=4).map(lambda d: {k: F(v) for k, v in d.items() if v})

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from trq import wave as wave_module
 from trq.algebra import INF, Factored, FormBase, HSeries, LogRat, RatFun, Rf2
 from trq.algebra import poly as P
 from trq.curve import SpectralCurve
 from trq.fixtures import pq_generic_operator
 from trq.operators import (
     Add,
+    CoordMul,
     Exp,
     Gen,
     Inv,
@@ -89,9 +91,19 @@ def store_to_chi3(curve):
     return run_tr(curve(), 3)
 
 
+@functools.cache
+def store_to_chi5(curve):
+    return run_tr(curve(), 5)
+
+
 @pytest.fixture(scope="module")
 def airy_wave():
     return build_wave_data(store_to_chi3(airy_curve), "generic", 4)
+
+
+@pytest.fixture(scope="module")
+def bessel_wave():
+    return build_wave_data(store_to_chi3(bessel_curve), "generic", 4)
 
 
 class TestStreams:
@@ -384,27 +396,75 @@ class TestInverse:
     @pytest.mark.parametrize("inner, target", [
         (sub(Y, Y0), X),
         (Add((Pow(Y, 2), X)), Mul((X, Y))),
-    ], ids=["y-y0", "y^2+x"])
+        (sub(X, X0), Y),
+        (sub(X0, sc(12)), Mul((X, Y))),
+        (Add((CoordMul("z", RatFun.var()), CoordMul("z0", RatFun.var()))), Y),
+        (Pow(X0, 2), Mul((Y, Y0))),
+        (Add((Y, Mul((sc(-1), Y0)), X)), Mul((X, Y))),
+        (sub(Y, Y0), Mul((Exp(X), Y))),
+        (Add((Pow(Y, 2), X)), Mul((Exp(X), Y))),
+    ], ids=["y-y0", "y^2+x", "x-x0", "x0-12", "z+z0", "x0^2", "y-y0+x", "y-y0 on exp(x)", "y^2+x on exp(x)"])
     def test_matches_full_reevaluation(self, airy_wave, inner, target):
         # the solve that evaluates inner on the whole solution at every order
-        N = airy_wave.trunc
-        (_p, lead), = evaluate_operator_on(inner, sym_unit(N), airy_wave).values()
-        sigma0 = lead.coeffs[0]
-        tgt = evaluate_operator(target, airy_wave)
-        want = {}
-        for key, (p, s) in tgt.items():
-            csol = HSeries({}, N)
-            for k in range(N + 1):
-                applied = evaluate_operator_on(inner, {key: (p, csol)}, airy_wave)
-                rk = (s - applied[key][1]).coeffs.get(k)
-                if rk:
-                    csol = csol + HSeries({k: rk / sigma0}, N)
-            want[key] = csol
-        got = apply_inverse(inner, tgt, airy_wave)
-        assert sorted(got) == sorted(want)
-        for key, (_p, s) in got.items():
-            assert s == want[key]
-            assert len(s.coeffs) >= 3  # several hbar orders
+        _assert_matches_full_reevaluation(airy_wave, inner, target)
+
+    @pytest.mark.parametrize("inner, target", [
+        (sub(Y, Y0), X),
+        (sub(X, X0), Y),
+        (Add((Y, Mul((sc(-1), Y0)), X)), Mul((Exp(X), Y))),
+    ], ids=["y-y0", "x-x0", "y-y0+x on exp(x)"])
+    def test_matches_full_reevaluation_on_bessel(self, bessel_wave, inner, target):
+        _assert_matches_full_reevaluation(bessel_wave, inner, target)
+
+    @pytest.mark.parametrize("inner", [sub(X, X0), sub(Y, Y0), Add((Pow(Y, 2), X))], ids=["x-x0", "y-y0", "y^2+x"])
+    def test_solution_is_exact_only_as_far_as_the_target(self, airy_wave, inner):
+        # a target known to hbar^1 gives a solution known to hbar^1, not hbar^N
+        (key, (p, _s)), = sym_unit(airy_wave.trunc).items()
+        target = {key: (p, HSeries({0: Factored.const(1), 1: Factored.const(1)}, 1))}
+        (_p, s), = apply_inverse(inner, target, airy_wave).values()
+        assert s.trunc == 1
+        (_p, back), = evaluate_operator_on(inner, {key: (p, s)}, airy_wave).values()
+        assert back.truncate(1) == target[key][1]
+
+    @pytest.mark.parametrize("order", [3, 6])
+    def test_inner_of_order_one_is_evaluated_once_per_class(self, monkeypatch, order):
+        # once on the unit, once on the unit of each class but the plain one,
+        # however many hbar orders are solved
+        wave = build_wave_data(store_to_chi5(airy_curve), "generic", order)
+        inner = sub(Y, Y0)
+        target = evaluate_operator(Add((Y, Mul((Exp(X), Y)))), wave)
+        assert len(target) == 2
+        calls = []
+        evaluate = wave_module.evaluate_operator_on
+
+        def counted(op, sym, wd):
+            calls.append(op == inner)
+            return evaluate(op, sym, wd)
+
+        monkeypatch.setattr(wave_module, "evaluate_operator_on", counted)
+        apply_inverse(inner, target, wave)
+        assert 0 < sum(calls) <= 2 * len(target)
+
+
+def _assert_matches_full_reevaluation(wave, inner, target):
+    N = wave.trunc
+    (_p, lead), = evaluate_operator_on(inner, sym_unit(N), wave).values()
+    sigma0 = lead.coeffs[0]
+    tgt = evaluate_operator(target, wave)
+    want = {}
+    for key, (p, s) in tgt.items():
+        csol = HSeries({}, N)
+        for k in range(N + 1):
+            applied = evaluate_operator_on(inner, {key: (p, csol)}, wave)
+            rk = (s - applied[key][1]).coeffs.get(k)
+            if rk:
+                csol = csol + HSeries({k: rk / sigma0}, N)
+        want[key] = csol
+    got = apply_inverse(inner, tgt, wave)
+    assert sorted(got) == sorted(want)
+    for key, (_p, s) in got.items():
+        assert s == want[key]
+        assert len(s.coeffs) >= 3  # several hbar orders
 
 
 class TestShift:
