@@ -127,12 +127,19 @@ def airy_fraction_operator() -> OpExpr:
     ))
 
 
+_DRESSED_Y = sub(Y, Mul((hb(), Inv(sub(X, X0)))))
+_DRESSED_X = sub(X, Mul((hb(), Inv(sub(Y, Y0)))))
+
+
 def dressed_y() -> OpExpr:
-    return sub(Y, Mul((hb(), Inv(sub(X, X0)))))
+    """y - hbar/(x - x0), one shared immutable operator, as X and Y are:
+    what simplify and expand keep on it serves every later call."""
+    return _DRESSED_Y
 
 
 def dressed_x() -> OpExpr:
-    return sub(X, Mul((hb(), Inv(sub(Y, Y0)))))
+    """x - hbar/(y - y0), one shared immutable operator, as X and Y are."""
+    return _DRESSED_X
 
 
 def pq_generic_operator(p: P.Poly, q: P.Poly) -> OpExpr:

@@ -55,7 +55,24 @@ repr):
   reads each core's text;
 - `_split`: set by `_split_coeff` on a product with a scalar in front, to
   (coefficient, core), so a term that meets many sums gives one core
-  object, whose hash and text are computed once.
+  object, whose hash and text are computed once;
+- `_termlist`: set by `_terms` on a canonical sum, power, inverse,
+  exponential or RatSubst, to its products of atoms, so a factor or base
+  that `expand` meets again is multiplied out once (a product is rarely
+  met twice and keeps none);
+- `_powers`: set by `_pow` on a canonical base c, to {k: c^k} for k >= 2,
+  so the powers that merging factors and splitting rational functions ask
+  for, and their expansions, are built once (inverses are rarely asked for
+  twice and are not kept).
+These serve a later call only where it meets the same object, so equal
+pieces that rewrites build are made one object: `xy_dual_rewrite` puts the
+one image of each (kind, side) from a table built at import in every place
+of that generator, `shear_rewrite` builds its image of each generator once
+per call, `_map_gens` returns a node whose children did not change itself,
+and the dressed operators of `trq.fixtures` are module constants, as X and
+Y are.  The forms, expansions, texts and term lists found for one (p, q)
+pair then serve the next.  Nodes are not interned as a whole: a table of
+every node built costs more than it saves.
 Within one call `simplify` also keeps a memo from each node it has rebuilt
 to the result, so structurally equal but distinct subtrees, which a literal
 rewrite puts in many places, are rebuilt once.
@@ -307,6 +324,8 @@ class OpExpr:
     _canon = False  # True on every node that simplify returns
     _form = None   # the node's canonical form, once simplify has been given it
     _expanded = None  # the node's expanded form, once expand has been given it
+    _termlist = None  # a canonical node's products of atoms, set by _terms
+    _powers = None  # {k: c^k}, k >= 2, of a canonical node c, set by _pow
     _text = None   # set by op_text on first use
     _split = None  # (coefficient, core) of a scalar-led product, set by _split_coeff
 
@@ -619,11 +638,27 @@ def _pow_node(base: OpExpr, k: int) -> OpExpr:
 
 
 def _pow(c: OpExpr, k: int) -> OpExpr:
-    """c^k for canonical c and any integer k; negative powers are inverses."""
+    """c^k for canonical c and any integer k; negative powers are inverses.
+    A positive power is kept on c; an inverse, rarely asked for twice, is
+    not."""
     if k == 0:
-        return sc(1)
+        return _ONE
     if k == 1:
         return c
+    if k < 0:
+        return _pow_of(c, k)
+    powers = c._powers
+    if powers is None:
+        powers = {}
+        object.__setattr__(c, "_powers", powers)
+    out = powers.get(k)
+    if out is None:
+        out = powers[k] = _pow_of(c, k)
+    return out
+
+
+def _pow_of(c: OpExpr, k: int) -> OpExpr:
+    """c^k for canonical c and k other than 0 and 1, by the kind of c."""
     if isinstance(c, Scalar):
         v = c.value
         if k < 0 and v.is_zero():
@@ -868,12 +903,25 @@ def expand(e: OpExpr) -> OpExpr:
     return out
 
 
-def _terms(e: OpExpr) -> list:
-    """A canonical e as a list of canonical products of atoms."""
+def _terms(e: OpExpr) -> tuple:
+    """A canonical e as canonical products of atoms.  A sum, a power, an
+    inverse, an exponential or a RatSubst keeps them; a product, which
+    rewrites rarely meet twice, multiplies out its factors' kept terms."""
+    if isinstance(e, Mul):
+        return tuple(_products([_terms(c) for c in e.children]))
+    if isinstance(e, (Scalar, Gen, CoordMul)):
+        return (e,)
+    out = e._termlist
+    if out is None:
+        out = tuple(_terms_of(e))
+        object.__setattr__(e, "_termlist", out)
+    return out
+
+
+def _terms_of(e: OpExpr) -> list:
+    """The terms of a canonical node that keeps them."""
     if isinstance(e, Add):
         return [t for c in e.children for t in _terms(c)]
-    if isinstance(e, Mul):
-        return _products([_terms(c) for c in e.children])
     if isinstance(e, Pow):
         base = _add(_terms(e.child))
         if isinstance(base, (Add, Mul)):
@@ -886,7 +934,7 @@ def _terms(e: OpExpr) -> list:
     if isinstance(e, RatSubst):
         base = _add(_terms(e.child))
         return [t for p in _split_ratfun(RatFun(e.num, e.den), base) for t in _checked(p)]
-    return [e]
+    raise TypeError(type(e))
 
 
 def _products(factor_terms: list) -> list:
@@ -896,15 +944,15 @@ def _products(factor_terms: list) -> list:
     return out
 
 
-def _checked(t: OpExpr) -> list:
-    """[t] when t is a product of atoms, else its terms; merging adjacent
+def _checked(t: OpExpr) -> tuple:
+    """(t,) when t is a product of atoms, else its terms; merging adjacent
     atoms can make a polynomial part or a sum (t^2/(t+1) times 1/t)."""
     if isinstance(t, Mul):
         factors = t.children[1:] if isinstance(t.children[0], Scalar) else t.children
         if all(_is_atom(f) for f in factors):
-            return [t]
+            return (t,)
     elif isinstance(t, Scalar) or _is_atom(t):
-        return [t]
+        return (t,)
     return _terms(t)
 
 
@@ -940,49 +988,61 @@ def linear_form(e: OpExpr):
 
 
 def _map_gens(e: OpExpr, table) -> OpExpr:
-    """e with every generator g replaced by table(g)."""
+    """e with every generator g replaced by table(g); a node none of whose
+    children changed is returned itself, with what is kept on it."""
     if isinstance(e, Gen):
         return table(e)
     if isinstance(e, CoordMul):
         raise OperatorError("cannot rewrite a coordinate multiplier; eliminate it first")
-    return _rebuild(e, [_map_gens(c, table) for c in _kids(e)])
+    kids = _kids(e)
+    new = [_map_gens(c, table) for c in kids]
+    if all(a is b for a, b in zip(new, kids)):
+        return e
+    return _rebuild(e, new)
 
 
 _DUAL_SIDE = {"": "dual", "dual": "", "dagger": "dagger-dual", "dagger-dual": "dagger"}
+
+
+def _dual_images(s: str) -> dict:
+    """The x-y dual image of each generator kind whose image lies on side s."""
+    x, y, x0, y0 = Gen("x", s), Gen("y", s), Gen("x0", s), Gen("y0", s)
+    hdx = Mul((hb(), Inv(sub(x, x0))))
+    hdy = Mul((hb(), Inv(sub(y, y0))))
+    return {"x": sub(y0, hdx), "y": sub(x0, hdy), "x0": sub(y, hdx), "y0": sub(x, hdy)}
+
+
+# (kind, side) -> image: one object per generator, so that every rewrite
+# puts the same image in its place (see the module docstring)
+_DUAL_IMAGES = {
+    (kind, side): image for side, s in _DUAL_SIDE.items() for kind, image in _dual_images(s).items()
+}
 
 
 def xy_dual_rewrite(e: OpExpr) -> OpExpr:
     """Literal substitution sending each generator to its x-y dual expression."""
 
     def table(g: Gen) -> OpExpr:
-        s = _DUAL_SIDE[g.side]
-        x, y, x0, y0 = Gen("x", s), Gen("y", s), Gen("x0", s), Gen("y0", s)
-        dx = Inv(sub(x, x0))
-        dy = Inv(sub(y, y0))
-        if g.kind == "x":
-            return sub(y0, Mul((hb(), dx)))
-        if g.kind == "y":
-            return sub(x0, Mul((hb(), dy)))
-        if g.kind == "x0":
-            return sub(y, Mul((hb(), dx)))
-        if g.kind == "y0":
-            return sub(x, Mul((hb(), dy)))
-        raise OperatorError(g.kind)
+        image = _DUAL_IMAGES.get((g.kind, g.side))
+        if image is None:
+            raise OperatorError(g.kind)
+        return image
 
     return _map_gens(e, table)
 
 
 def shear_rewrite(e: OpExpr, R: RatFun, side: str | None = None) -> OpExpr:
     """y -> y - R(x), y0 -> y0 - R(x0); literal replacement."""
+    images: dict = {}
 
     def table(g: Gen) -> OpExpr:
-        if side is not None and g.side != side:
+        if (side is not None and g.side != side) or g.kind not in ("y", "y0"):
             return g
-        if g.kind == "y":
-            return sub(g, RatSubst(R.num, R.den, Gen("x", g.side)))
-        if g.kind == "y0":
-            return sub(g, RatSubst(R.num, R.den, Gen("x0", g.side)))
-        return g
+        image = images.get(g)
+        if image is None:
+            x = Gen("x" if g.kind == "y" else "x0", g.side)
+            image = images[g] = sub(g, RatSubst(R.num, R.den, x))
+        return image
 
     return _map_gens(e, table)
 

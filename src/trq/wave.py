@@ -305,6 +305,24 @@ class WaveData:
             self._dx_cache[key] = self.xprime(var).inverse()
         return self._dx_cache[key]
 
+    def x_lifted(self, var: str) -> Factored:
+        """x, a rational function of `var`, over the form base."""
+        key = ("x", var)
+        if key not in self._dx_cache:
+            self._dx_cache[key] = self.lift(var, self.x[var].rat)
+        return self._dx_cache[key]
+
+    def y_full(self, var: str) -> HSeries:
+        """The Y stream of `var` as one series: a rational y over the form
+        base plus its tail."""
+        key = ("Y", var)
+        if key not in self._dx_cache:
+            y_main, y_tail = self.y_stream(var)
+            if y_main.logs or y_main.const_logs:
+                raise WaveError("bare derivative generator needs a rational y; use exponential form")
+            self._dx_cache[key] = HSeries({0: self.lift(var, y_main.rat)}, self.trunc) + y_tail
+        return self._dx_cache[key]
+
     def y_stream(self, var: str) -> tuple[LogRat, HSeries]:
         if var not in self.y:
             raise WaveError(f"no stream of the variable {var} in this wave data")
@@ -657,12 +675,7 @@ def apply_dbar(sym: Symbol, wave: WaveData, var: str) -> Symbol:
     -hbar d/dx0 + (mult by Y0) for the base variable.  On a class (p, s) it
     is the first-order action of `_first_order` with m = Y + sign*hbar*(d/dx
     of p's exponent) and the derivation of y alone."""
-    y_main, y_tail = wave.y_stream(var)
-    if y_main.logs or y_main.const_logs:
-        raise WaveError(
-            "bare derivative generator needs a rational y; use exponential form"
-        )
-    yfull = HSeries({0: wave.lift(var, y_main.rat)}, wave.trunc) + y_tail
+    yfull = wave.y_full(var)
     d = _derivation({var: 1}, wave)
     out: Symbol = {}
     for _k, (p, s) in sym.items():
@@ -895,7 +908,7 @@ def evaluate_operator_on(op: OpExpr, sym: Symbol, wave: WaveData) -> Symbol:
             raise WaveError(f"no {op.kind} in this wave data")
         if x.has_logs():
             raise WaveError(f"multiplication by a logarithmic {op.kind} is not a symbol; use exp form")
-        return sym_scale_by(sym, wave.lift(var, x.rat))
+        return sym_scale_by(sym, wave.x_lifted(var))
     if isinstance(op, CoordMul):
         return sym_scale_by(sym, wave.lift(_VAR_OF[op.var], op.fn))
     if isinstance(op, Add):

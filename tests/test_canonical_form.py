@@ -7,10 +7,11 @@ ways that share no code with `simplify`/`expand`:
 
 Trees that reuse one subtree object are checked against a copy that shares
 no node, because `simplify` rebuilds each distinct subtree once and nodes
-cache their hashes.  A node keeps what `simplify`, `op_text` and
-`_split_coeff` found for it (`_canon`, `_form`, `_text`, `_split`), so
-`simplify` returns a canonical node itself; the fixed-point properties
-therefore re-simplify a rebuilt copy (`fresh`), whose nodes keep nothing.
+cache their hashes.  A node keeps what `simplify`, `expand`, `op_text`,
+`_split_coeff`, `_terms` and `_pow` found for it (`_canon`, `_form`,
+`_expanded`, `_text`, `_split`, `_termlist`, `_powers`), so `simplify`
+returns a canonical node itself; the fixed-point properties therefore
+re-simplify a rebuilt copy (`fresh`), whose nodes keep nothing.
 """
 
 from dataclasses import FrozenInstanceError, fields
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trq import operators
+from trq import fixtures, operators
 from trq.algebra import RatFun
 from trq.operators import (
     X0,
@@ -376,6 +377,35 @@ class TestWorkKeptOnNodes:
             assert again[0] is c and again[1] is core
             assert operators._term(c, core) == t
             assert (c, core) == operators._split_coeff(fresh(t))
+
+    @_PROPERTY
+    @given(_rich_tree, _rich_tree)
+    def test_kept_terms_and_powers_give_the_expansion_of_a_fresh_copy(self, t, u):
+        s = _simplified(u)
+        if s is None:
+            return
+        # an earlier tree leaves term lists and powers on s and its subtrees
+        if not isinstance(outcome(expand, s), type) and isinstance(s, (Add, Pow, Inv, Exp, RatSubst)):
+            assert s._termlist is not None
+        outcome(expand, Mul((Pow(s, 2), t, Inv(s))))
+        e = plug(Add((t, Mul((X, Pow(X, 3))))), s)
+        assert outcome(expand, e) == outcome(expand, fresh(e))
+
+    @_PROPERTY
+    @given(_rich_tree)
+    def test_a_power_is_kept_on_its_base(self, e):
+        c = _simplified(e)
+        if c is None:
+            return
+        for k in range(-3, 4):
+            got = outcome(lambda b: operators._pow(b, k), c)
+            assert got == outcome(lambda b: operators._pow(b, k), fresh(c))
+            if k >= 0 and not isinstance(got, type):  # inverses are not kept
+                assert operators._pow(c, k) is got[0]
+
+    def test_dressed_operators_are_shared(self):
+        assert fixtures.dressed_y() is fixtures.dressed_y()
+        assert fixtures.dressed_x() is fixtures.dressed_x()
 
     @_PROPERTY
     @given(_hashed_tree)

@@ -109,6 +109,48 @@ class TestXYDual:
         assert op_text(emitted) == op_text(expect)
 
 
+def _old_dual_image(g: Gen):
+    """The x-y dual image of g, built afresh for every occurrence."""
+    s = {"": "dual", "dual": "", "dagger": "dagger-dual", "dagger-dual": "dagger"}[g.side]
+    x, y, x0, y0 = Gen("x", s), Gen("y", s), Gen("x0", s), Gen("y0", s)
+    dx = Inv(sub(x, x0))
+    dy = Inv(sub(y, y0))
+    return {
+        "x": sub(y0, Mul((hb(), dx))),
+        "y": sub(x0, Mul((hb(), dy))),
+        "x0": sub(y, Mul((hb(), dx))),
+        "y0": sub(x, Mul((hb(), dy))),
+    }[g.kind]
+
+
+class TestSharedImages:
+    @pytest.mark.parametrize("side", ["", "dual", "dagger", "dagger-dual"])
+    @pytest.mark.parametrize("kind", ["x", "y", "x0", "y0"])
+    def test_dual_image_equals_the_per_occurrence_image(self, kind, side):
+        g = Gen(kind, side)
+        assert xy_dual_rewrite(g) == _old_dual_image(g)
+
+    def test_two_rewrites_put_the_same_image_object(self):
+        a = xy_dual_rewrite(Mul((X, Y)))
+        b = xy_dual_rewrite(Add((Y0, X)))
+        assert a.children[0] is b.children[1]
+        assert a.children[1] is not b.children[0]
+        assert a.children[1] is xy_dual_rewrite(Y)
+
+    def test_shear_builds_one_image_per_generator_in_a_call(self):
+        out = shear_rewrite(Mul((Y, X, Y, Y0)), RatFun.var())
+        assert out.children[0] is out.children[2]
+        assert out.children[0] == sub(Y, RatSubst(P.poly([0, 1]), P.ONE, X))
+
+    def test_shear_of_another_side_returns_the_operator_itself(self):
+        e = sub(Pow(Y, 2), Mul((X, Inv(sub(Y, Y0)))))
+        assert shear_rewrite(e, RatFun.var(), side="dual") is e
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(OperatorError):
+            xy_dual_rewrite(Add((X, Gen("z"))))
+
+
 class TestShear:
     def test_trivial(self):
         e = sub(Pow(Y, 2), X)
