@@ -24,7 +24,7 @@ fixed point: simplify(simplify(e)) == simplify(e) as nodes.  Its rules:
   moves into the enclosing scalar (raised to k for a power, composed into
   R for a RatSubst).  So 1/(12 - y) is -1/(y - 12), and (1 - y)^3 is
   -(y - 1)^3.  A scalar times a single sum is that sum, scaled term by
-  term.
+  term once, with no division by its leading coefficient.
 - A product is flat, with at most one scalar, first; adjacent factors
   that are functions of one base are merged (y^2 * 1/y is y).
 - Powers and inverses of scalars, coordinate multipliers and function
@@ -53,9 +53,10 @@ repr):
   expanding the same object again costs one read;
 - `_text`: set by `op_text` on first use, so sorting the terms of a sum
   reads each core's text;
-- `_split`: set by `_split_coeff` on a product with a scalar in front, to
-  (coefficient, core), so a term that meets many sums gives one core
-  object, whose hash and text are computed once;
+- `_split`: set on a product with a scalar in front, to (coefficient,
+  core), by `_term` when it builds the product and by `_split_coeff` on
+  any other, so a term that meets many sums gives one core object, the one
+  it was built from, whose hash and text are computed once;
 - `_termlist`: set by `_terms` on a canonical sum, power, inverse,
   exponential or RatSubst, to its products of atoms, so a factor or base
   that `expand` meets again is multiplied out once (a product is rarely
@@ -67,12 +68,13 @@ repr):
 These serve a later call only where it meets the same object, so equal
 pieces that rewrites build are made one object: `xy_dual_rewrite` puts the
 one image of each (kind, side) from a table built at import in every place
-of that generator, `shear_rewrite` builds its image of each generator once
-per call, `_map_gens` returns a node whose children did not change itself,
-and the dressed operators of `trq.fixtures` are module constants, as X and
-Y are.  The forms, expansions, texts and term lists found for one (p, q)
-pair then serve the next.  Nodes are not interned as a whole: a table of
-every node built costs more than it saves.
+of that generator, `_map_gens` (under every rewrite) walks each object,
+generators included, once per call, so an image is as shared as its input,
+and returns a node whose children did not change itself, and the dressed
+operators of `trq.fixtures` are module constants, as X and Y are.  The
+forms, expansions, texts and term lists found for one (p, q) pair then
+serve the next.  Nodes are not interned as a whole: a table of every node
+built costs more than it saves.
 Within one call `simplify` also keeps a memo from each node it has rebuilt
 to the result, so structurally equal but distinct subtrees, which a literal
 rewrite puts in many places, are rebuilt once.
@@ -571,14 +573,15 @@ def _split_coeff(e: OpExpr) -> tuple[Sym, OpExpr]:
 
 
 def _term(coeff: Sym, core: OpExpr) -> OpExpr:
-    """coeff * core as a canonical term, for a core that is not a sum."""
+    """coeff * core as a canonical term, for a core that is not a sum; a
+    product keeps (coeff, core) as its split."""
     if isinstance(core, Scalar) and core.value.unit:
         return Scalar(coeff)
     if coeff.unit:
         return core
-    if isinstance(core, Mul):
-        return Mul((Scalar(coeff),) + core.children)
-    return Mul((Scalar(coeff), core))
+    out = Mul(((Scalar(coeff),) + core.children) if isinstance(core, Mul) else (Scalar(coeff), core))
+    object.__setattr__(out, "_split", (coeff, core))
+    return out
 
 
 def _scale(c: Sym, e: OpExpr) -> OpExpr:
@@ -752,7 +755,9 @@ def _mul(factors: list) -> OpExpr:
     factor divided by its leading rational coefficient (which joins the
     scalar, with the sign), and adjacent
     functions of one base merged until no neighbours merge.  A scalar
-    times a single sum is that sum, scaled term by term.
+    times a single sum is that sum, scaled term by term in one walk: the
+    same terms, cores and order as dividing it by its leading coefficient
+    and scaling back.
     """
     coeff = ONE
     out: list = []
@@ -766,6 +771,10 @@ def _mul(factors: list) -> OpExpr:
             coeff = coeff * g.value
             continue
         if isinstance(g, Add):
+            if not out and all(isinstance(f, Scalar) for f in todo):
+                for f in todo:
+                    coeff = coeff * f.value
+                return _scale(coeff, g)
             lead, g = _primitive(g)
             if lead != 1:
                 coeff = coeff.scale(lead)
@@ -857,7 +866,12 @@ def _merge_function_groups(coeffs: dict, push) -> None:
 def _group_total(parts: list) -> RatFun:
     """The sum of c * R over (R, c) in parts, reduced once: numerators over
     one denominator are added, and the distinct denominators are put over
-    their product."""
+    their product.  One part is c * R as it stands: the R of a canonical
+    RatSubst or power is reduced with a monic denominator, so no gcd is
+    taken."""
+    if len(parts) == 1:
+        (r, c), = parts
+        return RatFun(P.scale(r.num, c), r.den)
     nums: dict = {}
     for r, c in parts:
         nums[r.den] = P.add(nums.get(r.den, P.ZERO), P.scale(r.num, c))
@@ -987,18 +1001,25 @@ def linear_form(e: OpExpr):
 # duality rewrites
 
 
-def _map_gens(e: OpExpr, table) -> OpExpr:
+def _map_gens(e: OpExpr, table, seen: dict | None = None) -> OpExpr:
     """e with every generator g replaced by table(g); a node none of whose
-    children changed is returned itself, with what is kept on it."""
-    if isinstance(e, Gen):
-        return table(e)
-    if isinstance(e, CoordMul):
-        raise OperatorError("cannot rewrite a coordinate multiplier; eliminate it first")
-    kids = _kids(e)
-    new = [_map_gens(c, table) for c in kids]
-    if all(a is b for a, b in zip(new, kids)):
-        return e
-    return _rebuild(e, new)
+    children changed is returned itself, with what is kept on it.  seen maps
+    the id of each object walked in this call to its image, so a shared
+    object is walked once and its image stays shared."""
+    if seen is None:
+        seen = {}
+    out = seen.get(id(e))
+    if out is None:
+        if isinstance(e, Gen):
+            out = table(e)
+        elif isinstance(e, CoordMul):
+            raise OperatorError("cannot rewrite a coordinate multiplier; eliminate it first")
+        else:
+            kids = _kids(e)
+            new = [_map_gens(c, table, seen) for c in kids]
+            out = e if all(a is b for a, b in zip(new, kids)) else _rebuild(e, new)
+        seen[id(e)] = out
+    return out
 
 
 _DUAL_SIDE = {"": "dual", "dual": "", "dagger": "dagger-dual", "dagger-dual": "dagger"}
@@ -1033,16 +1054,11 @@ def xy_dual_rewrite(e: OpExpr) -> OpExpr:
 
 def shear_rewrite(e: OpExpr, R: RatFun, side: str | None = None) -> OpExpr:
     """y -> y - R(x), y0 -> y0 - R(x0); literal replacement."""
-    images: dict = {}
 
     def table(g: Gen) -> OpExpr:
         if (side is not None and g.side != side) or g.kind not in ("y", "y0"):
             return g
-        image = images.get(g)
-        if image is None:
-            x = Gen("x" if g.kind == "y" else "x0", g.side)
-            image = images[g] = sub(g, RatSubst(R.num, R.den, x))
-        return image
+        return sub(g, RatSubst(R.num, R.den, Gen("x" if g.kind == "y" else "x0", g.side)))
 
     return _map_gens(e, table)
 

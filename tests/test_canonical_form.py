@@ -8,7 +8,7 @@ ways that share no code with `simplify`/`expand`:
 Trees that reuse one subtree object are checked against a copy that shares
 no node, because `simplify` rebuilds each distinct subtree once and nodes
 cache their hashes.  A node keeps what `simplify`, `expand`, `op_text`,
-`_split_coeff`, `_terms` and `_pow` found for it (`_canon`, `_form`,
+`_term`, `_split_coeff`, `_terms` and `_pow` found for it (`_canon`, `_form`,
 `_expanded`, `_text`, `_split`, `_termlist`, `_powers`), so `simplify`
 returns a canonical node itself; the fixed-point properties therefore
 re-simplify a rebuilt copy (`fresh`), whose nodes keep nothing.
@@ -45,8 +45,11 @@ from trq.operators import (
     hb,
     op_text,
     sc,
+    shear_rewrite,
     simplify,
     sub,
+    sympl_dual_rewrite,
+    xy_dual_rewrite,
 )
 
 _PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -216,6 +219,24 @@ _hashed_tree = st.recursive(
     st.one_of(st.sampled_from((X, Y, X0, Y0, _COORD)), _scalar_st()), _extend_rich, max_leaves=7
 )
 
+# the rewrites that substitute generators, with an improper R for the shear
+_R = RatFun.make((F(1), F(0), F(1)), (F(1), F(1)))
+_REWRITES = {
+    "xy_dual": xy_dual_rewrite,
+    "shear": lambda e: shear_rewrite(e, _R),
+    "sympl_dual": lambda e: sympl_dual_rewrite(e, _R),
+}
+
+
+def images(e, out, acc: dict) -> dict:
+    """acc with id(n) -> the ids of the images of n, for every node n of e,
+    walking e and its rewrite out in step down to the generators."""
+    acc.setdefault(id(e), set()).add(id(out))
+    if not isinstance(e, Gen):
+        for a, b in zip(operators._kids(e), operators._kids(out)):
+            images(a, b, acc)
+    return acc
+
 
 class TestCanonicalForm:
     @_PROPERTY
@@ -278,6 +299,17 @@ class TestSharingAndHashing:
         assert len(copy_ids) == len(ids) and not copy_ids & set(ids)
         assert outcome(simplify, e) == outcome(simplify, copy)
         assert outcome(expand, e) == outcome(expand, copy)
+
+    @pytest.mark.parametrize("name", list(_REWRITES))
+    @_PROPERTY
+    @given(_shared_tree)
+    def test_a_rewrite_gives_a_shared_object_one_image(self, name, e):
+        rewrite = _REWRITES[name]
+        ids = [id(n) for n in nodes(e)]
+        assert len(set(ids)) < len(ids)
+        out = rewrite(e)
+        assert all(len(v) == 1 for v in images(e, out, {}).values())
+        assert outcome(simplify, out) == outcome(simplify, rewrite(fresh(e)))
 
     @_PROPERTY
     @given(_hashed_tree)
@@ -564,6 +596,30 @@ class TestFunctionGroups:
         e = simplify(Add((Pow(Y, 2), RatSubst((F(1), F(0), F(1)), (F(1), F(1)), Y))))
         assert e == Add((Y, Pow(Y, 2), Mul((sc(2), RatSubst((F(1),), (F(1), F(1)), Y))), sc(-1)))
 
+    @_PROPERTY
+    @given(_rich_tree)
+    def test_canonical_ratsubst_is_reduced_with_a_monic_denominator(self, e):
+        # what lets a one-member group take its total without a gcd
+        s = _simplified(e)
+        if s is None:
+            return
+        expanded = outcome(expand, s)
+        forms = [s] if isinstance(expanded, type) else [s, expanded[0]]
+        for n in (n for form in forms for n in nodes(form)):
+            if isinstance(n, RatSubst):
+                assert RatFun.make(n.num, n.den) == RatFun(n.num, n.den)
+
+    def test_one_member_group_of_a_scaled_improper_ratsubst(self, monkeypatch):
+        # 3/2 (t^2 + 1)/(t + 1) = 3/2 t - 3/2 + 3/(t + 1) at t = y
+        sizes = []
+        total = operators._group_total
+        monkeypatch.setattr(operators, "_group_total", lambda parts: sizes.append(len(parts)) or total(parts))
+        e = Add((Mul((sc(F(3, 2)), RatSubst((F(1), F(0), F(1)), (F(1), F(1)), Y))), X))
+        want = "(add (gen x) (mul (scalar 3/2) (gen y)) (mul (scalar 3) (ratsubst 1 | 1 + t (gen y))) (scalar -3/2))"
+        assert op_text(simplify(e)) == want
+        assert sizes == [1]
+        assert op_text(expand(fresh(e))) == want
+
     def test_two_ratsubst_members_of_one_base_merge(self):
         # 1/(y + 1) + 1/(y + 2) = (2y + 3)/(y^2 + 3y + 2)
         e = simplify(Add((X, RatSubst((F(1),), (F(1), F(1)), Y), RatSubst((F(1),), (F(2), F(1)), Y))))
@@ -590,6 +646,23 @@ class TestSignsInFactorPosition:
     def test_scalar_times_product_is_one_product(self):
         e = simplify(Mul((sc(3), Mul((sc(2), X, Y)))))
         assert e == Mul((sc(6), X, Y))
+
+    @_PROPERTY
+    @given(
+        st.one_of(_tree, _rich_tree),
+        st.one_of(st.sampled_from((Sym(), Sym.const(1), Sym.hbar(-1))), _scalar_st().map(lambda s: s.value)),
+        st.sampled_from((1, -1, F(3, 2), F(-2, 3))),
+    )
+    def test_scalar_times_a_lone_sum_is_its_primitive_scaled_back(self, e, c, k):
+        s = _simplified(e)
+        if s is None:
+            return
+        # every canonical sum in s, scaled so that its first coefficient is k times its own
+        for t in (operators._scale(Sym.const(k), n) for n in nodes(s) if isinstance(n, Add)):
+            lead, prim = operators._primitive(t)
+            want = op_text(operators._scale(c.scale(lead), prim))
+            assert op_text(operators._mul([Scalar(c), t])) == want
+            assert op_text(operators._mul([t, Scalar(c)])) == want
 
     def test_hbar_over_sum_cancels_across_orientations(self):
         d = Mul((hb(), Inv(sub(Y, Gen("y0")))))

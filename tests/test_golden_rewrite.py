@@ -16,12 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from trq import fixtures
+from trq import fixtures, operators
 from trq.algebra import RatFun
 from trq.algebra import poly as P
 from trq.operators import (
     Add,
     Mul,
+    RatSubst,
     X,
     X0,
     Y,
@@ -117,6 +118,21 @@ def test_singular_limits_match_the_recorded_texts(golden, r):
     first = {name: _texts(e) for name, e in ops.items()}
     again = {name: _texts(e) for name, e in ops.items()}
     assert first == again == golden["limits"][f"r={r}"]
+
+
+def test_every_recorded_ratsubst_is_reduced_with_a_monic_denominator():
+    # what lets a one-member function group take its total without a gcd
+    ops = [e for p, q in PAIRS for e in pair_operators(P.poly(p), P.poly(q)).values()]
+    ops += [e for r in (3, 4) for e in limit_operators(r).values()]
+    todo = [form for e in ops for form in (simplify(e), expand(e))]
+    found = 0
+    while todo:
+        n = todo.pop()
+        todo.extend(operators._kids(n))
+        if isinstance(n, RatSubst):
+            found += 1
+            assert RatFun.make(n.num, n.den) == RatFun(n.num, n.den), op_text(n)
+    assert found
 
 
 if __name__ == "__main__":
