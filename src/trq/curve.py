@@ -10,7 +10,7 @@ with the logarithms of x expanded through `log1p`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -28,11 +28,12 @@ class SpectralCurve:
     name: str
     x: LogRat
     y: LogRat
-    params: dict = field(default_factory=dict)
+    # the branch points to run on, in place of the zeros of dx in Q: (a, ...)
     declared_ram: tuple | None = None
-    declared_vital: tuple | None = None   # ((a, alpha), ...)
-    special_set: tuple | None = None      # Gen-TR choice of P; None = classical
-    gen_tr: bool = False
+    # the special set P of Gen-TR: None is classical TR (the branch points
+    # and the vital points of dy), () the empty set, under which every
+    # stable omega vanishes; run_tr refuses any other set
+    special_set: tuple | None = None
 
     def __post_init__(self):
         if self.dx.is_zero():
@@ -82,7 +83,9 @@ class SpectralCurve:
     def hash_key(self) -> str:
         import hashlib
 
-        text = f"{self.x}|{self.y}|{sorted(self.params.items())}|{self.special_set}"
+        # the "[]" is part of the key's text, which is the "curve" field of
+        # every omega text and so of every stored digest: it stays as it is
+        text = f"{self.x}|{self.y}|[]|{self.special_set}"
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -228,11 +231,4 @@ def find_logvital(curve: SpectralCurve) -> list[tuple[Fraction, Fraction]]:
         res = series_at(dy, a, -1).coeff(-1)
         if res:
             out.append((a, 1 / res))
-    if curve.declared_vital is not None:
-        declared = {(Fraction(a), Fraction(al)) for a, al in curve.declared_vital}
-        found = set(out)
-        if declared != found:
-            raise CurveError(
-                f"declared vital points {sorted(declared)} disagree with dy: {sorted(found)}"
-            )
     return sorted(out)

@@ -2,8 +2,8 @@
 operators along the declared route, and certifies annihilation.
 
 Named parameters are bound to sampled rationals per run (seeded), in the
-spirit of polynomial identity testing; emitted operators keep the curve
-parameters symbolic only where the derivation never needs their values.
+spirit of polynomial identity testing: curves and operators carry no
+symbolic parameter, and operator scalars are rational in hbar alone.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .operators import (
 from .recursion import OmegaStore, orbit_size, run_tr, s_inverse_coeff, symmetry_witness
 from .wave import (
     WaveData,
+    WaveError,
     apply_inverse,
     apply_shift,
     build_wave_data,
@@ -458,12 +459,12 @@ def fixture_hurwitz(q: int = 1, r: int = 2, order: int = 6, fast: bool = False) 
     try:
         val = classical_symbol(Exp(Add((Mul((sc(q), X)), Mul((sc(q), Pow(Y, r)))))), x_t, y_t)
         ok_plus = val.rat == y_t.rat and not val.logs
-    except Exception:
+    except WaveError:
         ok_plus = False
     ok_minus = True
     try:
         classical_symbol(Exp(Add((Mul((sc(q), X)), Mul((sc(-q), Pow(Y, r)))))), x_t, y_t)
-    except Exception:
+    except WaveError:
         ok_minus = False
     res.record("classical limit fixes the exponent sign to +y^r", ok_plus and not ok_minus)
     res.notes.append(
@@ -555,7 +556,7 @@ def fixture_homfly(order: int = 4, seed: int = 23, fast: bool = False) -> Fixtur
     ok3 = False
     try:
         exp_lograt(x_t - y_t.scale(Fraction(Pq, Qq)))
-    except Exception:
+    except WaveError:
         ok3 = True  # the printed sign is not classically rational
     res.record("classical identities fix the exponent sign", ok1 and ok2 and ok3)
     res.notes.append("the engine exponent is x + (P/Q) y; the paper prints x - (P/Q) y")
@@ -626,7 +627,7 @@ def fixture_gentr_airy(order: int = 6, fast: bool = False) -> FixtureResult:
     if fast:
         order = min(order, 4)
     # empty special set: all stable differentials vanish
-    curve = SpectralCurve("gentr-airy", _lr([0, 0, 1]), _lr([0, 1]), gen_tr=True, special_set=())
+    curve = SpectralCurve("gentr-airy", _lr([0, 0, 1]), _lr([0, 1]), special_set=())
     store = run_tr(curve, order - 1)
     res.record("all stable differentials vanish", all(pd.is_zero() for pd in store.omegas.values()))
     wave = build_wave_data(store, "generic", order)
@@ -743,7 +744,6 @@ def fixture_rs_curve(r: int, order: int = 6, fast: bool = False) -> FixtureResul
         f"rs-dual-r{r}",
         LogRat.from_ratfun(RatFun.make(P.ONE, P.poly([0, 0, 1]))),
         _lr([0] * r + [1]),
-        gen_tr=True,
         special_set=(),
     )
     store = run_tr(curve, order - 1)

@@ -2,7 +2,7 @@
 
 Operators are noncommutative expression trees over the generators
 x, y (acting on the main variable) and x0, y0 (acting on the base point),
-with exact scalar coefficients that may involve hbar and named parameters.
+with exact scalar coefficients that are Laurent polynomials in hbar over Q.
 The duality substitutions are literal: no normal ordering is ever applied
 by a rewrite.
 
@@ -117,7 +117,7 @@ def _cached_hash(self) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scalars: Laurent polynomials in hbar and named parameters over Q
+# scalars: Laurent polynomials in hbar over Q
 
 class _Unit:
     """`Sym.unit`, whether a scalar is 1, read without comparing Fractions:
@@ -137,16 +137,16 @@ class _Unit:
 
 @dataclass(frozen=True)
 class Sym:
-    """A Laurent polynomial in hbar and named parameters over Q.
+    """A Laurent polynomial in hbar over Q.
 
     Normal form, which every constructor keeps and the fast paths of `+`,
-    `*` and `scale` rely on: `terms` is a tuple of (monomial, coefficient)
-    sorted by monomial, each monomial a tuple of (name, exponent) sorted by
-    name with no zero exponent, each coefficient a nonzero `Fraction`, no
-    monomial twice.  Equal scalars have equal terms.
+    `*` and `scale` rely on: `terms` is a tuple of (hbar exponent,
+    coefficient), the constant first and then the exponents in ascending
+    order, each coefficient a nonzero `Fraction`, no exponent twice.  Equal
+    scalars have equal terms.
     """
 
-    terms: tuple = ()  # tuple[(monomial, Fraction)], monomial = tuple[(name, int)]
+    terms: tuple = ()  # tuple[(int, Fraction)]
 
     _hash = None  # set on first use by __hash__
 
@@ -157,47 +157,38 @@ class Sym:
         denominator, computed on first use only."""
         h = self._hash
         if h is None:
-            h = hash(tuple([(m, c.numerator, c.denominator) for m, c in self.terms]))
+            h = hash(tuple([(e, c.numerator, c.denominator) for e, c in self.terms]))
             object.__setattr__(self, "_hash", h)
         return h
 
+    def __repr__(self) -> str:
+        """The terms with each exponent as the monomial (("hbar", e),), or ()
+        for the constant: the text that the recorded check details of the
+        fixtures print."""
+        return f"Sym(terms={tuple([(((('hbar', e),) if e else ()), c) for e, c in self.terms])!r})"
+
     @staticmethod
     def make(d: dict) -> "Sym":
-        """The normal form of {monomial: coefficient}, a name that appears
-        twice in a monomial taking the sum of its exponents."""
-        clean: dict = {}
-        for mono, c in d.items():
-            exps: dict = {}
-            for n, e in mono:
-                exps[n] = exps.get(n, 0) + e
-            mono = tuple(sorted((n, e) for n, e in exps.items() if e))
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            if not c:
-                continue
-            old = clean.get(mono)
-            clean[mono] = c if old is None else old + c
-        return Sym(tuple(sorted((m, c) for m, c in clean.items() if c)))
+        """The normal form of {hbar exponent: coefficient}: zeros dropped,
+        the constant first, then the exponents in ascending order."""
+        terms = [(e, c if isinstance(c, Fraction) else Fraction(c)) for e, c in d.items() if c]
+        return Sym(tuple(sorted(terms, key=lambda t: (t[0] != 0, t[0]))))
 
     @staticmethod
     def const(v) -> "Sym":
         if not isinstance(v, Fraction):
             v = Fraction(v)
-        return Sym(((tuple(), v),)) if v else Sym()
-
-    @staticmethod
-    def var(name: str, exp: int = 1) -> "Sym":
-        return Sym(((((name, exp),), Fraction(1)),)) if exp else Sym.const(1)
+        return Sym(((0, v),)) if v else Sym()
 
     @staticmethod
     def hbar(exp: int = 1) -> "Sym":
-        return Sym.var("hbar", exp)
+        return Sym(((exp, Fraction(1)),)) if exp else Sym.const(1)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(not m for m, _ in self.terms)
+        return all(not e for e, _ in self.terms)
 
     def const_value(self) -> Fraction:
         if not self.terms:
@@ -207,7 +198,7 @@ class Sym:
         return self.terms[0][1]
 
     def __add__(self, o: "Sym") -> "Sym":
-        """The two sorted term lists merged, like monomials added and zeros
+        """The two sorted term lists merged, like exponents added and zeros
         dropped: the result is sorted without a sort."""
         a, b = self.terms, o.terms
         if not b:
@@ -217,14 +208,14 @@ class Sym:
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
-            ma, mb = a[i][0], b[j][0]
-            if ma == mb:
+            ea, eb = a[i][0], b[j][0]
+            if ea == eb:
                 c = a[i][1] + b[j][1]
                 if c:
-                    out.append((ma, c))
+                    out.append((ea, c))
                 i += 1
                 j += 1
-            elif ma < mb:
+            elif not ea or (eb and ea < eb):
                 out.append(a[i])
                 i += 1
             else:
@@ -235,7 +226,7 @@ class Sym:
         return Sym(tuple(out))
 
     def __neg__(self) -> "Sym":
-        return Sym(tuple([(m, -c) for m, c in self.terms]))
+        return Sym(tuple([(e, -c) for e, c in self.terms]))
 
     def __sub__(self, o: "Sym") -> "Sym":
         return self + (-o)
@@ -246,54 +237,42 @@ class Sym:
             return o
         if not a or o.unit:
             return self
-        # a plain rational scales each coefficient: monomials, their order
+        # a plain rational scales each coefficient: exponents, their order
         # and the nonzero coefficients stay
         if len(a) == 1 and not a[0][0]:
             v = a[0][1]
-            return Sym(tuple([(m, c * v) for m, c in b]))
+            return Sym(tuple([(e, c * v) for e, c in b]))
         if len(b) == 1 and not b[0][0]:
             v = b[0][1]
-            return Sym(tuple([(m, c * v) for m, c in a]))
+            return Sym(tuple([(e, c * v) for e, c in a]))
         d: dict = {}
-        for m1, c1 in a:
-            e1 = dict(m1)
-            for m2, c2 in b:
-                e = dict(e1)
-                for n, k in m2:
-                    e[n] = e.get(n, 0) + k
-                key = tuple(sorted((n, k) for n, k in e.items() if k))
-                old = d.get(key)
-                d[key] = c1 * c2 if old is None else old + c1 * c2
-        return Sym(tuple(sorted((m, c) for m, c in d.items() if c)))
+        for e1, c1 in a:
+            for e2, c2 in b:
+                old = d.get(e1 + e2)
+                d[e1 + e2] = c1 * c2 if old is None else old + c1 * c2
+        return Sym.make(d)
 
     def scale(self, v) -> "Sym":
         if not isinstance(v, Fraction):
             v = Fraction(v)
         if not v:
             return Sym()
-        return Sym(tuple([(m, c * v) for m, c in self.terms]))
+        return Sym(tuple([(e, c * v) for e, c in self.terms]))
 
     def pow(self, n: int) -> "Sym":
         if n < 0:
             if len(self.terms) != 1:
                 raise OperatorError("negative power of a non-monomial scalar")
-            (m, c), = self.terms
-            return Sym.make({tuple((nm, e * n) for nm, e in m): Fraction(1) / c ** (-n)})
+            (e, c), = self.terms
+            return Sym.make({e * n: Fraction(1) / c ** (-n)})
         out = Sym.const(1)
         for _ in range(n):
             out = out * self
         return out
 
     def hbar_coefficients(self) -> dict:
-        """hbar exponent -> Fraction; requires all parameters substituted."""
-        out: dict = {}
-        for m, c in self.terms:
-            names = dict(m)
-            h = names.pop("hbar", 0)
-            if names:
-                raise OperatorError(f"unbound parameters {sorted(names)} in scalar")
-            out[h] = out.get(h, Fraction(0)) + c
-        return out
+        """hbar exponent -> Fraction, in the order of the terms."""
+        return dict(self.terms)
 
     def lead_coeff(self) -> Fraction:
         return self.terms[0][1] if self.terms else Fraction(0)
@@ -302,9 +281,9 @@ class Sym:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in self.terms:
-            mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in m)
-            if mono:
+        for e, c in self.terms:
+            if e:
+                mono = "hbar" if e == 1 else f"hbar^{e}"
                 parts.append(f"{c}*{mono}" if c != 1 else mono)
             else:
                 parts.append(str(c))
@@ -1052,11 +1031,11 @@ def xy_dual_rewrite(e: OpExpr) -> OpExpr:
     return _map_gens(e, table)
 
 
-def shear_rewrite(e: OpExpr, R: RatFun, side: str | None = None) -> OpExpr:
-    """y -> y - R(x), y0 -> y0 - R(x0); literal replacement."""
+def shear_rewrite(e: OpExpr, R: RatFun) -> OpExpr:
+    """y -> y - R(x), y0 -> y0 - R(x0) on every side; literal replacement."""
 
     def table(g: Gen) -> OpExpr:
-        if (side is not None and g.side != side) or g.kind not in ("y", "y0"):
+        if g.kind not in ("y", "y0"):
             return g
         return sub(g, RatSubst(R.num, R.den, Gen("x" if g.kind == "y" else "x0", g.side)))
 
@@ -1241,7 +1220,7 @@ class WeylPoly:
                 for k in range(min(b, c) + 1):
                     if k:
                         coeff = Fraction(comb(b, k) * comb(c, k) * factorial(k))
-                        sym = uv * Sym((((("hbar", k),), coeff),))
+                        sym = uv * Sym(((k, coeff),))
                     else:
                         sym = uv
                     key = (a + c - k, b + d - k)
@@ -1255,8 +1234,8 @@ class WeylPoly:
 
     def check_no_negative_hbar(self) -> None:
         for v in self.terms.values():
-            for m, _c in v.terms:
-                if dict(m).get("hbar", 0) < 0:
+            for e, _c in v.terms:
+                if e < 0:
                     raise OperatorError("negative hbar power in Weyl coefficient")
 
     def __eq__(self, o) -> bool:

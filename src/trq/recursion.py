@@ -690,14 +690,12 @@ def s_inverse_coeff(g: int) -> Fraction:
     return LocalSeries.make(0, s, 2 * g).invert().coeff(2 * g)
 
 
-def logtr_term(curve: SpectralCurve, g: int, vital=None, points: list | None = None) -> PoleDifferential:
-    """Principal-part correction to omega_{g,1} at the vital points of dy,
-    over the point table `points`, which holds them (a new one by default)."""
+def logtr_term(curve: SpectralCurve, g: int, vital: list, points: list) -> PoleDifferential:
+    """Principal-part correction to omega_{g,1} at the vital points
+    [(a, alpha), ...] of dy, over the point table `points`, which holds
+    them."""
     if g < 1:
         raise ValueError("the logarithmic correction starts at genus 1")
-    if vital is None:
-        vital = find_logvital(curve)
-    points = [a for a, _alpha in vital] if points is None else points
     terms = {}
     cg = s_inverse_coeff(g)
     xp = curve.dx
@@ -725,12 +723,12 @@ def run_tr(curve: SpectralCurve, chi_max: int) -> OmegaStore:
     store = OmegaStore(curve, chi_max=chi_max)
     # the stable (g, n) by chi, then g
     steps = [(g, chi + 2 - 2 * g) for chi in range(1, chi_max + 1) for g in range(chi // 2 + 2) if chi + 2 >= 2 * g + 1]
-    if curve.gen_tr and curve.special_set == ():
+    if curve.special_set == ():
         # empty special set: every stable differential vanishes
         points: list = []
         store.omegas = {(g, n): PoleDifferential(g, n, points=points) for g, n in steps}
         return store
-    if curve.gen_tr:
+    if curve.special_set is not None:
         raise RecursionError_(
             "general special-point sets are unsupported; only the empty set "
             "or the classical choice (ramification plus vital points)"
@@ -782,7 +780,7 @@ def symmetry_witness(store: OmegaStore) -> list:
     omega_{g,1} has one slot, and the empty special set of Gen-TR no
     residue formula: neither is witnessed."""
     todo = sorted(k for k in store.omegas if k[1] >= 2)
-    if store.curve.gen_tr or not todo:
+    if store.curve.special_set is not None or not todo:
         return []
     run = _store_run(store.curve, store, max(2 * g - 2 + n for g, n in todo))
     return [(g, n) for g, n in todo if _step(run, store.omegas, g, n, False) != store.omegas[(g, n)]]

@@ -628,11 +628,11 @@ def _over_forms(terms: dict, base: FormBase) -> Factored:
     return base.sum(parts)
 
 
-def wave_from_streams(x: LogRat, y_main: LogRat, y_tail: HSeries, trunc: int, var: str = "z") -> WaveData:
-    """Wave data from explicit streams (single live variable), the tail's
-    `RatFun` coefficients in `var` lifted onto the forms of x and y."""
-    wd = WaveData(trunc, x={var: x}, y={var: y_main}, base=_form_base([], x, y_main, (var,)))
-    wd.tail[var] = y_tail.map(lambda f: wd.lift(var, f))
+def wave_from_streams(x: LogRat, y_main: LogRat, y_tail: HSeries, trunc: int) -> WaveData:
+    """Wave data from explicit streams of the one live variable z, the
+    tail's `RatFun` coefficients in z lifted onto the forms of x and y."""
+    wd = WaveData(trunc, x={"z": x}, y={"z": y_main}, base=_form_base([], x, y_main, ("z",)))
+    wd.tail["z"] = y_tail.map(lambda f: wd.lift("z", f))
     return wd
 
 
@@ -1034,9 +1034,10 @@ def check_annihilation(op: OpExpr, wave: WaveData, order: int | None = None) -> 
 # classical (hbar -> 0) symbol, used for sign resolutions
 
 
-def classical_symbol(op: OpExpr, x: LogRat, y: LogRat, x0=None, y0=None):
+def classical_symbol(op: OpExpr, x: LogRat, y: LogRat):
     """The leading symbol of op on the curve, as a LogRat; operators must
-    classically commute, so this treats all generators as functions."""
+    classically commute, so this treats the generators x and y as the
+    functions x and y; any other generator is refused."""
     op = simplify(op)
 
     def ev(e: OpExpr) -> LogRat:
@@ -1048,10 +1049,6 @@ def classical_symbol(op: OpExpr, x: LogRat, y: LogRat, x0=None, y0=None):
                 return x
             if e.kind == "y":
                 return y
-            if e.kind == "x0" and x0 is not None:
-                return x0
-            if e.kind == "y0" and y0 is not None:
-                return y0
             raise WaveError(f"classical value of {e.kind} not provided")
         if isinstance(e, CoordMul):
             return LogRat.from_ratfun(e.fn)

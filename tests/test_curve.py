@@ -203,9 +203,3 @@ class TestLogVital:
         y = LogRat.make(RatFun.const(0), [(1, RatFun.var())])
         c = curve(x, y)
         assert find_logvital(c) == []
-
-    def test_declaration_mismatch(self):
-        x = LogRat.make(RatFun.const(0), [(1, RatFun.var())])
-        y = LogRat.make(RatFun.const(0), [(1, RatFun.var() - 3)])
-        with pytest.raises(CurveError, match="disagree"):
-            find_logvital(curve(x, y, declared_vital=((F(3), F(2)),)))

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from trq import fixtures
 from trq.algebra import poly as P
 from trq.fixtures import FIXTURES, FixtureResult, _pq_route2, fixture_pq, run_fixture
+from trq.wave import WaveError
 
 # registry entries that bind a fixture function's leading arguments
 BOUND = (
@@ -47,6 +49,23 @@ def test_fixture_certifies_in_fast_mode(name):
     assert res.emitted == golden["emitted"]
     assert [[c.label, c.passed, c.detail, c.kind] for c in res.checks] == golden["checks"]
     assert res.omega_summary == golden["omega_summary"]
+
+
+@pytest.mark.parametrize("name,engine", [("homfly", "exp_lograt"), ("hurwitz-q1", "classical_symbol")])
+def test_a_defect_does_not_pass_as_the_failure_of_the_printed_sign(monkeypatch, name, engine):
+    # the printed sign fails with a WaveError (a non-rational exp); the same
+    # failure as any other error is a defect, which the fixture raises
+    real = getattr(fixtures, engine)
+
+    def defective(*args):
+        try:
+            return real(*args)
+        except WaveError as e:
+            raise TypeError("a defect") from e
+
+    monkeypatch.setattr(fixtures, engine, defective)
+    with pytest.raises(TypeError, match="a defect"):
+        run_fixture(name, fast=True, order=3)
 
 
 def test_pq_route2_with_q_a_multiple_of_y():

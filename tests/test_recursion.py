@@ -424,7 +424,7 @@ class TestSymmetryWitness:
         assert any(key[0] != key[-1] for pd in st.omegas.values() for key in pd.orbits)
 
     def test_no_witness_for_the_empty_special_set(self):
-        assert symmetry_witness(run_tr(airy(gen_tr=True, special_set=()), 3)) == []
+        assert symmetry_witness(run_tr(airy(special_set=()), 3)) == []
 
     def test_the_largest_head_gives_the_stored_omega(self):
         st = run_tr(airy(), 2)
@@ -623,7 +623,7 @@ class TestLogTR:
                 assert tr_step(vital_curve(), st, g, n) == ref.get(g, n), (g, n)
 
     def test_no_vital_points_zero(self):
-        assert logtr_term(airy(), 1).is_zero()
+        assert logtr_term(airy(), 1, find_logvital(airy()), []).is_zero()
 
     def test_log_of_y_at_a_branch_point_refused(self):
         # x = z^2, y = log z: classifying the branch point 0 refuses the log
@@ -637,7 +637,9 @@ class TestLogTR:
         # per-point weight alpha^{2g-1} for alpha not +-1
         alphas = [(F(3), F(2))]
         c = self._log_curve(alphas)
-        pd = logtr_term(c, 1)
+        vital = find_logvital(c)
+        assert vital == alphas
+        pd = logtr_term(c, 1, vital, [F(3)])
         xp = c.dx
         f = (RatFun.const(1) / (RatFun.var() - 3)) / xp
         f = f.derivative() / xp
@@ -647,14 +649,16 @@ class TestLogTR:
 
 class TestGenTREmpty:
     def test_all_vanish(self):
-        c = airy(gen_tr=True, special_set=())
+        c = airy(special_set=())
         st = run_tr(c, 4)
         for pd in st.omegas.values():
             assert pd.is_zero()
 
     def test_nontrivial_set_refused(self):
-        c = airy(gen_tr=True, special_set=(F(0),))
-        with pytest.raises(Exception, match="unsupported"):
+        # a special set other than None or () is refused, not run as
+        # classical TR
+        c = airy(special_set=(F(0),))
+        with pytest.raises(RecursionError_, match="general special-point sets are unsupported"):
             run_tr(c, 2)
 
 
@@ -694,7 +698,7 @@ class TestJsonWriter:
         # poles at the vital point 2 and coefficients with non-unit denominators
         lambda: run_tr(vital_curve(), 4),
         # the empty special set: every term list is empty
-        lambda: run_tr(airy(gen_tr=True, special_set=()), 4),
+        lambda: run_tr(airy(special_set=()), 4),
         lambda: OmegaStore(airy(), chi_max=2),
         # slot ids [-2, -1], in the other order than the points' texts
         lambda: run_tr(minus_two_minus_one_curve(), 3),

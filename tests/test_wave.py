@@ -584,7 +584,7 @@ class TestClassical:
             Exp(Add((Mul((sc(q), X)), Mul((sc(q), Pow(Y, r)))))), x, y
         )
         assert plus.rat == y.rat
-        with pytest.raises(Exception):
+        with pytest.raises(WaveError, match="not rational"):
             classical_symbol(
                 Exp(Add((Mul((sc(q), X)), Mul((sc(-q), Pow(Y, r)))))), x, y
             )
