@@ -36,6 +36,9 @@ class SpectralCurve:
     special_set: tuple | None = None
 
     def __post_init__(self):
+        if self.special_set is not None:
+            # a list or any other iterable is the same set as its tuple
+            object.__setattr__(self, "special_set", tuple(self.special_set))
         if self.dx.is_zero():
             raise CurveError("dx vanishes identically")
         if self.dy.is_zero():

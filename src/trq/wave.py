@@ -15,7 +15,11 @@ action, stream and (0,2) piece has one code path for both variables.  An
 operator of order at most one in y acts on a class with series s as
 s*m + hbar*d(s), m its value on the class's unit and d a derivation
 (`_first_order`): so act y and y0, and so `apply_inverse` solves the
-inverse of such an operator, by one recurrence per class.
+inverse of such an operator, by one recurrence per class.  A shift
+exp(c y) moves x by a multiple of hbar, so `apply_shift` takes every
+function of the variable to its Taylor series in x.  One `WaveData.d_dx`
+serves every x-derivative: the streams', the prefactors', the
+derivations' and the shifts'.
 
 The series coefficients are `Factored`: an integer numerator over a
 constant times powers of the forms of the wave data's one `FormBase`,
@@ -283,20 +287,12 @@ class WaveData:
         """A function of `var` over the form base."""
         return self.base.lift(_VARS[var].lift(f))
 
-    # --- derivative streams -------------------------------------------------
-
-    def x_derivs(self, var: str, k: int) -> RatFun:
-        """k-th derivative of x as a function of `var`."""
-        key = ("xd", var, k)
-        if key not in self._dx_cache:
-            prev = self.x[var] if k == 1 else self.x_derivs(var, k - 1)
-            self._dx_cache[key] = prev.derivative()
-        return self._dx_cache[key]
+    # --- derivatives in x ---------------------------------------------------
 
     def xprime(self, var: str) -> Factored:
         key = ("xp", var)
         if key not in self._dx_cache:
-            self._dx_cache[key] = self.lift(var, self.x_derivs(var, 1))
+            self._dx_cache[key] = self.lift(var, self.x[var].derivative())
         return self._dx_cache[key]
 
     def inv_xprime(self, var: str) -> Factored:
@@ -304,6 +300,10 @@ class WaveData:
         if key not in self._dx_cache:
             self._dx_cache[key] = self.xprime(var).inverse()
         return self._dx_cache[key]
+
+    def d_dx(self, var: str, f: Factored) -> Factored:
+        """d/dx of f, a function of `var` and the other variable held fixed."""
+        return _VARS[var].deriv(f) * self.inv_xprime(var)
 
     def x_lifted(self, var: str) -> Factored:
         """x, a rational function of `var`, over the form base."""
@@ -339,12 +339,13 @@ class WaveData:
         if k == 0:
             out = self.y_stream(var)
         else:
-            v = _VARS[var]
             prev_main, prev_tail = self.dY(var, k - 1)
-            ixp = self.inv_xprime(var)
             # the derivative of a LogRat is a RatFun
-            main = self.lift(var, prev_main.derivative()) if k == 1 else v.deriv(prev_main)
-            out = (main * ixp, prev_tail.map(lambda f: v.deriv(f) * ixp))
+            if k == 1:
+                main = self.lift(var, prev_main.derivative()) * self.inv_xprime(var)
+            else:
+                main = self.d_dx(var, prev_main)
+            out = (main, prev_tail.map(lambda f: self.d_dx(var, f)))
         self._dx_cache[key] = out
         return out
 
@@ -659,14 +660,13 @@ def _pref_deriv(pref: Prefactor, wave: WaveData, var: str) -> Factored:
     """d/dx of the prefactor exponent (a rational function), along `var`."""
     key = ("dp", pref.key(), var)
     if key not in wave._dx_cache:
-        deriv = _VARS[var].deriv
-        out = deriv(pref.rho)
+        out = wave.d_dx(var, pref.rho)
         for argkey, c in pref.logs:
             arg = _lift_arg(wave.base, argkey)
-            d = deriv(arg)
+            d = wave.d_dx(var, arg)
             if d:
                 out = out + d / arg * c
-        wave._dx_cache[key] = out * wave.inv_xprime(var)
+        wave._dx_cache[key] = out
     return wave._dx_cache[key]
 
 
@@ -687,12 +687,12 @@ def apply_dbar(sym: Symbol, wave: WaveData, var: str) -> Symbol:
 def _derivation(b: dict, wave: WaveData) -> Callable[[Factored], Factored] | None:
     """f -> sum_v b_v sign_v D_v f, D_v = (1/x'(v)) d/dv, for the
     coefficients b_v of the generators y_v; None when every b_v is 0."""
-    parts = [(_VARS[var].deriv, wave.inv_xprime(var), c * _VARS[var].sign) for var, c in b.items() if c]
+    parts = [(var, c * _VARS[var].sign) for var, c in b.items() if c]
     if not parts:
         return None
 
     def d(f: Factored) -> Factored:
-        return wave.base.sum([deriv(f) * ixp * c for deriv, ixp, c in parts])
+        return wave.base.sum([wave.d_dx(var, f) * c for var, c in parts])
 
     return d
 
@@ -704,52 +704,25 @@ def _first_order(s: HSeries, m: HSeries, d, trunc: int) -> HSeries:
     return s.map(d).shift(1).truncate(trunc) + s * m
 
 
-def _flow_delta(wave: WaveData, var: str, c: Fraction) -> HSeries:
-    """Solve x(v + delta) = x(v) + c hbar (main) or - c hbar (base)."""
-    v = _VARS[var]
-    target_c = v.sign * Fraction(c)
-    N = wave.trunc
-    inv_xp = wave.inv_xprime(var)
-    target = HSeries({1: Factored.const(target_c)}, N)
-    delta = HSeries({1: inv_xp * target_c}, N)
-    derivs = [wave.lift(var, wave.x_derivs(var, j)) for j in range(1, N + 1)]
-    for _ in range(N):
-        acc = HSeries({}, N)
-        dp = HSeries({0: _ONE}, N)
-        for j in range(1, N + 1):
-            dp = (dp * delta).truncate(N)
-            if dp.is_zero():
-                break
-            acc = acc + dp.scale(Fraction(1, math.factorial(j))).map(lambda f, d=derivs[j - 1]: f * d)
-        resid = target - acc
-        if resid.is_zero():
-            break
-        delta = delta + resid.map(lambda f: f * inv_xp)
-    return delta
-
-
-def _taylor_compose_series(s: HSeries, delta: HSeries, deriv, trunc: int) -> HSeries:
-    """s with every coefficient shifted to v + delta."""
-    out = s
-    dp = HSeries({0: _ONE}, trunc)
-    ds = s
-    for j in range(1, trunc + 1):
-        dp = (dp * delta).truncate(trunc)
-        ds = ds.map(deriv)
-        if dp.is_zero() or ds.is_zero():
-            break
-        out = out + (dp * ds).scale(Fraction(1, math.factorial(j)))
-    return out
-
-
 def apply_shift(sym: Symbol, c: Fraction, wave: WaveData, var: str = "z") -> Symbol:
-    """exp(c yhat) (var "z") or exp(c y0hat) (var "w") on a symbol."""
+    """exp(c yhat) (var "z") or exp(c y0hat) (var "w") on a symbol.
+
+    Either moves x by h*hbar, h = c for the main variable and -c for the
+    base variable, so a function f of the variable becomes its Taylor
+    series in x, sum_k (h hbar)^k/k! D^k f with D = d/dx (`WaveData.d_dx`).
+    On a class (p, s) the series s goes to that sum, D taken coefficient by
+    coefficient, and the exponent of p moves by sum_(k>=1) (h hbar)^k/k!
+    D^(k-1) of its x-derivative (`_pref_deriv`).  psi(x + h hbar)/psi(x)
+    is exp(c y), folded into the prefactor, times exp(wexp), wexp the
+    Taylor series of the rest of log psi from the stream's x-derivatives
+    (`WaveData.dY`).
+    """
     c = Fraction(c)
     if not c:
         return dict(sym)
     v = _VARS[var]
+    h = v.sign * c
     N = wave.trunc
-    delta = _flow_delta(wave, var, c)
     y_main, y_tail = wave.y_stream(var)
     # exponent of psi(shifted)/psi minus its hbar^0 part c*y
     wexp = HSeries({}, N)
@@ -757,25 +730,29 @@ def apply_shift(sym: Symbol, c: Fraction, wave: WaveData, var: str = "z") -> Sym
         wexp = wexp + y_tail.scale(c)
     for m in range(2, N + 2):
         main_k, tail_k = wave.dY(var, m - 1)
-        fac = Fraction(v.sign * (v.sign * c) ** m, math.factorial(m))
+        fac = Fraction(v.sign * h**m, math.factorial(m))
         piece = HSeries({0: main_k}, N) + tail_k
         wexp = wexp + piece.shift(m - 1).truncate(N).scale(fac)
 
-    def shifted(f: Factored) -> HSeries:
-        """f(v + delta) - f(v)."""
-        f = HSeries.const(f, N)
-        return _taylor_compose_series(f, delta, v.deriv, N) - f
+    def d(f: Factored) -> Factored:
+        return wave.d_dx(var, f)
+
+    def moved(g: HSeries) -> HSeries:
+        """sum_(k>=1) (h hbar)^k/k! D^(k-1) g through hbar^N: how far a
+        function whose x-derivative is g moves; D^(k-1) g is read only
+        through hbar^(N-k)."""
+        out = HSeries({}, N)
+        for k in range(1, N + 1):
+            if g.is_zero():
+                break
+            out = out + g.shift(k).scale(h**k / math.factorial(k))
+            g = g.truncate(N - k - 1).map(d)
+        return out
 
     out: Symbol = {}
     for _k, (p, s) in sym.items():
-        # compose the series part
-        s1 = _taylor_compose_series(s, delta, v.deriv, N)
-        # prefactor composition factors
-        expo = shifted(p.rho)
-        for argkey, ce in p.logs:
-            arg = _lift_arg(wave.base, argkey)
-            inv = arg.inverse()
-            expo = expo + shifted(arg).map(lambda f: f * inv).log1p().scale(ce)
+        s1 = s + moved(s.truncate(N - 1).map(d))
+        expo = moved(HSeries.const(_pref_deriv(p, wave, var), N))
         sym_insert(out, p, s1 * (expo + wexp).exp(_ONE))
     return sym_mul_prefactor(out, *_lograt_exponent_data(y_main, wave, var, c), wave.base)
 

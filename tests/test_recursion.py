@@ -661,6 +661,13 @@ class TestGenTREmpty:
         with pytest.raises(RecursionError_, match="general special-point sets are unsupported"):
             run_tr(c, 2)
 
+    def test_empty_list_is_the_empty_set(self):
+        # the list form runs as (), and keys every omega text the same way
+        c = airy(special_set=[])
+        assert c.special_set == ()
+        assert c.hash_key() == airy(special_set=()).hash_key() == "620eee8d49ff899d"
+        assert all(pd.is_zero() for pd in run_tr(c, 3).omegas.values())
+
 
 class TestCacheRoundTrip:
     @pytest.mark.parametrize("make", [

@@ -467,27 +467,33 @@ def _assert_matches_full_reevaluation(wave, inner, target):
         assert len(s.coeffs) >= 3  # several hbar orders
 
 
+def _shifted_ratio(wave, var, fn, c, along):
+    """The shifted symbol of CoordMul(var, fn) over the shifted unit, class
+    by class: fn moved by exp(c y) ("z") or exp(c y0) ("w")."""
+    unit = sym_unit(wave.trunc)
+    num = apply_shift(evaluate_operator_on(CoordMul(var, fn), unit, wave), c, wave, along)
+    den = apply_shift(unit, c, wave, along)
+    assert sorted(num) == sorted(den)
+    return {k: num[k][1] * den[k][1].invert() for k in num}
+
+
 class TestShift:
     def test_exact_log_flow(self):
-        # x = log z: the flow is multiplicative, the leading prefactor e^{c y}
+        # x = log z: x + c hbar is z e^{c hbar}, in the one class e^{c y}
         x = LogRat.make(RatFun.const(0), [(1, RatFun.var())])
         y = lr([0, 0, 1])  # y = z^2 (rational, arbitrary)
         c = SpectralCurve("logz", x, y)
         st = run_tr(c, 3)
         wd = build_wave_data(st, ("main", "inf"), 4)
-        from trq.wave import _flow_delta
+        (ratio,) = _shifted_ratio(wd, "z", RatFun.var(), F(1, 2), "z").values()
+        for k in range(5):
+            assert ratio.coeff(k) == Rf2.z() * F(F(1, 2) ** k, math.factorial(k)), k
 
-        d = _flow_delta(wd, "z", F(1, 2))
-        # x(z+d) = x + c hbar means z+d = z e^{c hbar}
-        from math import factorial
-
-        for k in range(1, 5):
-            assert d.coeff(k) == Rf2.z() * F(F(1, 2) ** k, factorial(k)), k
-
-    def test_group_law(self, airy_wave):
-        s = sym_unit(airy_wave.trunc)
-        a = apply_shift(apply_shift(s, F(1, 3), airy_wave, "z"), F(1, 2), airy_wave, "z")
-        b = apply_shift(s, F(5, 6), airy_wave, "z")
+    @staticmethod
+    def _assert_group_law(wave, s, var):
+        # a shift by 1/3 then one by 1/2 is one shift by 5/6
+        a = apply_shift(apply_shift(s, F(1, 3), wave, var), F(1, 2), wave, var)
+        b = apply_shift(s, F(5, 6), wave, var)
         from trq.wave import sym_insert
 
         diff = dict(a)
@@ -496,18 +502,31 @@ class TestShift:
         ok, w = sym_is_zero(diff)
         assert ok, w
 
+    def test_group_law(self, airy_wave):
+        self._assert_group_law(airy_wave, sym_unit(airy_wave.trunc), "z")
+
+    def test_group_law_of_the_base_variable(self, airy_wave):
+        s = evaluate_operator_on(CoordMul("z0", RatFun.var()), sym_unit(airy_wave.trunc), airy_wave)
+        self._assert_group_law(airy_wave, s, "w")
+
     def test_shift_zero_identity(self, airy_wave):
         s = evaluate_operator(X, airy_wave)
         assert apply_shift(s, F(0), airy_wave, "z") == s
 
-    def test_airy_flow_series(self, airy_wave):
-        from trq.wave import _flow_delta
+    # x = z^2: sqrt(u^2 + e) = u + e/(2u) - e^2/(8u^3) + e^3/(16u^5) - 5e^4/(128u^7) + ...
+    SQRT = (F(1), F(1, 2), F(-1, 8), F(1, 16), F(-5, 128))
 
-        d = _flow_delta(airy_wave, "z", F(1))
-        # x = z^2: z~ = z + c hbar/(2z) - c^2 hbar^2/(8 z^3) + ...
-        z = Rf2.z()
-        assert d.coeff(1) == Rf2.const(F(1, 2)) / z
-        assert d.coeff(2) == Rf2.const(F(-1, 8)) / z**3
+    def test_airy_flow_series(self, airy_wave):
+        # exp(hbar d/dx) moves x = z^2 to z^2 + hbar: z ~ sqrt(z^2 + hbar)
+        (ratio,) = _shifted_ratio(airy_wave, "z", RatFun.var(), F(1), "z").values()
+        for k, a in enumerate(self.SQRT):
+            assert ratio.coeff(k) == Rf2.const(a) / Rf2.z() ** (2 * k - 1), k
+
+    def test_airy_base_flow_series(self, airy_wave):
+        # exp(y0) = exp(-hbar d/dx0) moves x0 = w^2 to w^2 - hbar: w ~ sqrt(w^2 - hbar)
+        (ratio,) = _shifted_ratio(airy_wave, "z0", RatFun.var(), F(1), "w").values()
+        for k, a in enumerate(self.SQRT):
+            assert ratio.coeff(k) == Rf2.const(a * (-1) ** k) / Rf2.w() ** (2 * k - 1), k
 
 
 class TestExpNodes:
