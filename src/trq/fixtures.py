@@ -1,6 +1,12 @@
 """Fixture registry: each entry computes its differentials, derives
 operators along the declared route, and certifies annihilation.
 
+A fixture certifies the object it emits or transports: the operator handed
+to `check_annihilation` is the very object handed to the rewrite, or a
+factor of it, never a twin written on another side.  The hand-written
+`expect` operators are the independent oracles the rewrites are compared
+with.
+
 Named parameters are bound to sampled rationals per run (seeded), in the
 spirit of polynomial identity testing: curves and operators carry no
 symbolic parameter, and operator scalars are rational in hbar alone.
@@ -10,7 +16,7 @@ from __future__ import annotations
 
 import inspect
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -199,12 +205,13 @@ def omega_property_suite(res: FixtureResult, store: OmegaStore) -> None:
     res.record("omega residuelessness", ok_res)
 
 
-def homogeneity_shear_suite(res: FixtureResult, make_curve, store: OmegaStore, chi: int, rng) -> None:
-    """Homogeneity in y and shear invariance, for curves with rational x, y."""
+def homogeneity_shear_suite(res: FixtureResult, store: OmegaStore, chi: int, rng) -> None:
+    """Homogeneity in y and shear invariance, for curves with rational x, y:
+    the store's curve with y scaled by lambda, and with y + R(x) for
+    R = r0 + r1 x + r2 x^2, recomputed to chi."""
     curve = store.curve
     for lam in (Fraction(2), Fraction(-3)):
-        scaled = make_curve(y_scale=lam)
-        st2 = run_tr(scaled, chi)
+        st2 = run_tr(replace(curve, name=f"{curve.name}-s", y=curve.y.scale(lam)), chi)
         ok = all(
             st2.get(g, n) == pd.scale(lam ** (2 - 2 * g - n))
             for (g, n), pd in store.omegas.items()
@@ -212,8 +219,8 @@ def homogeneity_shear_suite(res: FixtureResult, make_curve, store: OmegaStore, c
         res.record(f"homogeneity lambda={lam}", ok)
     for _ in range(2):
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
-        sheared = make_curve(shear=coeffs)
-        st2 = run_tr(sheared, chi)
+        shear = RatFun.make(P.poly(coeffs)).compose(curve.x.rat)
+        st2 = run_tr(replace(curve, name=f"{curve.name}-sh", y=curve.y + shear), chi)
         ok = all(st2.get(g, n) == pd for (g, n), pd in store.omegas.items())
         res.record(f"shear invariance R={coeffs}", ok)
 
@@ -233,21 +240,14 @@ def fixture_airy(order: int = 6, seed: int = 1, fast: bool = False) -> FixtureRe
     wave = build_wave_data(store, "generic", order)
     rep = check_annihilation(airy_fraction_operator(), wave, order)
     res.record(f"fraction-form operator annihilates to hbar^{order}", rep.passed, rep.summary())
-    rep2 = check_annihilation(sub(Pow(dressed_y(), 2), dressed_x()), wave, order)
+    dressed = sub(Pow(dressed_y(), 2), dressed_x())
+    rep2 = check_annihilation(dressed, wave, order)
     res.record(f"dressed-form operator annihilates to hbar^{order}", rep2.passed, rep2.summary())
-    res.emitted["airy_generic"] = op_text(simplify(sub(Pow(dressed_y(), 2), dressed_x())))
+    res.emitted["airy_generic"] = op_text(simplify(dressed))
     # properties
     omega_property_suite(res, store)
     property_suite(res, wave, order)
-
-    def make_curve(y_scale=None, shear=None):
-        if y_scale is not None:
-            return SpectralCurve("airy-s", _lr([0, 0, 1]), _lr([0, y_scale]))
-        r = shear
-        shift = RatFun.make(P.poly([r[0], 0, r[1], 0, r[2]]))
-        return SpectralCurve("airy-sh", _lr([0, 0, 1]), LogRat.from_ratfun(RatFun.var() + shift))
-
-    homogeneity_shear_suite(res, make_curve, run_tr(curve, min(chi, 3)), min(chi, 3), random.Random(seed))
+    homogeneity_shear_suite(res, run_tr(curve, min(chi, 3)), min(chi, 3), random.Random(seed))
     return res
 
 
@@ -273,15 +273,7 @@ def fixture_bessel(order: int = 6, seed: int = 1, fast: bool = False) -> Fixture
     res.record("singular operator annihilates regularized data", rep2.passed, rep2.summary())
     omega_property_suite(res, store)
     property_suite(res, wave, order)
-
-    def make_curve(y_scale=None, shear=None):
-        if y_scale is not None:
-            return SpectralCurve("bessel-s", _lr([0, 0, 1]), LogRat.from_ratfun(RatFun.make(P.const(y_scale), P.X)))
-        r = shear
-        shift = RatFun.make(P.poly([r[0], 0, r[1], 0, r[2]]))
-        return SpectralCurve("bessel-sh", _lr([0, 0, 1]), LogRat.from_ratfun(RatFun.make(P.ONE, P.X) + shift))
-
-    homogeneity_shear_suite(res, make_curve, run_tr(curve, min(chi, 3)), min(chi, 3), random.Random(seed))
+    homogeneity_shear_suite(res, run_tr(curve, min(chi, 3)), min(chi, 3), random.Random(seed))
     return res
 
 
@@ -307,10 +299,11 @@ def fixture_pq(order: int = 6, seed: int = 11, samples: int = 3, fast: bool = Fa
         dual_curve = SpectralCurve(f"pq-dual-{i}", _lr([0, 1]), LogRat.from_ratfun(RatFun.make(p, q)))
         store = run_tr(dual_curve, order - 1)
         wave = build_wave_data(store, "generic", order)
-        rep = check_annihilation(pq_dual_operator(p, q, side=""), wave, order)
+        dual_op = pq_dual_operator(p, q)
+        rep = check_annihilation(dual_op, wave, order)
         res.record(f"sample {i}: dual operator annihilates to hbar^{order}", rep.passed, rep.summary())
         # route 1: literal x-y dual rewrite must give the rational quantum curve
-        emitted = simplify(xy_dual_rewrite(pq_dual_operator(p, q, side="dual")))
+        emitted = simplify(xy_dual_rewrite(dual_op))
         expect = simplify(pq_generic_operator(p, q))
         res.record(f"sample {i}: x-y dual emits the rational quantum curve", emitted == expect)
         if i == 0:
@@ -378,7 +371,7 @@ def fixture_rspin(r: int, order: int = 6, negative: bool = False, fast: bool = F
         dual_curve = SpectralCurve(name + "-dual", _lr([0, 1]), _lr([0] * r + [1]))
     store = run_tr(dual_curve, order - 1)
     wave = build_wave_data(store, "generic", order)
-    rep = check_annihilation(pq_dual_operator(p, q, side=""), wave, order)
+    rep = check_annihilation(pq_dual_operator(p, q), wave, order)
     res.record(f"dual-side operator annihilates to hbar^{order}", rep.passed, rep.summary())
     generic = pq_generic_operator(p, q)
     if negative:
@@ -442,9 +435,7 @@ def fixture_hurwitz(q: int = 1, r: int = 2, order: int = 6, fast: bool = False) 
     store = run_tr(curve, order - 1)
     wave = build_wave_data(store, ("main", INF), order)
     op = hurwitz_dagger_operator(q)
-    # evaluation is side-agnostic; strip dagger labels for the symbol engine
-    op_eval = Add((Y, Mul((sc(-1), hb(), sc(Fraction(1, 2)))), Mul((sc(-1), Exp(Mul((sc(q), X)))))))
-    rep = check_annihilation(op_eval, wave, order)
+    rep = check_annihilation(op, wave, order)
     res.record(f"dagger operator annihilates sqrt(z) exp(z^q/(q hbar)) to hbar^{order}", rep.passed, rep.summary())
     # transport along x = x_dagger - y_dagger^r
     R = RatFun.make(P.poly([0] * r + [-1]))
@@ -510,31 +501,24 @@ def fixture_homfly(order: int = 4, seed: int = 23, fast: bool = False) -> Fixtur
     res.params["A"] = str(A)
     Pq, Qq = 2, 3
     x = LogRat.make(RatFun.const(0), [(1, RatFun.var())])
-    y = LogRat.make(RatFun.const(0), [(1, RatFun.make(P.poly([1, -1 / A]))), (-1, RatFun.make(P.poly([1, -A])))])
+    # y = log f, f = (1 - z/A)/(1 - A z)
+    f_num, f_den = P.poly([1, -1 / A]), P.poly([1, -A])
+    y = LogRat.make(RatFun.const(0), [(1, RatFun.make(f_num)), (-1, RatFun.make(f_den))])
     curve = SpectralCurve("homfly-dagger", x, y)
     store = run_tr(curve, order - 1)
     res.omega_summary = _summary(store)
     wave = build_wave_data(store, ("main", INF), order)
-    f_rat = RatFun.make(P.poly([1, -1 / A]), P.poly([1, -A]))
-    op_eval = sub(
-        Exp(Mul((sc(Fraction(1, 2)), Y))),
-        Mul((
-            Exp(Scalar(Sym.hbar().scale(Fraction(1, 2)))),
-            CoordMul("z", f_rat),
-            Exp(Mul((sc(Fraction(-1, 2)), Y))),
-        )),
-    )
-    rep = check_annihilation(op_eval, wave, order)
-    res.record(f"dagger operator annihilates the Log-TR wave data to hbar^{order}", rep.passed, rep.summary())
-    # transport x = x_dagger - (P/Q) y_dagger
     op_emit = sub(
         Exp(Mul((sc(Fraction(1, 2)), Gen("y", "dagger")))),
         Mul((
             Exp(Scalar(Sym.hbar().scale(Fraction(1, 2)))),
-            RatSubst(P.poly([1, -1 / A]), P.poly([1, -A]), Exp(Gen("x", "dagger"))),
+            RatSubst(f_num, f_den, Exp(Gen("x", "dagger"))),
             Exp(Mul((sc(Fraction(-1, 2)), Gen("y", "dagger")))),
         )),
     )
+    rep = check_annihilation(op_emit, wave, order)
+    res.record(f"dagger operator annihilates the Log-TR wave data to hbar^{order}", rep.passed, rep.summary())
+    # transport x = x_dagger - (P/Q) y_dagger
     R = RatFun.make(P.poly([0, Fraction(-Pq, Qq)]))
     emitted = simplify(singular_limit(sympl_dual_rewrite(op_emit, R), "inf", None))
     res.emitted[f"homfly_P{Pq}_Q{Qq}"] = op_text(emitted)
@@ -543,7 +527,7 @@ def fixture_homfly(order: int = 4, seed: int = 23, fast: bool = False) -> Fixtur
         Exp(Mul((sc(Fraction(1, 2)), Gen("y", "dagger")))),
         Mul((
             Exp(Scalar(Sym.hbar().scale(Fraction(1, 2)))),
-            RatSubst(P.poly([1, -1 / A]), P.poly([1, -A]), Exp(inner)),
+            RatSubst(f_num, f_den, Exp(inner)),
             Exp(Mul((sc(Fraction(-1, 2)), Gen("y", "dagger")))),
         )),
     ))
@@ -551,7 +535,7 @@ def fixture_homfly(order: int = 4, seed: int = 23, fast: bool = False) -> Fixtur
     # classical certification of the emitted operator
     y_t = y
     x_t = x - y_t.scale(Fraction(Pq, Qq))
-    ok1 = exp_lograt(y_t) == f_rat
+    ok1 = exp_lograt(y_t) == RatFun.make(f_num, f_den)
     ok2 = exp_lograt(x_t + y_t.scale(Fraction(Pq, Qq))) == RatFun.var()
     ok3 = False
     try:
@@ -589,26 +573,22 @@ def fixture_gaiotto(order: int = 4, seed: int = 31, fast: bool = False) -> Fixtu
     num = P.mul(P.poly([p1, 1]), P.poly([p2, 1]))
     num = P.scale(num, lam**2)
     den = P.poly([q1, -1])
+    x0, y0 = Gen("x0", "dual"), Gen("y0", "dual")
     opd = Add((
-        Exp(Mul((sc(Fraction(1, 2)), Y0))),
-        Mul((RatSubst(num, den, X0), Exp(Mul((sc(Fraction(-1, 2)), Y0))))),
+        Exp(Mul((sc(Fraction(1, 2)), y0))),
+        Mul((RatSubst(num, den, x0), Exp(Mul((sc(Fraction(-1, 2)), y0))))),
     ))
     rep = check_annihilation(opd, wave, order)
     res.record(f"dual difference operator annihilates to hbar^{order}", rep.passed, rep.summary())
     # product form annihilates the half-shifted wave function, checked as
     # the composition with the half shift
-    op_prod_plain = Add((
-        Mul((Add((sc(q1), Mul((sc(-1), X0)))), Exp(Y0))),
-        Mul((sc(lam**2), Add((sc(p1), X0)), Add((sc(p2), X0)))),
+    op_prod = Add((
+        Mul((Add((sc(q1), Mul((sc(-1), x0)))), Exp(y0))),
+        Mul((sc(lam**2), Add((sc(p1), x0)), Add((sc(p2), x0)))),
     ))
-    rep2 = check_annihilation(Mul((op_prod_plain, Exp(Mul((sc(Fraction(-1, 2)), Y0))))), wave, order)
+    rep2 = check_annihilation(Mul((op_prod, Exp(Mul((sc(Fraction(-1, 2)), y0))))), wave, order)
     res.record("product form annihilates the half-shifted wave function", rep2.passed, rep2.summary())
     # emission: dual rewrite, base at the pole Q1 of the tilde x
-    side = "dual"
-    op_prod = Add((
-        Mul((Add((sc(q1), Mul((sc(-1), Gen("x0", side))))), Exp(Gen("y0", side)))),
-        Mul((sc(lam**2), Add((sc(p1), Gen("x0", side))), Add((sc(p2), Gen("x0", side))))),
-    ))
     transported = xy_dual_rewrite(op_prod)
     lim = simplify(singular_limit(transported, "inf", q1))
     final = gaiotto_shift_identity(lim)
@@ -696,15 +676,14 @@ def fixture_gentr_airy(order: int = 6, fast: bool = False) -> FixtureResult:
     return res
 
 
-def derivation_combine(steps, op: OpExpr, wave, order: int | None = None) -> OpExpr:
+def derivation_combine(steps, op: OpExpr, wave, order: int) -> OpExpr:
     """Scripted operator derivation with certified annihilation at each step.
 
     Steps are ("left_multiply", A) or ("add_left_multiple", A, Q); every Q
     must itself annihilate the wave data, and the running operator is
     re-checked after each step.  Aborts with the failing step index.
     """
-    n = order if order is not None else wave.trunc
-    rep = check_annihilation(op, wave, n)
+    rep = check_annihilation(op, wave, order)
     if not rep.passed:
         raise OperatorError(f"initial operator does not annihilate: {rep.summary()}")
     cur = op
@@ -714,13 +693,13 @@ def derivation_combine(steps, op: OpExpr, wave, order: int | None = None) -> OpE
             cur = simplify(Mul((a, cur)))
         elif step[0] == "add_left_multiple":
             _, a, q = step
-            repq = check_annihilation(q, wave, n)
+            repq = check_annihilation(q, wave, order)
             if not repq.passed:
                 raise OperatorError(f"step {i}: auxiliary operator fails to annihilate")
             cur = simplify(Add((cur, Mul((a, q)))))
         else:
             raise OperatorError(f"unknown step kind {step[0]}")
-        rep = check_annihilation(cur, wave, n)
+        rep = check_annihilation(cur, wave, order)
         if not rep.passed:
             raise OperatorError(f"annihilation lost at step {i}: {rep.summary()}")
     return cur
@@ -797,14 +776,15 @@ def fixture_rs_curve(r: int, order: int = 6, fast: bool = False) -> FixtureResul
         "r-spin quantum curve while the derived one reproduces it"
     )
     # final x-y dual emission at the singular base x0 = inf, y0 = 0
-    final_ast = _base_normal_to_ops(derived, r)
-    emitted = normal_order_mul_rule(simplify(Mul((Pow(Y, r), singular_limit(xy_dual_rewrite(_relabel_dual(final_ast)), "inf", 0)))))
+    def emit(nf: dict) -> OpExpr:
+        dual = _relabel_dual(_base_normal_to_ops(nf, r))
+        return normal_order_mul_rule(simplify(Mul((Pow(Y, r), singular_limit(xy_dual_rewrite(dual), "inf", 0)))))
+
+    emitted = emit(derived)
     res.emitted[f"rs_r{r}_s2_final"] = op_text(emitted)
-    paper_ast = _base_normal_to_ops(paper, r)
-    emitted_paper = normal_order_mul_rule(simplify(Mul((Pow(Y, r), singular_limit(xy_dual_rewrite(_relabel_dual(paper_ast)), "inf", 0)))))
     res.record(
         "final emission matches the printed last display",
-        emitted == emitted_paper,
+        emitted == emit(paper),
         "differs in the inherited hbar and hbar^2 coefficients",
         kind="paper",
     )
@@ -946,16 +926,12 @@ FIXTURES = {
 
 
 def run_fixture(name: str, **kw) -> FixtureResult:
+    """Run a registry entry.  A seed is dropped for an entry that takes
+    none, so one seeded call serves every entry; any other keyword the
+    entry does not take raises TypeError."""
     if name not in FIXTURES:
         raise KeyError(f"unknown fixture {name}; known: {', '.join(sorted(FIXTURES))}")
     fn = FIXTURES[name]
-    sig = None
-    try:
-        sig = inspect.signature(fn)
-    except (TypeError, ValueError):
-        pass
-    if sig is not None:
-        kw = {k: v for k, v in kw.items() if k in sig.parameters or any(
-            p.kind == inspect.Parameter.VAR_KEYWORD for p in sig.parameters.values()
-        )}
+    if "seed" not in inspect.signature(fn).parameters:
+        kw.pop("seed", None)
     return fn(**kw)

@@ -198,10 +198,12 @@ def sym_addinto(acc: Symbol, other: Symbol) -> None:
 
 
 def sym_scale_hseries(sym: Symbol, h: HSeries) -> Symbol:
-    """sym times a series with rational coefficients."""
+    """sym times a series with rational coefficients; a constant scales
+    each series, with no series product."""
+    c = h.coeffs[0] if len(h.coeffs) == 1 and 0 in h.coeffs else None
     out: Symbol = {}
     for _k, (p, s) in sym.items():
-        sym_insert(out, p, s * h)
+        sym_insert(out, p, s * h if c is None else s.scale(c))
     return out
 
 
@@ -704,7 +706,7 @@ def _first_order(s: HSeries, m: HSeries, d, trunc: int) -> HSeries:
     return s.map(d).shift(1).truncate(trunc) + s * m
 
 
-def apply_shift(sym: Symbol, c: Fraction, wave: WaveData, var: str = "z") -> Symbol:
+def apply_shift(sym: Symbol, c: Fraction, wave: WaveData, var: str) -> Symbol:
     """exp(c yhat) (var "z") or exp(c y0hat) (var "w") on a symbol.
 
     Either moves x by h*hbar, h = c for the main variable and -c for the
@@ -868,6 +870,10 @@ def _collect_class(sym: Symbol, pref: Prefactor) -> HSeries:
 
 
 def evaluate_operator_on(op: OpExpr, sym: Symbol, wave: WaveData) -> Symbol:
+    """op applied to a symbol.  A generator acts by its kind alone (x, y on
+    the main variable, x0, y0 on the base); its side label ("dual",
+    "dagger") only steers the rewrites, so an operator is certified on the
+    side it is transported from."""
     if isinstance(op, Scalar):
         coeffs = op.value.hbar_coefficients()
         if any(k < 0 for k in coeffs):
@@ -991,20 +997,19 @@ class AnnihilationReport:
         return f"first nonzero at hbar^{k} in class [{key[:60]}]: {c[:120]}"
 
 
-def check_annihilation(op: OpExpr, wave: WaveData, order: int | None = None) -> AnnihilationReport:
-    n = wave.trunc if order is None else order
-    if n > wave.trunc:
-        raise WaveError(f"requested order {n} exceeds wave truncation {wave.trunc}")
+def check_annihilation(op: OpExpr, wave: WaveData, order: int) -> AnnihilationReport:
+    if order > wave.trunc:
+        raise WaveError(f"requested order {order} exceeds wave truncation {wave.trunc}")
     sym = evaluate_operator(op, wave)
     failures = []
     for _k, (p, s) in sorted(sym.items()):
-        if s.trunc < n:
-            raise WaveError(f"symbol truncation {s.trunc} below requested order {n}")
+        if s.trunc < order:
+            raise WaveError(f"symbol truncation {s.trunc} below requested order {order}")
         for j in sorted(s.coeffs):
-            if j <= n and not s.coeffs[j].is_zero():
+            if j <= order and not s.coeffs[j].is_zero():
                 failures.append((j, p.key(), str(s.coeffs[j])))
     failures.sort()
-    return AnnihilationReport(not failures, n, failures)
+    return AnnihilationReport(not failures, order, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,19 @@
 """Fixture registry tests."""
 
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from trq import fixtures
+from trq.algebra import LogRat, RatFun
 from trq.algebra import poly as P
-from trq.fixtures import FIXTURES, FixtureResult, _pq_route2, fixture_pq, run_fixture
+from trq.curve import SpectralCurve
+from trq.fixtures import FIXTURES, FixtureResult, _lr, _pq_route2, fixture_pq, homogeneity_shear_suite, run_fixture
+from trq.operators import Mul
+from trq.recursion import run_tr
 from trq.wave import WaveError
 
 # registry entries that bind a fixture function's leading arguments
@@ -30,9 +36,15 @@ GOLDEN = json.loads((Path(__file__).with_name("golden_fixtures.json")).read_text
 
 @pytest.mark.parametrize("name", BOUND)
 def test_seed_is_dropped_for_entries_without_one(name):
-    # run_fixture passes on only the keywords an entry's signature declares
+    # run_fixture drops a seed for an entry whose signature declares none
     res = run_fixture(name, seed=7, fast=True, order=1)
     assert isinstance(res, FixtureResult) and res.checks
+
+
+def test_an_undeclared_keyword_other_than_seed_raises():
+    # a typo once passed silently, and the fixture ran in full mode
+    with pytest.raises(TypeError, match="fats"):
+        run_fixture("rspin3", fats=True, order=3)
 
 
 def _assert_certifies(name, res):
@@ -91,3 +103,59 @@ def test_pq_first_sample_certifies_in_full_mode():
 def test_fixture_certifies_in_full_mode(name):
     # at the fixture's default order, where shifts reach hbar^6; pq is above
     _assert_certifies(name, run_fixture(name))
+
+
+@pytest.mark.parametrize("name", ["hurwitz-q1", "hurwitz-q2", "homfly", "gaiotto", "pq"])
+def test_fixture_certifies_the_operator_it_rewrites(monkeypatch, name):
+    # the object handed to a rewrite is certified by annihilation itself, or
+    # as a factor of a certified product, not a twin written on another side
+    certified, rewritten = [], []
+
+    def recording(real, seen):
+        def wrapped(op, *args):
+            seen.append(op)
+            return real(op, *args)
+        return wrapped
+
+    monkeypatch.setattr(fixtures, "check_annihilation", recording(fixtures.check_annihilation, certified))
+    for rewrite in ("xy_dual_rewrite", "sympl_dual_rewrite"):
+        monkeypatch.setattr(fixtures, rewrite, recording(getattr(fixtures, rewrite), rewritten))
+    # route 2 of pq transports operators of the trivial curve, which has no
+    # wave data; test_pq_route2_with_q_a_multiple_of_y and the golden checks
+    # cover it
+    monkeypatch.setattr(fixtures, "_pq_route2", lambda p, q: (True, ""))
+    run_fixture(name, fast=True, order=3)
+    factors = [f for op in certified for f in (op, *(op.children if isinstance(op, Mul) else ()))]
+    assert rewritten
+    assert all(any(op is f for f in factors) for op in rewritten)
+
+
+def test_shear_suite_on_a_curve_whose_x_is_not_a_square():
+    cubic = SpectralCurve("cubic", _lr([0, -3, 0, 1]), _lr([0, 1]))
+    res = FixtureResult("cubic", "direct")
+    homogeneity_shear_suite(res, run_tr(cubic, 2), 2, random.Random(3))
+    assert len(res.checks) == 4
+    assert res.passed, [(c.label, c.detail) for c in res.checks if not c.passed]
+
+
+def test_shear_suite_builds_the_scaled_and_sheared_airy_curves(monkeypatch):
+    # y scaled by lambda, and y + R(x) with x = z^2: z + r0 + r1 z^2 + r2 z^4
+    airy = SpectralCurve("airy", _lr([0, 0, 1]), _lr([0, 1]))
+    store = run_tr(airy, 3)
+    curves = []
+
+    def recording(curve, chi):
+        curves.append(curve)
+        return run_tr(curve, chi)
+
+    monkeypatch.setattr(fixtures, "run_tr", recording)
+    res = FixtureResult("airy", "direct")
+    homogeneity_shear_suite(res, store, 3, random.Random(1))
+    assert res.passed and len(curves) == 4
+    assert all(c.x == airy.x for c in curves)
+    assert [c.y for c in curves[:2]] == [_lr([0, 2]), _lr([0, -3])]
+    rng = random.Random(1)
+    for sheared in curves[2:]:
+        r = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
+        shift = RatFun.make(P.poly([r[0], 0, r[1], 0, r[2]]))
+        assert sheared.y == LogRat.from_ratfun(RatFun.var() + shift)
