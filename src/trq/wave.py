@@ -1012,75 +1012,10 @@ def check_annihilation(op: OpExpr, wave: WaveData, order: int) -> AnnihilationRe
     return AnnihilationReport(not failures, order, failures)
 
 
-# ---------------------------------------------------------------------------
-# classical (hbar -> 0) symbol, used for sign resolutions
-
-
-def classical_symbol(op: OpExpr, x: LogRat, y: LogRat):
-    """The leading symbol of op on the curve, as a LogRat; operators must
-    classically commute, so this treats the generators x and y as the
-    functions x and y; any other generator is refused."""
-    op = simplify(op)
-
-    def ev(e: OpExpr) -> LogRat:
-        if isinstance(e, Scalar):
-            co = e.value.hbar_coefficients()
-            return LogRat.from_ratfun(RatFun.const(co.get(0, Fraction(0))))
-        if isinstance(e, Gen):
-            if e.kind == "x":
-                return x
-            if e.kind == "y":
-                return y
-            raise WaveError(f"classical value of {e.kind} not provided")
-        if isinstance(e, CoordMul):
-            return LogRat.from_ratfun(e.fn)
-        if isinstance(e, Add):
-            out = LogRat.from_ratfun(RatFun.const(0))
-            for c in e.children:
-                out = out + ev(c)
-            return out
-        if isinstance(e, Mul):
-            out = RatFun.const(1)
-            logpart = None
-            for c in e.children:
-                v = ev(c)
-                if v.has_logs():
-                    if logpart is not None:
-                        raise WaveError("classical product of two logarithmic factors")
-                    logpart = v
-                else:
-                    out = out * v.rat
-            if logpart is None:
-                return LogRat.from_ratfun(out)
-            if not out.is_const():
-                raise WaveError("classical product of a function with a logarithm")
-            return logpart.scale(out.const_value())
-        if isinstance(e, Pow):
-            v = ev(e.child)
-            if v.has_logs():
-                raise WaveError("classical power of a logarithmic value")
-            return LogRat.from_ratfun(v.rat**e.exp)
-        if isinstance(e, Inv):
-            v = ev(e.child)
-            if v.has_logs():
-                raise WaveError("classical inverse of a logarithmic value")
-            return LogRat.from_ratfun(RatFun.const(1) / v.rat)
-        if isinstance(e, Exp):
-            v = ev(e.arg)
-            return LogRat.from_ratfun(exp_lograt(v))
-        if isinstance(e, RatSubst):
-            v = ev(e.child)
-            if v.has_logs():
-                raise WaveError("classical rational substitution of a logarithmic value")
-            return LogRat.from_ratfun(RatFun(e.num, e.den).compose(v.rat))
-        raise TypeError(type(e))
-
-    return ev(op)
-
-
 def exp_lograt(v: LogRat) -> RatFun:
     """exp of a LogRat when it is exactly rational (integer log coefficients,
-    vanishing rational part)."""
+    vanishing rational part), else WaveError: the classical value of an
+    exponent on a curve, by which a transported exponent's sign is fixed."""
     if not v.rat.is_zero():
         raise WaveError(f"exp of {v} is not rational (rational part {v.rat})")
     out = RatFun.const(1)

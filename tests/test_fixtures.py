@@ -68,7 +68,7 @@ def test_fixture_certifies_in_fast_mode(name):
     assert res.omega_summary == golden["omega_summary"]
 
 
-@pytest.mark.parametrize("name,engine", [("homfly", "exp_lograt"), ("hurwitz-q1", "classical_symbol")])
+@pytest.mark.parametrize("name,engine", [("homfly", "exp_lograt"), ("hurwitz-q1", "exp_lograt")])
 def test_a_defect_does_not_pass_as_the_failure_of_the_printed_sign(monkeypatch, name, engine):
     # the printed sign fails with a WaveError (a non-rational exp); the same
     # failure as any other error is a defect, which the fixture raises
@@ -105,7 +105,11 @@ def test_fixture_certifies_in_full_mode(name):
     _assert_certifies(name, run_fixture(name))
 
 
-@pytest.mark.parametrize("name", ["hurwitz-q1", "hurwitz-q2", "homfly", "gaiotto", "pq"])
+@pytest.mark.parametrize(
+    "name",
+    ["hurwitz-q1", "hurwitz-q2", "homfly", "gaiotto", "pq",
+     "rspin3", "rspin4", "rspin5", "neg-rspin3", "neg-rspin4", "neg-rspin5"],
+)
 def test_fixture_certifies_the_operator_it_rewrites(monkeypatch, name):
     # the object handed to a rewrite is certified by annihilation itself, or
     # as a factor of a certified product, not a twin written on another side

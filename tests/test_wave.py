@@ -19,7 +19,6 @@ from trq.operators import (
     Mul,
     OperatorError,
     Pow,
-    RatSubst,
     Scalar,
     Sym,
     X,
@@ -39,9 +38,9 @@ from trq.wave import (
     apply_shift,
     build_wave_data,
     check_annihilation,
-    classical_symbol,
     evaluate_operator,
     evaluate_operator_on,
+    exp_lograt,
     stable_log_psi,
     sym_is_zero,
     sym_unit,
@@ -587,26 +586,15 @@ class TestGenericBaseCubic:
 
 
 class TestClassical:
-    def test_ratsubst_composes(self):
-        # R(x) on x = z^2 is R(z^2), for R(t) = (t^2 + 1)/(t + 2)
-        r = RatFun.make(P.poly([1, 0, 1]), P.poly([2, 1]))
-        v = classical_symbol(RatSubst(r.num, r.den, X), lr([0, 0, 1]), lr([0, 1]))
-        assert not v.has_logs()
-        assert v.rat == RatFun.make(P.poly([1, 0, 0, 0, 1]), P.poly([2, 0, 1]))
-
     def test_hurwitz_sign(self):
-        # the transported Hurwitz exponent must reproduce y on the curve
+        # the transported Hurwitz exponent q(x + y^r) must reproduce y on the
+        # curve x = log z - z^{rq}, y = z^q; the printed q(x - y^r) is not rational
         q, r = 2, 3
         x = LogRat.make(RatFun.make(P.poly([0] * (r * q) + [-1])), [(1, RatFun.var())])
         y = lr([0] * q + [1])
-        plus = classical_symbol(
-            Exp(Add((Mul((sc(q), X)), Mul((sc(q), Pow(Y, r)))))), x, y
-        )
-        assert plus.rat == y.rat
+        assert exp_lograt((x + y.rat**r).scale(q)) == y.rat
         with pytest.raises(WaveError, match="not rational"):
-            classical_symbol(
-                Exp(Add((Mul((sc(q), X)), Mul((sc(-q), Pow(Y, r)))))), x, y
-            )
+            exp_lograt((x - y.rat**r).scale(q))
 
 
 def test_prefactor_key_text():
