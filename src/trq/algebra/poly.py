@@ -96,18 +96,28 @@ def pow_(a: Poly, n: int) -> Poly:
 
 
 def divmod_(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Exact euclidean division; b must be nonzero."""
+    """Exact euclidean division of the polynomial a by a nonzero b.
+
+    Division by `ONE` returns a itself with a zero remainder.  A monic
+    divisor, as every canonical `RatFun` denominator is, reads each
+    quotient coefficient off the remainder without a division.  Each step
+    drops the leading term of the remainder, which cancels exactly, and
+    updates the rest at the divisor's nonzero coefficients only."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    if b == ONE:
+        return tuple(a), ZERO
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     r = list(a)
     db = degree(b)
     lb = b[-1]
+    monic = lb == 1
+    low = [(i, v) for i, v in enumerate(b[:-1]) if v]
     while len(r) - 1 >= db and r:
         k = len(r) - 1 - db
-        c = r[-1] / lb
+        c = r.pop() if monic else r.pop() / lb
         q[k] = c
-        for i, v in enumerate(b):
+        for i, v in low:
             r[k + i] -= c * v
         while r and r[-1] == 0:
             r.pop()

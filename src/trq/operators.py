@@ -42,8 +42,9 @@ on it, in slots that are not fields (they take no part in equality, hash or
 repr):
 - `_hash`: every node and every `Sym` computes its hash on first use, so the
   memo, the like terms and the function groups, all keyed by node, hash
-  each node once (a `Sym` hashes each coefficient as its numerator and
-  denominator);
+  each node once; each node kind hashes the tuple of its own fields, read
+  by name (`_kept_hash`), and a `Sym` hashes each coefficient as its
+  numerator and denominator;
 - `_canon`: set on every node that `simplify` returns, which is a fixed
   point, so a later call returns it at once, also as a subtree of a new
   tree;
@@ -77,7 +78,9 @@ serve the next.  Nodes are not interned as a whole: a table of every node
 built costs more than it saves.
 Within one call `simplify` also keeps a memo from each node it has rebuilt
 to the result, so structurally equal but distinct subtrees, which a literal
-rewrite puts in many places, are rebuilt once.
+rewrite puts in many places, are rebuilt once.  A rational times a
+canonical sum, as in every a - b, enters the enclosing sum as scaled
+(coefficient, core) pairs: the scaled copy of the sum is not built.
 
 Rewrites.  `_kids(e)` gives the operator children of a node in order and
 `_rebuild(e, kids)` builds a node of the same kind, with its own exponent or
@@ -107,13 +110,17 @@ class OperatorError(ValueError):
     pass
 
 
-def _cached_hash(self) -> int:
-    """The dataclass hash of a frozen instance, computed on first use only."""
-    h = self._hash
-    if h is None:
-        h = hash(tuple([getattr(self, f) for f in self.__dataclass_fields__]))
-        object.__setattr__(self, "_hash", h)
-    return h
+def _kept_hash(key):
+    """A node kind's `__hash__`: hash(key(node)), computed on first use and
+    kept in `_hash`.  key gives the tuple of the kind's fields, so the value
+    is the dataclass hash of the frozen instance."""
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+    return __hash__
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +195,9 @@ class Sym:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(not e for e, _ in self.terms)
+        """Read off the normal form: no term, or the constant alone."""
+        t = self.terms
+        return not t or (len(t) == 1 and not t[0][0])
 
     def const_value(self) -> Fraction:
         if not self.terms:
@@ -301,7 +310,7 @@ ONE = Sym.const(1)
 @dataclass(frozen=True)
 class OpExpr:
     # derived values, kept on the node (see the module docstring)
-    _hash = None   # set on first use by _cached_hash
+    _hash = None   # set on first use by __hash__ (_kept_hash)
     _canon = False  # True on every node that simplify returns
     _form = None   # the node's canonical form, once simplify has been given it
     _expanded = None  # the node's expanded form, once expand has been given it
@@ -315,7 +324,7 @@ class OpExpr:
 class Scalar(OpExpr):
     value: Sym
 
-    __hash__ = _cached_hash
+    __hash__ = _kept_hash(lambda e: (e.value,))
     _canon = True  # every scalar and generator is its own canonical form
 
 
@@ -324,7 +333,7 @@ class Gen(OpExpr):
     kind: str          # "x", "y", "x0", "y0"
     side: str = ""     # "", "dual", "dagger"
 
-    __hash__ = _cached_hash
+    __hash__ = _kept_hash(lambda e: (e.kind, e.side))
     _canon = True
 
 
@@ -335,28 +344,28 @@ class CoordMul(OpExpr):
     var: str           # "z" or "z0"
     fn: RatFun
 
-    __hash__ = _cached_hash
+    __hash__ = _kept_hash(lambda e: (e.var, e.fn))
 
 
 @dataclass(frozen=True)
 class Add(OpExpr):
     children: tuple
 
-    __hash__ = _cached_hash
+    __hash__ = _kept_hash(lambda e: (e.children,))
 
 
 @dataclass(frozen=True)
 class Mul(OpExpr):
     children: tuple    # composition order: leftmost acts last
 
-    __hash__ = _cached_hash
+    __hash__ = _kept_hash(lambda e: (e.children,))
 
 
 @dataclass(frozen=True)
 class Inv(OpExpr):
     child: OpExpr
 
-    __hash__ = _cached_hash
+    __hash__ = _kept_hash(lambda e: (e.child,))
 
 
 @dataclass(frozen=True)
@@ -364,14 +373,14 @@ class Pow(OpExpr):
     child: OpExpr
     exp: int
 
-    __hash__ = _cached_hash
+    __hash__ = _kept_hash(lambda e: (e.child, e.exp))
 
 
 @dataclass(frozen=True)
 class Exp(OpExpr):
     arg: OpExpr        # scalar plus linear combination of generators
 
-    __hash__ = _cached_hash
+    __hash__ = _kept_hash(lambda e: (e.arg,))
 
 
 @dataclass(frozen=True)
@@ -382,7 +391,7 @@ class RatSubst(OpExpr):
     den: tuple
     child: OpExpr
 
-    __hash__ = _cached_hash
+    __hash__ = _kept_hash(lambda e: (e.num, e.den, e.child))
 
 
 def sc(v) -> Scalar:
@@ -494,7 +503,10 @@ def _simp(e: OpExpr, memo: dict) -> OpExpr:
     """The canonical form of e.  A canonical node is returned as it is, a
     node simplified before gives its kept form, and memo maps every node
     rebuilt in this pass to its result, so structurally equal subtrees (as
-    after a literal substitution) are rebuilt once."""
+    after a literal substitution) are rebuilt once.  A summand that is a
+    rational s times an operand whose form is a sum, the -b of a - b,
+    enters the sum as the pair (s, sum) (`_summand`), so the scaled copy
+    of the sum is never built."""
     if e._canon:
         return e
     out = e._form
@@ -505,7 +517,7 @@ def _simp(e: OpExpr, memo: dict) -> OpExpr:
         if isinstance(e, CoordMul):
             out = _coord(e.var, e.fn) if e.fn.is_const() else e
         elif isinstance(e, Add):
-            out = _add([_simp(c, memo) for c in e.children])
+            out = _add([_summand(c, memo) for c in e.children])
         elif isinstance(e, Mul):
             out = _mul([_simp(c, memo) for c in e.children])
         elif isinstance(e, Inv):
@@ -523,6 +535,20 @@ def _simp(e: OpExpr, memo: dict) -> OpExpr:
     if out is not e:
         object.__setattr__(e, "_form", out)
     return out
+
+
+def _summand(e: OpExpr, memo: dict):
+    """A child of a sum for `_add`: (s, sum) when e is Mul((Scalar s, f))
+    with s a nonzero rational and the form of f a sum, else the canonical
+    form of e.  Multiples of hbar take `_simp`, whose `_scale` collects
+    terms."""
+    if type(e) is Mul and not e._canon and e._form is None and len(e.children) == 2:
+        s, f = e.children
+        if type(s) is Scalar and s.value.is_const() and s.value.terms:
+            f = _simp(f, memo)
+            if type(f) is Add:
+                return s.value, f
+    return _simp(e, memo)
 
 
 def _poly_eval_sym(p: tuple, v: Sym) -> Sym:
@@ -774,26 +800,34 @@ def _mul(factors: list) -> OpExpr:
 
 
 def _add(terms: list) -> OpExpr:
-    """The canonical sum of canonical terms.
+    """The canonical sum of canonical terms, each a node or a pair (s, sum)
+    of a nonzero rational s and a canonical sum, which stands for s * sum.
 
-    Nested sums are spliced and like terms collected by their core node.
-    Terms that are functions of one base merge when one of them is a
-    RatSubst (`_merge_function_groups`).  Terms are ordered by the text of
-    their cores; the sum keeps whatever sign its first term has.
+    Nested sums are spliced and like terms collected by their core node; a
+    pair adds s * c for each (c, core) of its sum, the coefficients that
+    scaling the sum would give, with no scaled term built.  Terms that are
+    functions of one base merge when one of them is a RatSubst
+    (`_merge_function_groups`).  Terms are ordered by the text of their
+    cores; the sum keeps whatever sign its first term has.
     """
     coeffs: dict = {}
 
-    def push(t: OpExpr) -> None:
+    def push(t: OpExpr, s=None) -> None:
         if isinstance(t, Add):
             for u in t.children:
-                push(u)
+                push(u, s)
             return
         c, core = _split_coeff(t)
+        if s is not None:
+            c = s * c
         old = coeffs.get(core)
         coeffs[core] = c if old is None else old + c
 
     for t in terms:
-        push(t)
+        if type(t) is tuple:
+            push(t[1], t[0])
+        else:
+            push(t)
     _merge_function_groups(coeffs, push)
     items = [(core, c) for core, c in coeffs.items() if not c.is_zero()]
     if not items:
@@ -809,26 +843,29 @@ def _merge_function_groups(coeffs: dict, push) -> None:
     when one of them is a RatSubst: their total R is split into its
     constant, one term per power of its polynomial part, and its proper
     part as one RatSubst (or as inverse powers when its denominator is a
-    power of t).  A power-1 term of a sum base is spliced back into the sum
-    through `push`; it only holds bases nested inside this one, so the
-    rounds end.  A group already in this form splits into itself and is
-    left as it is: one proper RatSubst, whose denominator is not a power of
-    t, beside positive powers of the base.
+    power of t).  Only the bases of RatSubst terms are grouped, each group
+    in the order of its first term.  A power-1 term of a sum base is
+    spliced back into the sum through `push`; it only holds bases nested
+    inside this one, so the rounds end.  A group already in this form
+    splits into itself and is left as it is: one proper RatSubst, whose
+    denominator is not a power of t, beside positive powers of the base.
     """
     while True:
-        if not any(isinstance(core, RatSubst) for core in coeffs):
+        bases = {
+            core.child for core, c in coeffs.items()
+            if isinstance(core, RatSubst) and c.is_const() and c.terms and not isinstance(core.child, Scalar)
+        }
+        if not bases:
             return
         groups: dict = {}
         for core, c in coeffs.items():
-            if isinstance(core, (Gen, Pow, Inv, RatSubst)) and c.is_const() and not c.is_zero():
+            if isinstance(core, (Gen, Pow, Inv, RatSubst)):
                 base = core.child if isinstance(core, RatSubst) else _power_of(core)[1]
-                if not isinstance(base, Scalar):
+                if base in bases and c.is_const() and c.terms:
                     groups.setdefault(base, []).append(core)
         spilled = False
         for base, members in groups.items():
             rats = [m for m in members if isinstance(m, RatSubst)]
-            if not rats:
-                continue
             if len(rats) == 1 and _is_atom(rats[0]) and not any(isinstance(m, Inv) for m in members):
                 continue  # a proper part beside positive powers: already split
             total = _group_total([(_as_function_of(m)[0], coeffs.pop(m).const_value()) for m in members])

@@ -325,16 +325,17 @@ def _poly_st(max_len):
     return st.lists(_coeff, max_size=max_len).map(P.poly)
 
 
+def _to_sympy(sp, p):
+    return sp.Poly([sp.Rational(v.numerator, v.denominator) for v in reversed(p)] or [0], sp.Symbol("x"), domain=sp.QQ)
+
+
+def _from_sympy(p) -> tuple:
+    return P.ZERO if p.is_zero else tuple(F(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
 def _sympy_gcd(sp, a, b):
-    x = sp.Symbol("x")
-
-    def to_sympy(p):
-        return sp.Poly([sp.Rational(v.numerator, v.denominator) for v in reversed(p)] or [0], x, domain=sp.QQ)
-
-    g = sp.gcd(to_sympy(a), to_sympy(b))
-    if g.is_zero:
-        return P.ZERO
-    return P.poly(F(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs()))
+    g = sp.gcd(_to_sympy(sp, a), _to_sympy(sp, b))
+    return P.ZERO if g.is_zero else _from_sympy(g.monic())
 
 
 class TestPolyGcd:
@@ -368,6 +369,38 @@ class TestPolyGcd:
         assert P.gcd(P.ZERO, P.poly([F(-7, 5)])) == P.ONE
         big = F(1, 10**40 + 7)
         assert P.gcd(P.poly([-big, big]), P.poly([-1, 0, 1])) == P.poly([-1, 1])
+
+
+_nonzero = _coeff.filter(bool)
+# every kind of divisor euclidean division meets: ONE, monic, non-monic, a
+# constant other than 1, and (at lengths up to 7) one of higher degree than
+# a dividend of length up to 5
+_divisor = st.one_of(
+    st.just(P.ONE),
+    _poly_st(4).map(lambda p: p + (F(1),)),
+    st.tuples(_poly_st(4), _nonzero).map(lambda t: t[0] + (t[1],)),
+    _nonzero.map(P.const),
+    st.tuples(st.lists(_coeff, min_size=5, max_size=6), _nonzero).map(lambda t: P.poly(t[0] + [t[1]])),
+)
+
+
+class TestPolyDivmod:
+    @_PROPERTY
+    @given(st.one_of(st.just(P.ZERO), _poly_st(5)), _divisor)
+    def test_matches_sympy_division_over_qq(self, a, b):
+        sp = pytest.importorskip("sympy")
+        q, r = P.divmod_(a, b)
+        want_q, want_r = sp.div(_to_sympy(sp, a), _to_sympy(sp, b))
+        assert (q, r) == (_from_sympy(want_q), _from_sympy(want_r))
+        for p in (q, r):
+            assert type(p) is tuple and all(type(v) is F for v in p) and (not p or p[-1] != 0)
+        assert P.degree(r) < P.degree(b)
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            P.divmod_(P.poly([1, 2]), P.ZERO)
+        with pytest.raises(ZeroDivisionError):
+            P.divmod_(P.ZERO, P.ZERO)
 
 
 def _series_at_by_composition(f, p, k_max):

@@ -18,7 +18,7 @@ from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trq import fixtures, operators
@@ -323,6 +323,23 @@ class TestSharingAndHashing:
         assert hash(d) == h
         assert hash(c) == hash(d) == h
         assert {d: "d"}[c] == "d" and {c: "c"}[d] == "c"
+
+    def test_every_kind_hashes_the_tuple_of_its_fields(self):
+        e = Add((
+            Mul((sc(2), X)), Pow(Y, 2), Inv(Y0), Exp(X), Gen("y", "dual"), _COORD,
+            RatSubst((F(1),), (F(1), F(1)), Mul((hb(), X0))),
+        ))
+        assert {type(n) for n in nodes(e)} == {Scalar, Gen, CoordMul, Add, Mul, Inv, Pow, Exp, RatSubst}
+        # each node fresh, so its hash is not kept yet; a Sym (the value of a
+        # Scalar) hashes its terms with each coefficient as its numerator and
+        # denominator
+        for v in [fresh(n) for n in nodes(e)] + [fresh(n.value) for n in nodes(e) if isinstance(n, Scalar)]:
+            assert v._hash is None
+            if isinstance(v, Sym):
+                want = hash(tuple((k, c.numerator, c.denominator) for k, c in v.terms))
+            else:
+                want = hash(tuple(getattr(v, f.name) for f in fields(v)))
+            assert hash(v) == want and v._hash == want and hash(v) == want
 
     @pytest.mark.parametrize(
         "obj, name",
@@ -668,3 +685,49 @@ class TestSignsInFactorPosition:
         d = Mul((hb(), Inv(sub(Y, Gen("y0")))))
         e = Add((d, Mul((hb(), Inv(sub(Gen("y0"), Y))))))
         assert simplify(e) == sc(0)
+
+
+def _canonical_sum(t, u):
+    """The canonical form of t + u when it is a sum, else None."""
+    s = _simplified(Add((t, u)))
+    return s if isinstance(s, Add) else None
+
+
+def _scaled_objects(mp) -> list:
+    """Every object that `operators._scale` is given from now on."""
+    seen, real = [], operators._scale
+
+    def recording(c, e):
+        seen.append(e)
+        return real(c, e)
+
+    mp.setattr(operators, "_scale", recording)
+    return seen
+
+
+class TestScaledSumInASum:
+    """A rational times a canonical sum enters the enclosing sum as scaled
+    (coefficient, core) pairs; the oracle is the route that builds the
+    scaled copy of the sum and adds it."""
+
+    @_PROPERTY
+    @given(_rich_tree, _rich_tree, _rich_tree, _rich_tree, st.sampled_from((F(-1), F(1), F(3, 2), F(-2, 3))))
+    def test_rational_times_a_sum_adds_its_scaled_copy(self, t, u, v, w, s):
+        a, b = _canonical_sum(t, u), _canonical_sum(v, w)
+        assume(a is not None and b is not None)
+        want = [outcome(lambda _: operators._add([a, operators._scale(Sym.const(c), b)]), None) for c in (s, -1)]
+        with pytest.MonkeyPatch.context() as mp:
+            scaled = _scaled_objects(mp)
+            assert [outcome(simplify, Add((a, Mul((sc(s), b))))), outcome(simplify, sub(a, b))] == want
+        assert not any(e is b for e in scaled)
+
+    @_PROPERTY
+    @given(_rich_tree, _rich_tree, _rich_tree, _rich_tree)
+    def test_a_multiple_of_hbar_scales_the_sum(self, t, u, v, w):
+        a, b = _canonical_sum(t, u), _canonical_sum(v, w)
+        assume(a is not None and b is not None)
+        want = outcome(lambda _: operators._add([a, operators._scale(Sym.hbar(), b)]), None)
+        with pytest.MonkeyPatch.context() as mp:
+            scaled = _scaled_objects(mp)
+            assert outcome(simplify, Add((a, Mul((hb(), b))))) == want
+        assert any(e is b for e in scaled)
