@@ -45,13 +45,15 @@ repr):
   each node once; each node kind hashes the tuple of its own fields, read
   by name (`_kept_hash`), and a `Sym` hashes each coefficient as its
   numerator and denominator;
-- `_canon`: set on every node that `simplify` returns, which is a fixed
-  point, so a later call returns it at once, also as a subtree of a new
-  tree;
+- `_canon`: set on every node that `simplify` or `expand` returns, which
+  is a fixed point, so a later call returns it at once, also as a subtree
+  of a new tree;
 - `_form`: set on every node that `simplify` was given, to its result, so
   simplifying the same object again (as `expand` does) costs one read;
 - `_expanded`: set on every node that `expand` was given, to its result, so
-  expanding the same object again costs one read;
+  expanding the same object again costs one read; an expansion is its own
+  expansion and holds True, not itself, since a node that refers to itself
+  is freed only by the cycle collector;
 - `_text`: set by `op_text` on first use, so sorting the terms of a sum
   reads each core's text;
 - `_split`: set on a product with a scalar in front, to (coefficient,
@@ -311,9 +313,9 @@ ONE = Sym.const(1)
 class OpExpr:
     # derived values, kept on the node (see the module docstring)
     _hash = None   # set on first use by __hash__ (_kept_hash)
-    _canon = False  # True on every node that simplify returns
+    _canon = False  # True on every node that simplify or expand returns
     _form = None   # the node's canonical form, once simplify has been given it
-    _expanded = None  # the node's expanded form, once expand has been given it
+    _expanded = None  # the node's expanded form once expand has been given it, True on an expansion
     _termlist = None  # a canonical node's products of atoms, set by _terms
     _powers = None  # {k: c^k}, k >= 2, of a canonical node c, set by _pow
     _text = None   # set by op_text on first use
@@ -925,11 +927,19 @@ def expand(e: OpExpr) -> OpExpr:
     proper part.  The atoms are generators, coordinate multipliers, powers
     of these, exponentials, inverses and proper RatSubst nodes (whose
     denominator is not a power of t), each with expanded children.
+
+    The result is a canonical fixed point and its own expansion: it is
+    marked `_canon`, and its `_expanded` is True, so simplify(x) is x and
+    expand(x) is x for x = expand(e), also as a subtree of a new tree.
     """
     out = e._expanded
+    if out is True:  # e is an expansion
+        return e
     if out is None:
         out = _add(_terms(simplify(e)))
         object.__setattr__(e, "_expanded", out)
+        object.__setattr__(out, "_canon", True)
+        object.__setattr__(out, "_expanded", True)
     return out
 
 

@@ -10,8 +10,10 @@ no node, because `simplify` rebuilds each distinct subtree once and nodes
 cache their hashes.  A node keeps what `simplify`, `expand`, `op_text`,
 `_term`, `_split_coeff`, `_terms` and `_pow` found for it (`_canon`, `_form`,
 `_expanded`, `_text`, `_split`, `_termlist`, `_powers`), so `simplify`
-returns a canonical node itself; the fixed-point properties therefore
-re-simplify a rebuilt copy (`fresh`), whose nodes keep nothing.
+returns a canonical node itself, an expansion included (it is marked
+`_canon`, and its `_expanded` is True: it is its own expansion); the
+fixed-point properties therefore re-simplify a rebuilt copy (`fresh`),
+whose nodes keep nothing.
 """
 
 from dataclasses import FrozenInstanceError, fields
@@ -401,6 +403,21 @@ class TestWorkKeptOnNodes:
             return
         assert expand(e) is out
         assert out == expand(fresh(e))
+
+    @_PROPERTY
+    @given(_rich_tree, _rich_tree)
+    def test_an_expansion_is_canonical_and_its_own_expansion(self, e, t):
+        try:
+            x = expand(e)
+        except (OperatorError, ZeroDivisionError):
+            return
+        assert x._canon
+        assert simplify(x) is x and expand(x) is x
+        # a tree holding the marked expansion, as a summand or as a factor,
+        # gives what its unmarked copy gives
+        for d in (sub(x, t), Mul((t, x))):
+            assert outcome(simplify, d) == outcome(simplify, fresh(d))
+            assert outcome(expand, d) == outcome(expand, fresh(d))
 
     @_PROPERTY
     @given(_rich_tree)

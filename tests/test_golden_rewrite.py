@@ -5,7 +5,9 @@ the x-y dual emission of the pq family, the symplectic transport of y - x and
 of x - y - x0 + y0, and the generic pq operator, on fixed coprime (p, q)
 pairs; plus the r-spin singular limits for r = 3, 4.  It was recorded from a
 `simplify`/`expand` that cached nothing across calls, so it also pins that
-the caches change no output.  To record it again:
+the caches change no output; the differences of simplified and expanded
+forms that the `rewrite` benchmark takes are checked against copies that
+keep nothing.  To record it again:
 
     PYTHONPATH=src python tests/test_golden_rewrite.py > tests/golden_rewrite.json
 """
@@ -21,6 +23,7 @@ from trq.algebra import RatFun
 from trq.algebra import poly as P
 from trq.operators import (
     Add,
+    Inv,
     Mul,
     RatSubst,
     X,
@@ -28,6 +31,7 @@ from trq.operators import (
     Y,
     Y0,
     expand,
+    hb,
     normal_order_mul_rule,
     op_text,
     sc,
@@ -37,6 +41,8 @@ from trq.operators import (
     sympl_dual_rewrite,
     xy_dual_rewrite,
 )
+
+from test_canonical_form import fresh
 
 # (p, q) low-to-high, coprime, q of one to four terms
 PAIRS = (
@@ -70,6 +76,17 @@ def pair_operators(p, q) -> dict:
         "sympl_second": sympl_dual_rewrite(Add((X, _neg(Y), _neg(X0), Y0)), R),
         "generic": fixtures.pq_generic_operator(p, q),
     }
+
+
+def reduced_operator(p, q):
+    """q(A) times the transported y - x with x - y - x0 + y0 dropped from
+    its denominator, A = y - hbar/(x - x0): the operator that the `rewrite`
+    benchmark compares with the generic pq operator."""
+    R = RatFun.make(p, q) - RatFun.var()
+    A = fixtures.dressed_y()
+    reduced = (RatSubst(R.num, R.den, A), A, _neg(X), Mul((hb(), Inv(sub(Y, Y0)))))
+    qA = RatSubst(q, P.ONE, A)
+    return Add(tuple(Mul((qA, t)) for t in reduced))
 
 
 def limit_operators(r: int) -> dict:
@@ -110,6 +127,17 @@ def test_pair_rewrites_match_the_recorded_texts(golden, p, q):
     first = {name: _texts(e) for name, e in ops.items()}
     again = {name: _texts(e) for name, e in ops.items()}  # from nodes simplified once already
     assert first == again == golden["pairs"][_key(p, q)]
+
+
+@pytest.mark.parametrize("p, q", PAIRS, ids=[_key(p, q) for p, q in PAIRS])
+def test_differences_of_kept_forms_match_those_of_fresh_copies(p, q):
+    # the four pairings of forms that the benchmark compares; an expansion
+    # is marked canonical, and its copy is not
+    final = reduced_operator(P.poly(p), P.poly(q))
+    generic = fixtures.pq_generic_operator(P.poly(p), P.poly(q))
+    for a in (simplify(final), expand(final)):
+        for b in (simplify(generic), expand(generic)):
+            assert op_text(simplify(sub(a, b))) == op_text(simplify(sub(fresh(a), fresh(b))))
 
 
 @pytest.mark.parametrize("r", (3, 4))
