@@ -67,22 +67,34 @@ repr):
 - `_powers`: set by `_pow` on a canonical base c, to {k: c^k} for k >= 2,
   so the powers that merging factors and splitting rational functions ask
   for, and their expansions, are built once (inverses are rarely asked for
-  twice and are not kept).
+  twice and are not kept);
+- `_times`: set by `_product` on a core K_a that `expand` multiplies on the
+  left, to {K_u: K_a K_u}; scalars are central, so the product of two
+  terms is c_a c_u times the kept product of their cores, and a pair of
+  cores met again (words in the dressed y, for every (p, q) pair) is
+  multiplied once, into one core object whose hash and text are computed
+  once.
 These serve a later call only where it meets the same object, so equal
 pieces that rewrites build are made one object: `xy_dual_rewrite` puts the
 one image of each (kind, side) from a table built at import in every place
-of that generator, `_map_gens` (under every rewrite) walks each object,
-generators included, once per call, so an image is as shared as its input,
-and returns a node whose children did not change itself, and the dressed
-operators of `trq.fixtures` are module constants, as X and Y are.  The
-forms, expansions, texts and term lists found for one (p, q) pair then
-serve the next.  Nodes are not interned as a whole: a table of every node
-built costs more than it saves.
+of that generator, and starts its walk from the dual of every subtree of
+those images, also built at import, so a piece of an image that a rewrite
+leaves in place (hbar/(x' - x0') under the shear of `sympl_dual_rewrite`)
+has one dual whatever R is; `_map_gens` (under every rewrite) walks each
+object, generators included, once per call, so an image is as shared as
+its input, and returns a node whose children did not change itself; and
+the dressed operators of `trq.fixtures` are module constants, as X and Y
+are.  The forms, expansions, texts and term lists found for one (p, q) pair
+then serve the next.  Nodes are not interned as a whole: a table of every
+node built costs more than it saves.
 Within one call `simplify` also keeps a memo from each node it has rebuilt
 to the result, so structurally equal but distinct subtrees, which a literal
 rewrite puts in many places, are rebuilt once.  A rational times a
 canonical sum, as in every a - b, enters the enclosing sum as scaled
-(coefficient, core) pairs: the scaled copy of the sum is not built.
+(coefficient, core) pairs: the scaled copy of the sum is not built.  And a
+sum of exactly a node N and -1 times a sum equal to N, a - b for equal
+forms, is 0 at once: the kept hashes are compared, then the nodes, and no
+term of either is walked (`_is_difference_of_equals`).
 
 Rewrites.  `_kids(e)` gives the operator children of a node in order and
 `_rebuild(e, kids)` builds a node of the same kind, with its own exponent or
@@ -320,6 +332,7 @@ class OpExpr:
     _powers = None  # {k: c^k}, k >= 2, of a canonical node c, set by _pow
     _text = None   # set by op_text on first use
     _split = None  # (coefficient, core) of a scalar-led product, set by _split_coeff
+    _times = None  # {right core: product} of a core, set by _product
 
 
 @dataclass(frozen=True)
@@ -508,7 +521,8 @@ def _simp(e: OpExpr, memo: dict) -> OpExpr:
     after a literal substitution) are rebuilt once.  A summand that is a
     rational s times an operand whose form is a sum, the -b of a - b,
     enters the sum as the pair (s, sum) (`_summand`), so the scaled copy
-    of the sum is never built."""
+    of the sum is never built, and a - b for equal forms is 0 without a
+    walk over their terms."""
     if e._canon:
         return e
     out = e._form
@@ -519,7 +533,8 @@ def _simp(e: OpExpr, memo: dict) -> OpExpr:
         if isinstance(e, CoordMul):
             out = _coord(e.var, e.fn) if e.fn.is_const() else e
         elif isinstance(e, Add):
-            out = _add([_summand(c, memo) for c in e.children])
+            terms = [_summand(c, memo) for c in e.children]
+            out = sc(0) if _is_difference_of_equals(terms) else _add(terms)
         elif isinstance(e, Mul):
             out = _mul([_simp(c, memo) for c in e.children])
         elif isinstance(e, Inv):
@@ -551,6 +566,21 @@ def _summand(e: OpExpr, memo: dict):
             if type(f) is Add:
                 return s.value, f
     return _simp(e, memo)
+
+
+def _is_difference_of_equals(terms: list) -> bool:
+    """Whether the summands are exactly a node N and the pair (-1, S) with
+    S == N: a - b for equal forms, which is 0 without a walk over the terms
+    of both.  Kept hashes are compared first.  With more summands `_add`
+    takes them all, since leaving out the cancelled cores would change the
+    order in which its function groups meet the others."""
+    if len(terms) != 2:
+        return False
+    n, pair = terms
+    if type(pair) is not tuple or type(n) is tuple or not (-pair[0]).unit:
+        return False
+    s = pair[1]
+    return n is s or (hash(n) == hash(s) and n == s)
 
 
 def _poly_eval_sym(p: tuple, v: Sym) -> Sym:
@@ -810,7 +840,9 @@ def _add(terms: list) -> OpExpr:
     scaling the sum would give, with no scaled term built.  Terms that are
     functions of one base merge when one of them is a RatSubst
     (`_merge_function_groups`).  Terms are ordered by the text of their
-    cores; the sum keeps whatever sign its first term has.
+    cores; the sum keeps whatever sign its first term has.  A difference of
+    equal forms does not come here: `_simp` gives it 0 at once
+    (`_is_difference_of_equals`).
     """
     coeffs: dict = {}
 
@@ -978,10 +1010,36 @@ def _terms_of(e: OpExpr) -> list:
 
 
 def _products(factor_terms: list) -> list:
-    out = [_ONE]
-    for fts in factor_terms:
-        out = [t for a in out for u in fts for t in _checked(_mul([a, u]))]
-    return out
+    """Every product of one term from each list, in order, as canonical
+    products of atoms.  A product of two terms is the product of their
+    cores, kept on the left core (`_times`), scaled by the product of their
+    coefficients."""
+    out, *rest = factor_terms
+    for fts in rest:
+        out = [t for a in out for u in fts for t in _checked(_product(a, u))]
+    return list(out)
+
+
+def _product(a: OpExpr, u: OpExpr) -> OpExpr:
+    """_mul([a, u]) for canonical products of atoms a and u.  Scalars are
+    central, so it is c_a c_u times the product of the cores K_a K_u, which
+    is built once and kept on K_a in `_times`; the scalar core 1 keeps
+    nothing."""
+    ca, ka = _split_coeff(a)
+    cu, ku = _split_coeff(u)
+    if ka is _ONE:
+        kept = ku
+    elif ku is _ONE:
+        kept = ka
+    else:
+        times = ka._times
+        if times is None:
+            times = {}
+            object.__setattr__(ka, "_times", times)
+        kept = times.get(ku)
+        if kept is None:
+            kept = times[ku] = _mul([ka, ku])
+    return _scale(ca * cu, kept)
 
 
 def _checked(t: OpExpr) -> tuple:
@@ -1066,16 +1124,32 @@ _DUAL_IMAGES = {
 }
 
 
+def _dual_image(g: Gen) -> OpExpr:
+    image = _DUAL_IMAGES.get((g.kind, g.side))
+    if image is None:
+        raise OperatorError(g.kind)
+    return image
+
+
+def _dual_walk_map() -> dict:
+    """The `_map_gens` walk map of the x-y dual over every dual image: the
+    id of each subtree of an image to its dual.  The images hold the
+    subtrees, so the ids stay theirs."""
+    seen: dict = {}
+    for image in _DUAL_IMAGES.values():
+        _map_gens(image, _dual_image, seen)
+    return seen
+
+
+_DUAL_OF_IMAGES = _dual_walk_map()
+
+
 def xy_dual_rewrite(e: OpExpr) -> OpExpr:
-    """Literal substitution sending each generator to its x-y dual expression."""
-
-    def table(g: Gen) -> OpExpr:
-        image = _DUAL_IMAGES.get((g.kind, g.side))
-        if image is None:
-            raise OperatorError(g.kind)
-        return image
-
-    return _map_gens(e, table)
+    """Literal substitution sending each generator to its x-y dual
+    expression.  The walk starts from the duals of the dual images' subtrees
+    built at import, so a subtree of an image in e, as in the last dual of
+    `sympl_dual_rewrite`, gives the same object on every call."""
+    return _map_gens(e, _dual_image, dict(_DUAL_OF_IMAGES))
 
 
 def shear_rewrite(e: OpExpr, R: RatFun) -> OpExpr:

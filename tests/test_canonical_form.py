@@ -8,12 +8,12 @@ ways that share no code with `simplify`/`expand`:
 Trees that reuse one subtree object are checked against a copy that shares
 no node, because `simplify` rebuilds each distinct subtree once and nodes
 cache their hashes.  A node keeps what `simplify`, `expand`, `op_text`,
-`_term`, `_split_coeff`, `_terms` and `_pow` found for it (`_canon`, `_form`,
-`_expanded`, `_text`, `_split`, `_termlist`, `_powers`), so `simplify`
-returns a canonical node itself, an expansion included (it is marked
-`_canon`, and its `_expanded` is True: it is its own expansion); the
-fixed-point properties therefore re-simplify a rebuilt copy (`fresh`),
-whose nodes keep nothing.
+`_term`, `_split_coeff`, `_terms`, `_pow` and `_product` found for it
+(`_canon`, `_form`, `_expanded`, `_text`, `_split`, `_termlist`, `_powers`,
+`_times`), so `simplify` returns a canonical node itself, an expansion
+included (it is marked `_canon`, and its `_expanded` is True: it is its own
+expansion); the fixed-point properties therefore re-simplify a rebuilt copy
+(`fresh`), whose nodes keep nothing.
 """
 
 from dataclasses import FrozenInstanceError, fields
@@ -211,6 +211,27 @@ def outcome(f, e):
     except (OperatorError, ZeroDivisionError) as err:
         return type(err)
     return out, op_text(out)
+
+
+def terms_of(s) -> tuple:
+    """The products of atoms of a canonical s, or none where s or its
+    expansion does not exist."""
+    if s is None:
+        return ()
+    try:
+        return operators._terms(s)
+    except (OperatorError, ZeroDivisionError):
+        return ()
+
+
+def terms_outcome(f):
+    """f() as a list of terms and their texts, or the type of the error f
+    raises."""
+    try:
+        out = f()
+    except (OperatorError, ZeroDivisionError) as err:
+        return type(err)
+    return [(t, op_text(t)) for t in out]
 
 
 # a rich tree with one subtree object plugged in at every x, at least twice
@@ -468,6 +489,21 @@ class TestWorkKeptOnNodes:
             assert got == outcome(lambda b: operators._pow(b, k), fresh(c))
             if k >= 0 and not isinstance(got, type):  # inverses are not kept
                 assert operators._pow(c, k) is got[0]
+
+    @_PROPERTY
+    @given(_rich_tree, _rich_tree)
+    def test_a_product_of_terms_is_the_kept_product_of_their_cores(self, t, u):
+        ts, us = (terms_of(_simplified(e)) for e in (t, u))
+        for a in ts[:3]:
+            for b in us[:3]:
+                got = terms_outcome(lambda: operators._checked(operators._product(a, b)))
+                assert got == terms_outcome(lambda: operators._checked(operators._mul([fresh(a), fresh(b)])))
+                if isinstance(got, type):
+                    continue
+                # a term with the same core and another coefficient meets the
+                # kept product: one core object
+                again = operators._product(operators._scale(Sym.const(2), a), b)
+                assert operators._split_coeff(again)[1] is operators._split_coeff(operators._product(a, b))[1]
 
     def test_dressed_operators_are_shared(self):
         assert fixtures.dressed_y() is fixtures.dressed_y()
@@ -748,3 +784,51 @@ class TestScaledSumInASum:
             scaled = _scaled_objects(mp)
             assert outcome(simplify, Add((a, Mul((hb(), b))))) == want
         assert any(e is b for e in scaled)
+
+
+def _add_calls(mp) -> list:
+    """Every list of summands that `operators._add` is given from now on."""
+    seen, real = [], operators._add
+
+    def recording(terms):
+        seen.append(terms)
+        return real(terms)
+
+    mp.setattr(operators, "_add", recording)
+    return seen
+
+
+class TestDifferenceOfEqualForms:
+    """a - b for equal canonical sums is 0 without a walk over their terms;
+    the oracle for every other sum is `_add` on the same summands."""
+
+    @_PROPERTY
+    @given(_rich_tree, _rich_tree)
+    def test_a_sum_minus_an_equal_form_is_zero_without_add(self, t, u):
+        a = _canonical_sum(t, u)
+        assume(a is not None)
+        b = fresh(a)
+        simplify(b)  # b keeps its form, equal to a but another object
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _add_calls(mp)
+            assert simplify(sub(a, b)) == sc(0)
+        assert not calls
+
+    @_PROPERTY
+    @given(_rich_tree, _rich_tree, _rich_tree)
+    def test_other_differences_go_through_add(self, t, u, v):
+        a, b, c = _canonical_sum(t, u), _canonical_sum(u, v), _simplified(v)
+        assume(a is not None and b is not None and c is not None and a != b)
+        a2 = fresh(a)
+        simplify(a2)
+        minus_one = Sym.const(-1)
+        cases = [
+            (sub(a, b), [a, (minus_one, b)]),
+            (Add((a, Mul((sc(-1), a2)), c)), [a, (minus_one, a), c]),
+        ]
+        for e, summands in cases:
+            want = outcome(lambda _: operators._add(summands), None)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = _add_calls(mp)
+                assert outcome(simplify, e) == want
+            assert calls[0] == summands

@@ -134,6 +134,17 @@ def test_fixture_certifies_the_operator_it_rewrites(monkeypatch, name):
     assert all(any(op is f for f in factors) for op in rewritten)
 
 
+@pytest.mark.parametrize("name, y", [("airy", _lr([0, 1])), ("bessel", _lr([1], [0, 1]))])
+def test_the_chi_part_of_a_store_is_the_store_run_to_that_chi(name, y):
+    # the Airy and Bessel fixtures hand their own store's chi <= 3 part to
+    # the shear suite instead of running TR to chi <= 3 again
+    curve = SpectralCurve(name, _lr([0, 0, 1]), y)
+    store = run_tr(curve, 5)
+    part = fixtures._chi_part(store, 3)
+    assert part.to_json() == run_tr(curve, 3).to_json()
+    assert fixtures._chi_part(part, 3) is part and fixtures._chi_part(store, 5) is store
+
+
 def test_shear_suite_on_a_curve_whose_x_is_not_a_square():
     cubic = SpectralCurve("cubic", _lr([0, -3, 0, 1]), _lr([0, 1]))
     res = FixtureResult("cubic", "direct")

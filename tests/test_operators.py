@@ -194,6 +194,17 @@ class TestSymplDual:
         expect = expand(Add((yz, Mul((hb(), corr)))))
         assert op_text(out) == op_text(expect)
 
+    def test_two_transports_share_the_dual_of_hbar_over_x_minus_x0(self):
+        # x -> y0' - hbar/(x' - x0') under the dual; the shear leaves
+        # hbar/(x' - x0') in place, and its dual, built at import, is one
+        # object whatever R is
+        a = sympl_dual_rewrite(X, RatFun.make(P.poly([0, 0, 1])))
+        b = sympl_dual_rewrite(X, RatFun.make(P.poly([1, 2]), P.poly([0, 1])))
+        assert a.children[0] != b.children[0]
+        dual = a.children[1].children[1]
+        assert b.children[1].children[1] is dual
+        assert dual == xy_dual_rewrite(Mul((hb(), Inv(sub(Gen("x", "dual"), Gen("x0", "dual"))))))
+
 
 class TestSingularLimit:
     def test_bessel(self):
