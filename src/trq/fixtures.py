@@ -137,6 +137,7 @@ def airy_fraction_operator() -> OpExpr:
 
 _DRESSED_Y = sub(Y, Mul((hb(), Inv(sub(X, X0)))))
 _DRESSED_X = sub(X, Mul((hb(), Inv(sub(Y, Y0)))))
+_DRESSED_Y0 = sub(Y0, Mul((hb(), Inv(sub(X, X0)))))
 
 
 def dressed_y() -> OpExpr:
@@ -333,7 +334,7 @@ def _pq_route2(p: P.Poly, q: P.Poly) -> tuple[bool, str]:
     p1 = simplify(sympl_dual_rewrite(sub(Y, X), R))
     p2 = simplify(sympl_dual_rewrite(Add((X, Mul((sc(-1), Y)), Mul((sc(-1), X0)), Y0)), R))
     A = dressed_y()
-    A0 = sub(Y0, Mul((hb(), Inv(sub(X, X0)))))
+    A0 = _DRESSED_Y0
     # the transported forms, written with R-atoms: p/q(t) = R(t) + t
     rsA = RatSubst(R.num, R.den, A)
     rsA0 = RatSubst(R.num, R.den, A0)

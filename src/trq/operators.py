@@ -80,13 +80,18 @@ one image of each (kind, side) from a table built at import in every place
 of that generator, and starts its walk from the dual of every subtree of
 those images, also built at import, so a piece of an image that a rewrite
 leaves in place (hbar/(x' - x0') under the shear of `sympl_dual_rewrite`)
-has one dual whatever R is; `_map_gens` (under every rewrite) walks each
-object, generators included, once per call, so an image is as shared as
-its input, and returns a node whose children did not change itself; and
-the dressed operators of `trq.fixtures` are module constants, as X and Y
-are.  The forms, expansions, texts and term lists found for one (p, q) pair
-then serve the next.  Nodes are not interned as a whole: a table of every
-node built costs more than it saves.
+has one dual whatever R is; `sympl_dual_rewrite` puts in each generator's
+image under dual, shear and dual, built once per R and kept in a
+`weakref.WeakKeyDictionary` keyed by R, so two operators transported along
+one R share them and they go with R (a cache keyed by R's value would grow
+with every (p, q) pair, a slot would put operator state on `RatFun`);
+`_map_gens` (under every rewrite) walks each object, generators included,
+once per call, so an image is as shared as its input, and returns a node
+whose children did not change itself; and the dressed operators of
+`trq.fixtures` are module constants, as X and Y are.  The forms,
+expansions, texts and term lists found for one (p, q) pair then serve the
+next.  Nodes are not interned as a whole: a table of every node built
+costs more than it saves.
 Within one call `simplify` also keeps a memo from each node it has rebuilt
 to the result, so structurally equal but distinct subtrees, which a literal
 rewrite puts in many places, are rebuilt once.  A rational times a
@@ -112,6 +117,7 @@ constructor call per kind.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
@@ -1127,7 +1133,7 @@ _DUAL_IMAGES = {
 def _dual_image(g: Gen) -> OpExpr:
     image = _DUAL_IMAGES.get((g.kind, g.side))
     if image is None:
-        raise OperatorError(g.kind)
+        raise OperatorError(f"generator {g.kind!r} on side {g.side!r} has no x-y dual image")
     return image
 
 
@@ -1163,9 +1169,30 @@ def shear_rewrite(e: OpExpr, R: RatFun) -> OpExpr:
     return _map_gens(e, table)
 
 
+# R -> {(kind, side): image under sympl_dual_rewrite}, while R lives
+_SYMPL_IMAGES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def sympl_dual_rewrite(e: OpExpr, R: RatFun) -> OpExpr:
-    """Transport along (x, y) -> (x + R(y), y): dual, shear, dual."""
-    return xy_dual_rewrite(shear_rewrite(xy_dual_rewrite(e), R))
+    """Transport along (x, y) -> (x + R(y), y): dual, shear, dual.  A
+    literal substitution composes, so this is one walk of e that puts in
+    each generator's image under the three.  A side's images are built
+    together once per R and kept in `_SYMPL_IMAGES` while the caller holds
+    R, so a second transport along R puts in the same objects, with what
+    is kept on them; a cache keyed by R's value would keep them for good."""
+    images = _SYMPL_IMAGES.setdefault(R, {})
+
+    def table(g: Gen) -> OpExpr:
+        image = images.get((g.kind, g.side))
+        if image is None:
+            _dual_image(g)  # a generator with no dual image raises here
+            gens = tuple(Gen(kind, g.side) for kind in ("x", "y", "x0", "y0"))
+            out = xy_dual_rewrite(shear_rewrite(xy_dual_rewrite(Add(gens)), R))
+            images.update(((h.kind, h.side), im) for h, im in zip(gens, out.children))
+            image = images[g.kind, g.side]
+        return image
+
+    return _map_gens(e, table)
 
 
 # ---------------------------------------------------------------------------

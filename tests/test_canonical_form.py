@@ -524,6 +524,38 @@ class TestWorkKeptOnNodes:
         assert {b: "b"}[a] == "b"
 
 
+# rich trees with generators on the "", "dual" and "dagger" sides, and the
+# R of a transport: 0, a polynomial, or a proper p/q(t) minus t
+_sided_tree = st.recursive(
+    st.one_of(
+        st.builds(Gen, st.sampled_from(("x", "y", "x0", "y0")), st.sampled_from(("", "dual", "dagger"))),
+        _scalar_st(),
+    ),
+    _extend_rich,
+    max_leaves=7,
+)
+_small = st.integers(-2, 2).map(F)
+_transport_r = st.one_of(
+    st.just(RatFun.const(0)),
+    _poly.map(RatFun.make),
+    st.builds(lambda a, b, c, d: RatFun.make((a, b), (c, d, F(1))) - RatFun.var(), _small, _small, _small, _small),
+)
+
+
+class TestSymplecticTransport:
+    @_PROPERTY
+    @given(_sided_tree, _transport_r)
+    def test_one_walk_gives_the_three_walk_composition(self, e, R):
+        def three_walks(t):
+            return xy_dual_rewrite(shear_rewrite(xy_dual_rewrite(t), R))
+
+        out = sympl_dual_rewrite(e, R)
+        assert out == three_walks(e)
+        assert outcome(simplify, out) == outcome(simplify, fresh(three_walks(fresh(e))))
+        with pytest.raises(OperatorError, match="coordinate multiplier"):
+            sympl_dual_rewrite(Mul((e, _COORD)), R)
+
+
 # every node kind, exponentials of any subtree and a generator of the dual side
 _any_tree = st.recursive(
     st.one_of(st.sampled_from((X, Y, X0, Y0, Gen("y", "dual"), _COORD)), _scalar_st()),

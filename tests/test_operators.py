@@ -1,7 +1,10 @@
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
+from trq import operators
 from trq.algebra import HSeries, RatFun
 from trq.algebra import poly as P
 from trq.operators import (
@@ -150,6 +153,13 @@ class TestSharedImages:
         with pytest.raises(OperatorError):
             xy_dual_rewrite(Add((X, Gen("z"))))
 
+    @pytest.mark.parametrize("rewrite", [xy_dual_rewrite, lambda e: sympl_dual_rewrite(e, RatFun.var())])
+    @pytest.mark.parametrize("kind, side", [("z", ""), ("y", "weird")])
+    def test_a_generator_without_a_dual_image_is_named(self, rewrite, kind, side):
+        msg = f"generator '{kind}' on side '{side}' has no x-y dual image"
+        with pytest.raises(OperatorError, match=msg):
+            rewrite(Add((X, Gen(kind, side))))
+
 
 class TestShear:
     def test_trivial(self):
@@ -204,6 +214,30 @@ class TestSymplDual:
         dual = a.children[1].children[1]
         assert b.children[1].children[1] is dual
         assert dual == xy_dual_rewrite(Mul((hb(), Inv(sub(Gen("x", "dual"), Gen("x0", "dual"))))))
+
+    def test_two_transports_along_one_r_put_the_same_image_of_y(self):
+        R = RatFun.make(P.poly([1, 0, 2]), P.poly([3, 1]))
+        a = sympl_dual_rewrite(Y, R)
+        b = sympl_dual_rewrite(sub(Y, X), R)
+        assert b.children[0] is a
+        assert a == xy_dual_rewrite(shear_rewrite(xy_dual_rewrite(Y), R))
+
+    def test_value_equal_r_gives_equal_texts(self):
+        e = Add((X, Mul((sc(-1), Y)), Mul((sc(-1), X0)), Y0))
+        r1 = RatFun.make(P.poly([2, -1]), P.poly([1, 0, 1])) - RatFun.var()
+        r2 = RatFun.make(P.poly([2, -1]), P.poly([1, 0, 1])) - RatFun.var()
+        assert r1 is not r2
+        assert op_text(simplify(sympl_dual_rewrite(e, r1))) == op_text(simplify(sympl_dual_rewrite(e, r2)))
+
+    def test_the_images_go_with_r(self):
+        R = RatFun.make(P.poly([5, 0, 0, 7]))
+        sympl_dual_rewrite(sub(Y, X), R)
+        assert R in operators._SYMPL_IMAGES
+        alive = weakref.ref(R)
+        del R
+        gc.collect()
+        assert alive() is None
+        assert RatFun.make(P.poly([5, 0, 0, 7])) not in operators._SYMPL_IMAGES
 
 
 class TestSingularLimit:
